@@ -14,16 +14,17 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
-from .ring import GaussRat, QQ, qint
-from .linalg import (random_point, algebra_closure_dim, commutant_dimension,
-                     GR_ONE)
+from .ring import GaussRat, GR_ONE
+from .linalg import random_point, algebra_closure_dim, commutant_dimension
 from . import qgroup, intertwiner, coideal, combinat
 
 
 SUITES = ("relations", "commutation", "cubic", "spectrum", "duality",
           "fft", "tl", "so3", "integrality", "all")
+# Suites built on the spin representation, which needs N >= 3.
+SPIN_SUITES = ("relations", "commutation", "cubic", "spectrum", "integrality",
+               "fft")
 
 
 def _fmt_weight(doubled) -> str:
@@ -59,6 +60,8 @@ def run_verify(args) -> int:
     N = args.N
     n = args.n
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    if N < 3 and any(s in SPIN_SUITES for s in suites):
+        raise ValueError(f"suite {args.suite!r} needs N >= 3, got N={N}")
     for suite in suites:
         if suite == "relations":
             rep.check(f"defining relations N={N}",

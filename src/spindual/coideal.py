@@ -10,9 +10,8 @@ F with F^2 = 1, F B_1 = -B_1 F, F B_i = B_i F for i > 1.
 
 from __future__ import annotations
 
-from .ring import (Scalar, ONE, I, V, QQ, qint, qint_plus, q_power, sc)
-from .linalg import (SparseMatrix, nullspace, embed_factor,
-                     algebra_closure_dim, commutant_dimension)
+from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
+from .linalg import SparseMatrix, nullspace
 from . import clifford as cl
 from .qgroup import rank_of
 from .intertwiner import C_embedded
@@ -156,7 +155,10 @@ def tl_generators(n: int) -> list:
         for (r, c), val in m.data.items():
             stack[(4 * b + r, c)] = val
     vecs = nullspace(stack)
-    assert len(vecs) == 1
+    if len(vecs) != 1:
+        raise ArithmeticError(
+            f"joint kernel of the sl2 coproduct has dimension {len(vecs)}, "
+            f"expected 1")
     s = vecs[0]
     stack2 = SparseMatrix(12, 4)
     for b, m in enumerate((dE, dF, dK - ident4)):
@@ -164,7 +166,10 @@ def tl_generators(n: int) -> list:
         for (r, c), val in mt.data.items():
             stack2[(4 * b + r, c)] = val
     covecs = nullspace(stack2)
-    assert len(covecs) == 1
+    if len(covecs) != 1:
+        raise ArithmeticError(
+            f"joint kernel of the transposed sl2 coproduct has dimension "
+            f"{len(covecs)}, expected 1")
     phi = covecs[0]
     pairing = None
     for idx, v in phi.items():

@@ -90,7 +90,9 @@ def weyl_dim(w, N: int) -> int:
     if N % 2:
         for i in range(k):
             dim *= Fraction(l[i], rho[i])
-    assert dim.denominator == 1 and dim > 0, (w, N, dim)
+    if dim.denominator != 1 or dim <= 0:
+        raise ValueError(f"weight {tuple(w)} of so_{N} has Weyl dimension "
+                         f"{dim}, not a positive integer")
     return int(dim)
 
 

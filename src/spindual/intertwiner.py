@@ -8,11 +8,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .ring import (Scalar, GaussRat, Q, ONE, TWO, HALF, QQ, I, sc, qint,
+from .ring import (Scalar, GaussRat, GR_ONE, Q, ONE, TWO, HALF, QQ, qint,
                    q_power)
-from .linalg import SparseMatrix, embed_factor, verify_spectrum, SpectrumReport
+from .linalg import SparseMatrix, verify_spectrum, SpectrumReport
 from . import clifford as cl
-from .qgroup import SpinRep, rank_of, coproduct_E, coproduct_F, coproduct_K
+from .qgroup import SpinRep, rank_of, coproduct_E, coproduct_F
 
 
 # -- the c/d building blocks ------------------------------------------------
@@ -117,7 +117,6 @@ def check_cubic_specialized(N: int, v0: GaussRat) -> list:
     """Cubic residuals at an exact specialization point v = v0; the
     two-slot C is specialized first so the three-fold embeddings stay in
     plain Gaussian-rational arithmetic."""
-    from .ring import GR_ONE
     C = build_C_quantum(N).specialize(v0)
     d = 1 << rank_of(N)
     sq = SparseMatrix(d * d, d * d, C.data)

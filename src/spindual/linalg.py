@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .ring import Scalar, GaussRat, GR_ONE, ONE, PoleError, Q
+from .ring import GaussRat, ONE, Q
 
 
 class SparseMatrix:
@@ -288,12 +288,11 @@ def commutant_dimension(gens, dim: int) -> int:
     """
     diag = [g for g in gens if g.is_diagonal()]
     rest = [g for g in gens if not g.is_diagonal()]
-    sig = {}
-    for r in range(dim):
-        sig[r] = tuple(repr(g.data.get((r, r))) for g in diag)
     blocks = {}
     for r in range(dim):
-        blocks.setdefault(sig[r], []).append(r)
+        # scalars compare and hash canonically; a missing entry is a zero
+        sig = tuple(g.data.get((r, r), 0) for g in diag)
+        blocks.setdefault(sig, []).append(r)
     unknowns = {}
     for rows in blocks.values():
         for r in rows:
@@ -370,7 +369,3 @@ def random_point(rng, one_is_gauss=True) -> GaussRat:
         p = GaussRat(a, b)
         if p and p.norm() != 1:
             return p
-
-
-def specialize_all(mats, v0: GaussRat):
-    return [m.specialize(v0) for m in mats]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ring import Scalar, ONE, QQ, q_power, qbinom
+from .ring import Scalar, QQ, q_power, qbinom
 from .linalg import SparseMatrix, kron_all
 from . import clifford as cl
 
@@ -77,7 +77,10 @@ class SpinRep:
         out = {}
         for (r, c), s in self.K(i, power).data.items():
             e = s.num.valuation()
-            assert s.num.is_monomial() and e % 2 == 0
+            if not s.num.is_monomial() or e % 2:
+                raise ArithmeticError(
+                    f"K_{i}^{power} entry ({r}, {c}) = {s!r} has no monomial "
+                    f"square root")
             out[(r, c)] = q_power(e // 2)
         return SparseMatrix(self.dim, self.dim, out)
 

@@ -4,72 +4,130 @@ formal variable v (with q = v^2), and reduced rational functions.
 All coefficients that show up in this project live in the field
 Q(i)(v): quantum integers, half-integer powers of q (= odd powers of v),
 and the imaginary unit needed for the substitution q -> -q^2.
+
+A Gaussian rational is stored as three Python ints (a, b, d) meaning
+(a + b*i)/d, in the canonical form d > 0 and gcd(a, b, d) = 1, so equal
+values have equal triples.  Almost every entry met here is a Gaussian
+integer (d = 1), which skips the gcd.  `Q` (= fractions.Fraction) is only
+the type of rational inputs and of the `re`/`im`/`norm` views.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
+from math import gcd
 
 
 class PoleError(ZeroDivisionError):
     """Raised when a rational function is evaluated at a zero of its denominator."""
 
 
-def _as_q(x):
-    if isinstance(x, (int,)):
-        return Q(x)
-    return x
+_new = object.__new__
+
+
+def _gr(a: int, b: int, d: int) -> "GaussRat":
+    """(a + b*i)/d, already canonical."""
+    g = _new(GaussRat)
+    g.a = a
+    g.b = b
+    g.d = d
+    return g
+
+
+def _canon(a: int, b: int, d: int) -> "GaussRat":
+    """(a + b*i)/d for any d > 0, reduced by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _gr(a, b, d)
+
+
+def _add(x: "GaussRat", a2: int, b2: int, d2: int) -> "GaussRat":
+    """x + (a2 + b2*i)/d2."""
+    d1 = x.d
+    if d1 == d2:
+        if d1 == 1:
+            return _gr(x.a + a2, x.b + b2, 1)
+        return _canon(x.a + a2, x.b + b2, d1)
+    g = gcd(d1, d2)
+    m1, m2 = d2 // g, d1 // g
+    return _canon(x.a * m1 + a2 * m2, x.b * m1 + b2 * m2, d1 * m1)
 
 
 class GaussRat:
-    """Gaussian rational a + b*i with exact rational a, b."""
+    """Gaussian rational (a + b*i)/d with ints a, b, d in canonical form.
 
-    __slots__ = ("re", "im")
+    `GaussRat(re, im)` takes ints or Fractions; `a`, `b`, `d` are read-only
+    by convention, `re` and `im` give the parts as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_q(re)
-        self.im = _as_q(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Q(re), Q(im)
+        dr, di = re.denominator, im.denominator
+        d = dr // gcd(dr, di) * di
+        # re and im are reduced, so gcd(a, b, d) = 1 already
+        self.a = re.numerator * (d // dr)
+        self.b = im.numerator * (d // di)
+        self.d = d
+
+    @property
+    def re(self) -> Q:
+        return Q(self.a, self.d)
+
+    @property
+    def im(self) -> Q:
+        return Q(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
+        if isinstance(other, GaussRat):
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
         if isinstance(other, int):
-            return self.re == other and not self.im
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return self.a == other and self.b == 0 and self.d == 1
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
-        return GaussRat(self.re + other.re, self.im + other.im)
+        return _add(self, other.a, other.b, other.d)
 
     def __sub__(self, other):
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return _add(self, -other.a, -other.b, other.d)
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return GaussRat(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        d = self.d * other.d
+        if d == 1:
+            return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     def conj(self):
-        return GaussRat(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
-    def norm(self):
-        return self.re * self.re + self.im * self.im
+    def norm(self) -> Q:
+        return Q(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def inv(self):
-        n = self.norm()
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero GaussRat")
-        return GaussRat(self.re / n, -self.im / n)
+        # 1/((a + b*i)/d) = d*(a - b*i)/(a^2 + b^2)
+        return _canon(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -87,14 +145,15 @@ class GaussRat:
         return out
 
     def is_integer(self):
-        return self.re.denominator == 1 and self.im.denominator == 1
+        return self.d == 1
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
 
 
 GR_ZERO = GaussRat(0)

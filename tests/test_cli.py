@@ -68,6 +68,14 @@ def test_fft_command(capsys):
 def test_bad_config_exit_2(capsys):
     assert main(["verify", "relations", "--N", "1"]) == 2
     assert main(["verify", "nonsense"]) == 2
+    # the spin representation needs N >= 3: a configuration error, caught
+    # before any check runs, not a failed check
+    for suite in ("relations", "commutation", "cubic", "spectrum",
+                  "integrality", "fft", "all"):
+        assert main(["verify", suite, "--N", "2"]) == 2, suite
+        out, err = capsys.readouterr()
+        assert "PASS" not in out and "FAIL" not in out, suite
+        assert "N >= 3" in err, suite
 
 
 def test_table_to_file(tmp_path, capsys):

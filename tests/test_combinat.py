@@ -34,6 +34,13 @@ def test_weyl_dims():
     assert weyl_dim((2, 2), 4) == weyl_dim((2, -2), 4)
 
 
+def test_weyl_dim_rejects_bad_weights():
+    with pytest.raises(ValueError, match=r"\(1, 0\).*5/2"):
+        weyl_dim((1, 0), 5)              # mixes integral and half-integral
+    with pytest.raises(ValueError, match=r"\(0, 2\).*dimension 0"):
+        weyl_dim((0, 2), 5)              # not dominant
+
+
 def test_dimension_conservation_per_step():
     for N in (3, 4, 5, 6):
         k = N // 2

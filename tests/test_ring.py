@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,3 +104,84 @@ def test_specialization_is_homomorphic(s):
         return
     assert (s * s).specialize(pt) == x * x
     assert (s + ONE).specialize(pt) == x + GaussRat(1)
+
+
+# -- GaussRat against a plain (Fraction, Fraction) reference ------------------
+
+denoms = st.integers(1, 12) | st.integers(-12, -1)
+parts = st.integers(-30, 30) | st.builds(Fraction, st.integers(-30, 30), denoms)
+pairs = st.tuples(parts, parts).map(lambda p: (Fraction(p[0]), Fraction(p[1])))
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_repr(x):
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}*i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+def gr(x):
+    return GaussRat(*x)
+
+
+def matches(g, x):
+    """g is the canonical GaussRat of the reference pair x."""
+    assert (g.re, g.im) == x
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert all(type(t) is int for t in (g.a, g.b, g.d))
+    assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
+    assert repr(g) == ref_repr(x)
+    assert g.is_integer() == (x[0].denominator == 1 and x[1].denominator == 1)
+    return True
+
+
+@given(pairs, pairs, st.integers(-3, 3))
+def test_gauss_matches_fraction_reference(x, y, e):
+    gx, gy = gr(x), gr(y)
+    assert matches(gx, x) and matches(gy, y)
+    assert matches(gx + gy, (x[0] + y[0], x[1] + y[1]))
+    assert matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
+    assert matches(-gx, (-x[0], -x[1]))
+    assert matches(gx * gy, ref_mul(x, y))
+    assert matches(gx.conj(), (x[0], -x[1]))
+    assert gx.norm() == x[0] * x[0] + x[1] * x[1]
+    assert bool(gx) == any(x)
+    if any(y):
+        assert matches(gy.inv(), ref_inv(y))
+        assert matches(gx / gy, ref_mul(x, ref_inv(y)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gy.inv()
+    if any(x) or e >= 0:
+        want = (Fraction(1), Fraction(0))
+        for _ in range(abs(e)):
+            want = ref_mul(want, x if e > 0 else ref_inv(x))
+        assert matches(gx ** e, want)
+
+
+@given(pairs, pairs)
+def test_gauss_equality_and_hash(x, y):
+    gx, gy = gr(x), gr(y)
+    assert (gx == gy) == (x == y)
+    assert (gx != gy) == (x != y)
+    # the same value reached by different routes is equal and hashes equal
+    back = (gx + gy) - gy
+    assert back == gx and hash(back) == hash(gx)
+    if any(y):
+        back = gx * gy / gy
+        assert back == gx and hash(back) == hash(gx)
+    if x[1] == 0 and x[0].denominator == 1:
+        assert gx == int(x[0])
+    else:
+        assert all(gx != k for k in (-1, 0, 1, int(x[0])))
