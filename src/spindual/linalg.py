@@ -290,8 +290,8 @@ def commutant_dimension(gens, dim: int) -> int:
     rest = [g for g in gens if not g.is_diagonal()]
     blocks = {}
     for r in range(dim):
-        # scalars compare and hash canonically; a missing entry is a zero
-        sig = tuple(g.data.get((r, r), 0) for g in diag)
+        # scalars compare and hash canonically; a zero, stored or not, keys None
+        sig = tuple(g.data.get((r, r)) or None for g in diag)
         blocks.setdefault(sig, []).append(r)
     unknowns = {}
     for rows in blocks.values():

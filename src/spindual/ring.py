@@ -7,9 +7,8 @@ and the imaginary unit needed for the substitution q -> -q^2.
 
 A Gaussian rational is stored as three Python ints (a, b, d) meaning
 (a + b*i)/d, in the canonical form d > 0 and gcd(a, b, d) = 1, so equal
-values have equal triples.  Almost every entry met here is a Gaussian
-integer (d = 1), which skips the gcd.  `Q` (= fractions.Fraction) is only
-the type of rational inputs and of the `re`/`im`/`norm` views.
+values have equal triples.  `Q` (= fractions.Fraction) is only the type
+of rational inputs and of the `re`/`im`/`norm` views.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ def _add(x: "GaussRat", a2: int, b2: int, d2: int) -> "GaussRat":
     """x + (a2 + b2*i)/d2."""
     d1 = x.d
     if d1 == d2:
-        if d1 == 1:
-            return _gr(x.a + a2, x.b + b2, 1)
         return _canon(x.a + a2, x.b + b2, d1)
     g = gcd(d1, d2)
     m1, m2 = d2 // g, d1 // g
@@ -66,9 +63,6 @@ class GaussRat:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            self.a, self.b, self.d = re, im, 1
-            return
         re, im = Q(re), Q(im)
         dr, di = re.denominator, im.denominator
         d = dr // gcd(dr, di) * di
@@ -97,6 +91,9 @@ class GaussRat:
         return NotImplemented
 
     def __hash__(self):
+        # an integer value hashes as that int, since it compares equal to it
+        if self.b == 0 and self.d == 1:
+            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
@@ -110,10 +107,8 @@ class GaussRat:
 
     def __mul__(self, other):
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        d = self.d * other.d
-        if d == 1:
-            return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
-        return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
+        return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                      self.d * other.d)
 
     def conj(self):
         return _gr(self.a, -self.b, self.d)

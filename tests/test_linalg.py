@@ -58,6 +58,13 @@ def test_commutant_of_diagonal_only():
     assert commutant_dimension([d], 3) == 5
 
 
+def test_commutant_stored_zero_joins_missing_diagonal():
+    # a zero kept on the diagonal is the same eigenvalue as an absent entry
+    for zero, one in ((sc(0), ONE), (GaussRat(0), GaussRat(1))):
+        d = SparseMatrix(3, 3, {(0, 0): zero, (2, 2): one})
+        assert commutant_dimension([d], 3) == 5
+
+
 def test_verify_spectrum():
     a = swap2()
     rep = verify_spectrum(a, [ONE, -ONE])

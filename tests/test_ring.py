@@ -182,6 +182,6 @@ def test_gauss_equality_and_hash(x, y):
         back = gx * gy / gy
         assert back == gx and hash(back) == hash(gx)
     if x[1] == 0 and x[0].denominator == 1:
-        assert gx == int(x[0])
+        assert gx == int(x[0]) and hash(gx) == hash(int(x[0]))
     else:
         assert all(gx != k for k in (-1, 0, 1, int(x[0])))
