@@ -15,8 +15,9 @@ import random
 import sys
 import time
 
-from .ring import GaussRat, GR_ONE
-from .linalg import random_point, algebra_closure_dim, commutant_dimension
+from .ring import GaussRat, MP_ONE, P, PoleError
+from .linalg import (random_point, algebra_closure_dim, commutant_dimension,
+                     highest_weight_restriction)
 from . import qgroup, intertwiner, coideal, combinat
 
 
@@ -42,6 +43,8 @@ class Reporter:
         t0 = time.time()
         try:
             ok = fn()
+        except PoleError:                  # a bad point, not a math failure
+            raise
         except Exception as exc:           # a crash is a failure, not an abort
             ok = False
             label = f"{label} [{type(exc).__name__}: {exc}]"
@@ -62,6 +65,9 @@ def run_verify(args) -> int:
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     if N < 3 and any(s in SPIN_SUITES for s in suites):
         raise ValueError(f"suite {args.suite!r} needs N >= 3, got N={N}")
+    if n < 2 and "tl" in suites:
+        raise ValueError(f"suite {args.suite!r} needs n >= 2 for "
+                         f"Temperley-Lieb, got n={n}")
     for suite in suites:
         if suite == "relations":
             rep.check(f"defining relations N={N}",
@@ -126,26 +132,77 @@ def twist_commutant(Nparam: int) -> int:
 
 
 def fft_counts(N: int, n: int, seed: int):
-    """(closure dim, sum of m^2, commutant dim or None, all equal?)"""
+    """(closure dim, sum of m^2, commutant dim or None, all equal?)
+
+    The closure is the dimension of the algebra generated by the B_i (and F
+    for N even) at the point v0 = _point(seed), computed on the
+    highest-weight space (the joint kernel of the Delta(E_i)) over F_P:
+    reduce the generators at the image of v0 mod P, restrict them to that
+    kernel, and run the closure on its sum of m_lambda dimensions instead
+    of 2^{kn}.  Why reaching sum m_lambda^2 certifies the claim:
+
+    - Restriction to an invariant subspace is an algebra quotient, and rank
+      can only drop under reduction mod P.  So the F_P closure on the
+      highest-weight space is at most the Q(i) dimension of A(v0), the
+      algebra the generators span at v0.
+    - A(v0) lies in the commutant of the coproduct image (test_02's
+      commutation, specialized), which at a point that is not a root of
+      unity is semisimple of dimension sum m_lambda^2.
+    - So a closure of sum m_lambda^2 certifies equality.  A bad prime or
+      point can only make the count fall short (a reported failure), never
+      pass a wrong claim.
+
+    As an extra exact check, the highest-weight space must split over the
+    joint Delta(K_i)-eigenvalues into blocks of sizes m_lambda; otherwise
+    this raises ArithmeticError, as it does when a generator does not keep
+    the kernel.  For n <= 3 the commutant of the coproduct image is also
+    counted exactly over Q(i) on the whole space, as a cross-check.
+    """
     v0 = _point(seed)
-    r = coideal.duality_rep(N, n)
-    gens = [b.specialize(v0) for b in r.B]
-    if r.F is not None:
-        gens.append(r.F.specialize(v0))
-    d = gens[0].nrows
-    closure = algebra_closure_dim(gens, d, one=GR_ONE)
-    sm = combinat.sum_mult_squared(N, n)
+    if v0 ** 4 == 1:        # +-1, +-i: the only roots of unity in Q(i)
+        raise PoleError(f"v0 = {v0!r} is a root of unity, where S^(x)n is "
+                        f"not semisimple")
+    closure, sizes = hw_closure(N, n, v0)
+    table = combinat.spinor_table(N, n)
+    if sizes != sorted(table.values()):
+        raise ArithmeticError(f"highest-weight blocks {sizes} do not match "
+                              f"the multiplicities {sorted(table.values())}")
+    sm = sum(m * m for m in table.values())
     com = None
     if n <= 3:
         cg = [g.specialize(v0) for g in qgroup.coproduct_generators(N, n)]
-        com = commutant_dimension(cg, d)
+        com = commutant_dimension(cg, (1 << qgroup.rank_of(N)) ** n)
     ok = closure == sm and (com is None or com == sm)
     return closure, sm, com, ok
 
 
+def hw_closure(N: int, n: int, v0: GaussRat):
+    """(closure dim, highest-weight block sizes) over F_P at v0 mod P."""
+    vp = v0.mod_p()
+    r = coideal.duality_rep(N, n)
+    gens = [b.specialize(vp) for b in r.B]
+    if r.F is not None:
+        gens.append(r.F.specialize(vp))
+    rep = qgroup.SpinRep(N)
+    ks = range(1, rep.k + 1)
+    raising = [qgroup.coproduct_E(rep, i, n).specialize(vp) for i in ks]
+    cartan = [qgroup.coproduct_K(rep, i, n).specialize(vp) for i in ks]
+    hw, sizes = highest_weight_restriction(gens, raising, cartan,
+                                           rep.dim ** n, one=MP_ONE)
+    return algebra_closure_dim(hw, sum(sizes), one=MP_ONE), sizes
+
+
 def run_fft(args) -> int:
-    closure, sm, com, ok = fft_counts(args.N, args.n, args.seed)
     print(f"N={args.N} n={args.n} seed={args.seed}")
+    try:
+        closure, sm, com, ok = fft_counts(args.N, args.n, args.seed)
+    except PoleError:
+        raise
+    except ArithmeticError as exc:
+        print(f"VERDICT: MISMATCH ({exc})")
+        return 1
+    hw = sum(combinat.spinor_table(args.N, args.n).values())
+    print(f"highest-weight dim  : {hw} (closure runs mod p = {P})")
     print(f"algebra closure dim : {closure}")
     print(f"sum of m^2          : {sm}")
     if com is not None:
@@ -262,6 +319,10 @@ def main(argv=None) -> int:
             return run_fft(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except PoleError as exc:
+        print(f"config error: the point of --seed {args.seed} is unusable "
+              f"({exc}); try another seed", file=sys.stderr)
         return 2
     return 2
 

@@ -1,8 +1,9 @@
 """Sparse exact linear algebra over the scalar tower.
 
 Matrices are dict-of-entries {(row, col): elem}; entries may be Scalar
-(symbolic) or GaussRat (specialized) -- everything here is duck-typed over
-+, *, unary -, bool (nonzero test) and .inv().
+(symbolic), GaussRat (specialized) or ModP (specialized and reduced mod p)
+-- everything here is duck-typed over +, *, unary -, bool (nonzero test)
+and .inv().
 """
 
 from __future__ import annotations
@@ -133,9 +134,15 @@ class SparseMatrix:
     def is_diagonal(self):
         return all(r == c for r, c in self.data)
 
-    def specialize(self, v0: GaussRat) -> "SparseMatrix":
-        return SparseMatrix(self.nrows, self.ncols,
-                            {rc: v.specialize(v0) for rc, v in self.data.items()})
+    def specialize(self, v0) -> "SparseMatrix":
+        """Every entry at v = v0 (a GaussRat or ModP); entries that vanish
+        there are dropped, so no zero is stored."""
+        out = {}
+        for rc, v in self.data.items():
+            x = v.specialize(v0)
+            if x:
+                out[rc] = x
+        return SparseMatrix(self.nrows, self.ncols, out)
 
     def entries(self):
         return self.data.values()
@@ -221,6 +228,12 @@ def nullspace(m: SparseMatrix, one=ONE) -> list:
 
     Dense Gauss elimination on columns; intended for small spaces only.
     """
+    return _kernel(m, one)[1]
+
+
+def _kernel(m: SparseMatrix, one):
+    """(free columns, nullspace basis): the basis vector for the free column
+    f is `one` at f and zero at every other free column."""
     basis = EchelonBasis()
     by_row = {}
     for (r, c), v in m.data.items():
@@ -247,7 +260,53 @@ def nullspace(m: SparseMatrix, one=ONE) -> list:
             if s is not None and s:
                 vec[p] = -s
         out.append(vec)
-    return out
+    return free, out
+
+
+def highest_weight_restriction(gens, raising, cartan, dim: int, one=ONE):
+    """Restrict `gens` to W, the joint kernel of the `raising` operators on a
+    `dim`-dimensional space: returns the restricted generators and the
+    sizes of the blocks of W on which the diagonal `cartan` operators take
+    one joint value.
+
+    W is spanned by nullspace vectors w_f, one per free column f, each with
+    `one` at f and zero at every other free column; so a vector of W has
+    its coordinates at the free columns, and g on W is read off the rows of
+    g*W at those columns.  Raises ArithmeticError if some g*w_f leaves W
+    (e*(g*w_f) != 0 for a raising e) or some w_f is not a joint eigenvector
+    of `cartan`: the result would not be a restriction.
+    """
+    stack = {}
+    for b, e in enumerate(raising):
+        for (r, c), x in e.data.items():
+            stack[(b * dim + r, c)] = x
+    free, vecs = _kernel(SparseMatrix(len(raising) * dim, dim, stack), one)
+    m = len(free)
+    W = SparseMatrix(dim, m, {(r, j): x for j, w in enumerate(vecs)
+                              for r, x in w.items()})
+
+    def weight(r):
+        return tuple(h.data.get((r, r)) or None for h in cartan)
+
+    sizes = {}
+    for f, w in zip(free, vecs):
+        wt = weight(f)
+        if any(weight(r) != wt for r in w):
+            raise ArithmeticError(f"highest-weight vector at column {f} "
+                                  f"is not a weight vector")
+        sizes[wt] = sizes.get(wt, 0) + 1
+    pos = {f: j for j, f in enumerate(free)}
+    out = []
+    for i, g in enumerate(gens):
+        gw = g * W
+        for b, e in enumerate(raising):
+            if not (e * gw).is_zero():
+                raise ArithmeticError(f"generator {i} does not preserve the "
+                                      f"kernel of raising operator {b}")
+        out.append(SparseMatrix(m, m, {(pos[r], c): x
+                                       for (r, c), x in gw.data.items()
+                                       if r in pos}))
+    return out, sorted(sizes.values())
 
 
 def _flatten(m: SparseMatrix) -> dict:
@@ -359,10 +418,12 @@ def verify_spectrum(m: SparseMatrix, candidates, one=ONE) -> SpectrumReport:
     return SpectrumReport(prod.is_zero(), mults, n)
 
 
-def random_point(rng, one_is_gauss=True) -> GaussRat:
+def random_point(rng) -> GaussRat:
     """Small random Gaussian-rational specialization point, nonzero and not
-    a root of unity (no purely imaginary or unit-norm shortcuts taken --
-    callers retry on PoleError)."""
+    a root of unity (its norm is not 1).  It may still be a pole of some
+    scalar, or have a denominator divisible by the prime of `ring.ModP`;
+    specializing there raises PoleError, and nothing retries: the CLI
+    reports it as a configuration error naming the seed."""
     while True:
         a = Q(rng.randint(-9, 9), rng.randint(1, 5))
         b = Q(rng.randint(-3, 3), rng.randint(1, 5))

@@ -9,6 +9,11 @@ A Gaussian rational is stored as three Python ints (a, b, d) meaning
 (a + b*i)/d, in the canonical form d > 0 and gcd(a, b, d) = 1, so equal
 values have equal triples.  `Q` (= fractions.Fraction) is only the type
 of rational inputs and of the `re`/`im`/`norm` views.
+
+`ModP` is the prime field F_P for one fixed prime P = 1 (mod 4), so that
+i has an image (a fixed square root of -1).  `GaussRat.mod_p` reduces a
+Gaussian rational into it, and `Scalar.specialize` accepts a `ModP` point:
+the centralizer counts run their linear algebra there.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from math import gcd
 
 
 class PoleError(ZeroDivisionError):
-    """Raised when a rational function is evaluated at a zero of its denominator."""
+    """Raised when a specialization point is unusable: a zero of a
+    denominator (mod p for a ModP point), a denominator p divides, or a
+    root of unity where a count needs a generic point."""
 
 
 _new = object.__new__
@@ -51,6 +58,80 @@ def _add(x: "GaussRat", a2: int, b2: int, d2: int) -> "GaussRat":
     g = gcd(d1, d2)
     m1, m2 = d2 // g, d1 // g
     return _canon(x.a * m1 + a2 * m2, x.b * m1 + b2 * m2, d1 * m1)
+
+
+P = 2147483629          # the largest prime below 2^31 that is 1 mod 4
+
+
+def _sqrt_minus_one() -> int:
+    for g in range(2, P):
+        r = pow(g, (P - 1) // 4, P)
+        if r * r % P == P - 1:
+            return r
+
+
+I_MOD_P = _sqrt_minus_one()     # the image of i in F_P
+
+
+def _mp(x: int) -> "ModP":
+    """x in F_P, already reduced to 0 <= x < P."""
+    m = _new(ModP)
+    m.x = x
+    return m
+
+
+class ModP:
+    """An element of the prime field F_P, stored as an int 0 <= x < P.
+
+    Duck-typed like GaussRat for the sparse linear algebra: + - * unary -,
+    bool, ==, hash and inv().  It compares equal only to another ModP.
+    """
+
+    __slots__ = ("x",)
+
+    def __init__(self, x: int = 0):
+        self.x = x % P
+
+    def __bool__(self):
+        return self.x != 0
+
+    def __eq__(self, other):
+        if isinstance(other, ModP):
+            return self.x == other.x
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.x)
+
+    def __add__(self, other):
+        s = self.x + other.x
+        return _mp(s - P if s >= P else s)
+
+    def __sub__(self, other):
+        s = self.x - other.x
+        return _mp(s + P if s < 0 else s)
+
+    def __neg__(self):
+        return _mp(P - self.x if self.x else 0)
+
+    def __mul__(self, other):
+        return _mp(self.x * other.x % P)
+
+    def inv(self):
+        if not self.x:
+            raise ZeroDivisionError("inverse of zero ModP")
+        return _mp(pow(self.x, -1, P))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inv() ** (-n)
+        return _mp(pow(self.x, n, P))
+
+    def __repr__(self):
+        return f"{self.x} mod {P}"
+
+
+MP_ONE = ModP(1)
 
 
 class GaussRat:
@@ -112,6 +193,14 @@ class GaussRat:
 
     def conj(self):
         return _gr(self.a, -self.b, self.d)
+
+    def mod_p(self) -> ModP:
+        """The image in F_P under i -> I_MOD_P; a ring homomorphism on the
+        Gaussian rationals whose denominator P does not divide."""
+        if not self.d % P:
+            raise PoleError(f"the denominator of {self!r} is divisible by "
+                            f"p = {P}")
+        return _mp((self.a + self.b * I_MOD_P) * pow(self.d, -1, P) % P)
 
     def norm(self) -> Q:
         return Q(self.a * self.a + self.b * self.b, self.d * self.d)
@@ -257,7 +346,12 @@ class LaurentPoly:
     def is_monomial(self):
         return len(self.coeffs) == 1
 
-    def evaluate(self, v0: GaussRat) -> GaussRat:
+    def evaluate(self, v0):
+        """The value at v = v0, a GaussRat or (coefficients reduced) a ModP."""
+        if isinstance(v0, ModP):
+            x = v0.x
+            return _mp(sum(c.mod_p().x * pow(x, e, P)
+                           for e, c in self.coeffs.items()) % P)
         out = GR_ZERO
         for e, c in self.coeffs.items():
             out = out + c * (v0 ** e)
@@ -387,6 +481,8 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, int):
             return self == Scalar.from_int(other)
+        if not isinstance(other, Scalar):
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -438,14 +534,16 @@ class Scalar:
         """Ring homomorphism v -> i*v^2, i.e. q -> -q^2 with (-q^2)^(1/2) = i*q."""
         return Scalar(self.num.subst_iv2(), self.den.subst_iv2())
 
-    def specialize(self, v0: GaussRat) -> GaussRat:
-        """Exact evaluation at v = v0; raises PoleError on a denominator zero."""
+    def specialize(self, v0):
+        """Exact evaluation at v = v0, a GaussRat or a ModP; raises PoleError
+        on a denominator zero (mod P for a ModP point) and, at a ModP point,
+        on a coefficient whose denominator P divides."""
         if not v0:
             raise PoleError("v0 = 0 is never a valid specialization point")
         d = self.den.evaluate(v0)
         if not d:
             raise PoleError(f"denominator vanishes at v0 = {v0!r}")
-        return self.num.evaluate(v0) / d
+        return self.num.evaluate(v0) * d.inv()
 
     def is_laurent(self):
         """True if the scalar is a Laurent polynomial (trivial denominator)."""

@@ -71,12 +71,18 @@ def test_06_multiplicity_duality_tables():
         assert combinat.verify_duality(N, n), (N, n)
 
 
+# sum of m_lambda^2 over S^(x)n, hard-coded so that a regression in
+# combinat cannot hide one in the closure
+CENTRALIZER_DIM = {(3, 4): 14, (3, 5): 42, (5, 3): 14, (5, 4): 84,
+                   (4, 3): 70, (4, 4): 588, (3, 6): 132}
+
+
 def test_07_centralizer_dimension_counts():
-    for N, n in ((3, 4), (3, 5), (5, 3), (5, 4), (4, 3), (4, 4)):
+    for (N, n), want in CENTRALIZER_DIM.items():
         for seed in (11, 23):
             closure, sm, com, ok = fft_counts(N, n, seed)
             assert ok, (N, n, seed, closure, sm, com)
-            assert closure == sm
+            assert closure == sm == want
             if n <= 3:
                 assert com == sm
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from spindual import cli
 from spindual.cli import main, _fmt_weight
+from spindual.ring import GR_I, GaussRat, P, Q
 
 
 def run(capsys, *argv):
@@ -63,6 +65,43 @@ def test_spectrum_table(capsys):
 def test_fft_command(capsys):
     code, out = run(capsys, "fft", "--N", "3", "--n", "3", "--seed", "1")
     assert code == 0 and "equal" in out
+
+
+def test_fft_prints_hw_dim_and_prime(capsys):
+    code, out = run(capsys, "fft", "--N", "3", "--n", "5", "--seed", "11")
+    assert code == 0
+    assert "highest-weight dim  : 10" in out and f"mod p = {P}" in out
+    assert "algebra closure dim : 42" in out
+
+
+@pytest.mark.parametrize("N,want", [(3, 1), (4, 2)])
+def test_fft_n1(capsys, N, want):
+    # S is simple for N odd and S+ (+) S- for N even: closure = sum m^2
+    code, out = run(capsys, "fft", "--N", str(N), "--n", "1")
+    assert code == 0 and f"algebra closure dim : {want}" in out
+    code, out = run(capsys, "verify", "fft", "--N", str(N), "--n", "1")
+    assert code == 0 and "PASS" in out and "FAIL" not in out
+
+
+def test_tl_n1_exit_2(capsys):
+    for suite in ("tl", "all"):
+        assert main(["verify", suite, "--n", "1"]) == 2, suite
+        out, err = capsys.readouterr()
+        assert "PASS" not in out and "FAIL" not in out, suite
+        assert "n >= 2" in err and "Traceback" not in err, suite
+
+
+@pytest.mark.parametrize("point", [GR_I, GaussRat(Q(1, P), 1)])
+def test_bad_point_exit_2(monkeypatch, capsys, point):
+    # a root of unity, and a point with the prime in its denominator: a bad
+    # point is a configuration error, not a failed check
+    monkeypatch.setattr(cli, "_point", lambda seed: point)
+    for argv in (["fft", "--N", "4", "--n", "3"],
+                 ["verify", "fft", "--N", "3", "--n", "4"]):
+        assert main(argv + ["--seed", "7"]) == 2, argv
+        out, err = capsys.readouterr()
+        assert "FAIL" not in out and "MISMATCH" not in out, argv
+        assert "--seed 7" in err and "Traceback" not in err, argv
 
 
 def test_bad_config_exit_2(capsys):

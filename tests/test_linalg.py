@@ -1,10 +1,14 @@
 import random
 
-from spindual.ring import GaussRat, ONE, TWO, QQ, sc
+import pytest
+
+from spindual.ring import GaussRat, GR_ONE, MP_ONE, ONE, TWO, V, QQ, sc
 from spindual.linalg import (SparseMatrix, EchelonBasis, matrix_rank,
                              nullspace, algebra_closure_dim,
                              commutant_dimension, verify_spectrum, kron_all,
-                             embed_factor, random_point)
+                             embed_factor, random_point,
+                             highest_weight_restriction)
+from spindual import cli, coideal, qgroup
 
 
 def swap2():
@@ -79,6 +83,55 @@ def test_specialize_matrix():
     pt = GaussRat(2)
     s = d.specialize(pt)
     assert s.data[(0, 0)] == GaussRat(4)
+
+
+def test_specialize_drops_vanishing_entries():
+    m = SparseMatrix(2, 2, {(0, 0): V - TWO, (1, 1): V})
+    s = m.specialize(GaussRat(2))
+    assert s.data == {(1, 1): GaussRat(2)}
+    assert matrix_rank(s) == 1
+    sp = m.specialize(GaussRat(2).mod_p())
+    assert list(sp.data) == [(1, 1)] and matrix_rank(sp) == 1
+
+
+def _reduced_coproduct(N, n, v0):
+    rep = qgroup.SpinRep(N)
+    vp = v0.mod_p()
+    ks = range(1, rep.k + 1)
+    return (vp, rep.dim ** n,
+            [qgroup.coproduct_E(rep, i, n).specialize(vp) for i in ks],
+            [qgroup.coproduct_K(rep, i, n).specialize(vp) for i in ks],
+            [qgroup.coproduct_F(rep, i, n).specialize(vp) for i in ks])
+
+
+@pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (5, 3)])
+def test_hw_closure_matches_full_space_closure(N, n):
+    # the F_p closure on the highest-weight space against the Q(i) closure
+    # on all of S^(x)n at the same point
+    r = coideal.duality_rep(N, n)
+    for seed in (11, 23):
+        v0 = cli._point(seed)
+        gens = [b.specialize(v0) for b in r.B]
+        if r.F is not None:
+            gens.append(r.F.specialize(v0))
+        full = algebra_closure_dim(gens, (1 << qgroup.rank_of(N)) ** n,
+                                   one=GR_ONE)
+        assert cli.hw_closure(N, n, v0)[0] == full, (N, n, seed)
+
+
+def test_hw_restriction_rejects_non_invariant_generators():
+    # Delta(F_1) lowers weights, so it maps highest-weight vectors out of
+    # the kernel of Delta(E_1): no count may come back
+    N, n = 3, 3
+    vp, dim, raising, cartan, lowering = _reduced_coproduct(N, n,
+                                                            cli._point(11))
+    gens = [b.specialize(vp) for b in coideal.duality_rep(N, n).B]
+    hw, sizes = highest_weight_restriction(gens, raising, cartan, dim,
+                                           one=MP_ONE)
+    assert sizes == [1, 2] and len(hw) == len(gens)
+    with pytest.raises(ArithmeticError, match="does not preserve"):
+        highest_weight_restriction(gens + lowering[:1], raising, cartan, dim,
+                                   one=MP_ONE)
 
 
 def test_random_point_respects_seed():

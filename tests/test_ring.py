@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spindual.ring import (GaussRat, LaurentPoly, Scalar, PoleError, Q,
-                           ZERO, ONE, TWO, I, V, QQ, HALF,
+                           ZERO, ONE, TWO, I, V, QQ, HALF, GR_I,
+                           ModP, MP_ONE, P, I_MOD_P,
                            qint, qint_plus, qbinom, q_power, sc)
 
 
@@ -185,3 +186,77 @@ def test_gauss_equality_and_hash(x, y):
         assert gx == int(x[0]) and hash(gx) == hash(int(x[0]))
     else:
         assert all(gx != k for k in (-1, 0, 1, int(x[0])))
+
+
+def test_scalar_eq_foreign_operand():
+    assert ONE.__eq__(None) is NotImplemented
+    assert ONE.__eq__("1") is NotImplemented
+    assert not (ONE == None) and ONE != "1"    # noqa: E711
+    assert ONE == 1 and ONE == sc(1) and ONE != sc(2)
+
+
+# -- F_P and the reduction Q(i) -> F_P ----------------------------------------
+
+residues = st.integers(-3 * P, 3 * P)
+
+
+@given(residues, residues, st.integers(-5, 5))
+def test_modp_matches_int_mod_p(x, y, e):
+    mx, my = ModP(x), ModP(y)
+    assert mx.x == x % P and 0 <= mx.x < P
+    assert (mx + my).x == (x + y) % P
+    assert (mx - my).x == (x - y) % P
+    assert (-mx).x == -x % P
+    assert (mx * my).x == x * y % P
+    assert bool(mx) == (x % P != 0)
+    assert (mx == my) == ((x - y) % P == 0)
+    if mx == my:
+        assert hash(mx) == hash(my)
+    if x % P:
+        assert (mx * mx.inv()) == MP_ONE
+        assert (mx ** e).x == pow(x, e, P)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            mx.inv()
+    assert mx.__eq__(x) is NotImplemented
+
+
+@given(pairs, pairs)
+def test_mod_p_is_ring_homomorphism(x, y):
+    gx, gy = gr(x), gr(y)
+    red = GaussRat.mod_p
+    assert red(gx + gy) == red(gx) + red(gy)
+    assert red(gx - gy) == red(gx) - red(gy)
+    assert red(-gx) == -red(gx)
+    assert red(gx * gy) == red(gx) * red(gy)
+    if any(x):
+        assert red(gx.inv()) == red(gx).inv()
+    assert red(GaussRat(x[0])) == ModP(x[0].numerator) * ModP(x[0].denominator).inv()
+
+
+def test_mod_p_images():
+    assert I_MOD_P * I_MOD_P % P == P - 1 and P % 4 == 1
+    assert GR_I.mod_p() == ModP(I_MOD_P)
+    with pytest.raises(PoleError):
+        GaussRat(Q(1, P)).mod_p()
+    with pytest.raises(PoleError):
+        GaussRat(Q(3, 2 * P), 1).mod_p()
+
+
+@given(scalars())
+def test_specialize_mod_p_commutes_with_reduction(s):
+    pt = GaussRat(Q(3, 2), Q(1, 3))
+    try:
+        x = s.specialize(pt)
+    except PoleError:
+        return
+    assert s.specialize(pt.mod_p()) == x.mod_p()
+
+
+def test_specialize_mod_p_poles():
+    with pytest.raises(PoleError):          # 1/(q - 1) at q = 1 mod P
+        (ONE / (QQ - ONE)).specialize(ModP(P - 1))
+    with pytest.raises(PoleError):          # a coefficient with P in its denominator
+        Scalar.from_gauss(GaussRat(Q(1, P))).specialize(ModP(2))
+    with pytest.raises(PoleError):
+        V.specialize(ModP(P))
