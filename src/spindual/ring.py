@@ -122,11 +122,6 @@ class ModP:
             raise ZeroDivisionError("inverse of zero ModP")
         return _mp(pow(self.x, -1, P))
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return _mp(pow(self.x, n, P))
-
     def __repr__(self):
         return f"{self.x} mod {P}"
 
