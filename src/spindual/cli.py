@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from .ring import GaussRat, MP_ONE, P, PoleError
+from .ring import GaussRat, MP_ONE, P, PoleError, require_generic
 from .linalg import (random_point, algebra_closure_dim, commutant_dimension,
                      highest_weight_restriction)
 from . import qgroup, intertwiner, coideal, combinat
@@ -26,6 +26,9 @@ SUITES = ("relations", "commutation", "cubic", "spectrum", "duality",
 # Suites built on the spin representation, which needs N >= 3.
 SPIN_SUITES = ("relations", "commutation", "cubic", "spectrum", "integrality",
                "fft")
+# The largest operator a command may build has at most 2^12 = 4096 rows:
+# the cubic check up to N = 9, fft up to (2^k)^n = 4096, e.g. (4, 6).
+MAX_OPERATOR_BITS = 12
 
 
 def _fmt_weight(doubled) -> str:
@@ -40,7 +43,7 @@ class Reporter:
         self.failures = 0
 
     def check(self, label: str, fn):
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok = fn()
         except PoleError:                  # a bad point, not a math failure
@@ -48,10 +51,30 @@ class Reporter:
         except Exception as exc:           # a crash is a failure, not an abort
             ok = False
             label = f"{label} [{type(exc).__name__}: {exc}]"
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         print(f"{'PASS' if ok else 'FAIL'}  {label}  ({dt:.2f}s)")
         if not ok:
             self.failures += 1
+
+
+def _operator_bits(suite: str, N: int, n: int) -> int:
+    """log2 of the rows of the largest operator `suite` builds, rounded up:
+    S has 2^k rows, C acts on S^(x)2, the cubic relation on S^(x)3, the
+    duality representation on S^(x)n and Temperley-Lieb on (C^2)^(x)n."""
+    k = N // 2
+    return {"relations": k, "commutation": 2 * k, "spectrum": 2 * k,
+            "integrality": 2 * k, "cubic": 3 * k, "fft": k * n, "tl": n,
+            "so3": N.bit_length(), "duality": 0}[suite]
+
+
+def _check_size(suites, N: int, n: int) -> None:
+    """Refuse, before anything is built, a run whose largest operator would
+    have more than 2^MAX_OPERATOR_BITS rows."""
+    bits, suite = max((_operator_bits(s, N, n), s) for s in suites)
+    if bits > MAX_OPERATOR_BITS:
+        raise ValueError(f"suite {suite!r} at N={N} n={n} would build "
+                         f"operators with 2^{bits} rows, above the limit "
+                         f"2^{MAX_OPERATOR_BITS} = {1 << MAX_OPERATOR_BITS}")
 
 
 def _point(seed: int) -> GaussRat:
@@ -68,6 +91,7 @@ def run_verify(args) -> int:
     if n < 2 and "tl" in suites:
         raise ValueError(f"suite {args.suite!r} needs n >= 2 for "
                          f"Temperley-Lieb, got n={n}")
+    _check_size(suites, N, n)
     for suite in suites:
         if suite == "relations":
             rep.check(f"defining relations N={N}",
@@ -159,9 +183,7 @@ def fft_counts(N: int, n: int, seed: int):
     counted exactly over Q(i) on the whole space, as a cross-check.
     """
     v0 = _point(seed)
-    if v0 ** 4 == 1:        # +-1, +-i: the only roots of unity in Q(i)
-        raise PoleError(f"v0 = {v0!r} is a root of unity, where S^(x)n is "
-                        f"not semisimple")
+    require_generic(v0)
     closure, sizes = hw_closure(N, n, v0)
     table = combinat.spinor_table(N, n)
     if sizes != sorted(table.values()):
@@ -183,7 +205,7 @@ def hw_closure(N: int, n: int, v0: GaussRat):
     gens = [b.specialize(vp) for b in r.B]
     if r.F is not None:
         gens.append(r.F.specialize(vp))
-    rep = qgroup.SpinRep(N)
+    rep = qgroup.spin_rep(N)
     ks = range(1, rep.k + 1)
     raising = [qgroup.coproduct_E(rep, i, n).specialize(vp) for i in ks]
     cartan = [qgroup.coproduct_K(rep, i, n).specialize(vp) for i in ks]
@@ -193,6 +215,7 @@ def hw_closure(N: int, n: int, v0: GaussRat):
 
 
 def run_fft(args) -> int:
+    _check_size(("fft",), args.N, args.n)
     print(f"N={args.N} n={args.n} seed={args.seed}")
     try:
         closure, sm, com, ok = fft_counts(args.N, args.n, args.seed)

@@ -11,9 +11,9 @@ F with F^2 = 1, F B_1 = -B_1 F, F B_i = B_i F for i > 1.
 from __future__ import annotations
 
 from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
-from .linalg import SparseMatrix, nullspace
+from .linalg import SparseMatrix, nullspace, kron_all
 from . import clifford as cl
-from .qgroup import rank_of
+from .qgroup import rank_of, _balanced_coproduct
 from .intertwiner import C_embedded
 
 
@@ -133,15 +133,8 @@ def _sl2_coproduct(n: int):
     """Images of E, F, K under the n-fold balanced coproduct on (C^2)^(x)n."""
     K, Kh, E, F = _sl2_generators()
     Khi = SparseMatrix.diagonal([V.inv(), V])
-    from .linalg import kron_all
-    dE = dF = None
-    for j in range(n):
-        tE = kron_all([Kh] * j + [E] + [Khi] * (n - 1 - j))
-        tF = kron_all([Kh] * j + [F] + [Khi] * (n - 1 - j))
-        dE = tE if dE is None else dE + tE
-        dF = tF if dF is None else dF + tF
-    dK = kron_all([K] * n)
-    return dE, dF, dK
+    return (_balanced_coproduct(E, Kh, Khi, n),
+            _balanced_coproduct(F, Kh, Khi, n), kron_all([K] * n))
 
 
 def tl_generators(n: int) -> list:

@@ -131,6 +131,13 @@ class SparseMatrix:
                 out[(r1 * n2 + r2, c1 * m2 + c2)] = a * b
         return SparseMatrix(self.nrows * n2, self.ncols * m2, out)
 
+    def restrict_columns(self, cols) -> "SparseMatrix":
+        """The same matrix with every column outside `cols` set to zero."""
+        keep = set(cols)
+        return SparseMatrix(self.nrows, self.ncols,
+                            {rc: v for rc, v in self.data.items()
+                             if rc[1] in keep})
+
     def is_diagonal(self):
         return all(r == c for r, c in self.data)
 

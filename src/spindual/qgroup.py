@@ -7,6 +7,7 @@ tensor powers.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .ring import Scalar, QQ, q_power, qbinom
 from .linalg import SparseMatrix, kron_all
@@ -48,7 +49,10 @@ def cartan_entry(N: int, i: int, j: int) -> int:
 
 
 class SpinRep:
-    """Generator images K_i^{±1}, K_i^{±1/2}, E_i, F_i on the spinor space."""
+    """Generator images K_i^{±1}, K_i^{±1/2}, E_i, F_i on the spinor space.
+
+    The images are cached per instance; library code gets its instance from
+    `spin_rep(N)`, so each N builds them once."""
 
     def __init__(self, N: int):
         if N < 3:
@@ -103,12 +107,43 @@ class SpinRep:
         return cl.creat(k, k) * cl.creat(k - 1, k)
 
 
+@lru_cache(maxsize=None)
+def spin_rep(N: int) -> SpinRep:
+    """The shared SpinRep of N."""
+    return SpinRep(N)
+
+
+def dominant_columns(N: int, n: int) -> list:
+    """Indices of the basis vectors of S^(x)n whose weight is dominant: every
+    Delta(K_i) = K_i^(x)n has eigenvalue v^e there with e >= 0.  The K_i are
+    diagonal with monomial entries, so e is the sum of the v-valuations of
+    the factors; E_i raises e (K_i E_i K_i^-1 = q^{(a_i, a_i)} E_i, as
+    `verify_relations` certifies), so a highest-weight vector has e >= 0
+    for every i."""
+    rep = spin_rep(N)
+    ks = range(1, rep.k + 1)
+    exps = []
+    for m in range(rep.dim):
+        row = []
+        for i in ks:
+            s = rep.K(i).data[(m, m)]
+            e = s.num.valuation()
+            if s != q_power(e):
+                raise ArithmeticError(f"K_{i} entry ({m}, {m}) = {s!r} is not "
+                                      f"a power of v")
+            row.append(e)
+        exps.append(row)
+    # product() varies the last factor fastest, as kron does
+    return [j for j, ws in enumerate(product(exps, repeat=n))
+            if all(sum(e) >= 0 for e in zip(*ws))]
+
+
 def verify_relations(N: int) -> bool:
     """All defining relations of the quantized orthogonal algebra hold
     exactly for the spin representation: Cartan commutation, weight
     scaling of E/F, the commutator [E_i, F_j], and the quantum Serre
     relations with q_i-binomial coefficients."""
-    rep = SpinRep(N)
+    rep = spin_rep(N)
     k, d = rep.k, rep.dim
     ident = SparseMatrix.identity(d)
     zero = SparseMatrix(d, d)
@@ -158,25 +193,24 @@ def verify_relations(N: int) -> bool:
     return True
 
 
-def coproduct_E(rep: SpinRep, i: int, n: int) -> SparseMatrix:
-    """n-fold balanced coproduct: sum_j K^{1/2 (x)(j-1)} (x) E (x) K^{-1/2 (x)(n-j)}."""
-    kp, km = rep.Khalf(i, 1), rep.Khalf(i, -1)
+def _balanced_coproduct(x: SparseMatrix, kh: SparseMatrix, khi: SparseMatrix,
+                        n: int) -> SparseMatrix:
+    """n-fold balanced coproduct of x: sum_j kh^(x)j (x) x (x) khi^(x)(n-1-j),
+    with kh = K^{1/2} and khi = K^{-1/2}.  Private, so that a tracer keyed
+    on coproduct_E/coproduct_F sees their whole time."""
     acc = None
     for j in range(n):
-        fac = [kp] * j + [rep.E(i)] + [km] * (n - 1 - j)
-        t = kron_all(fac)
+        t = kron_all([kh] * j + [x] + [khi] * (n - 1 - j))
         acc = t if acc is None else acc + t
     return acc
+
+
+def coproduct_E(rep: SpinRep, i: int, n: int) -> SparseMatrix:
+    return _balanced_coproduct(rep.E(i), rep.Khalf(i), rep.Khalf(i, -1), n)
 
 
 def coproduct_F(rep: SpinRep, i: int, n: int) -> SparseMatrix:
-    kp, km = rep.Khalf(i, 1), rep.Khalf(i, -1)
-    acc = None
-    for j in range(n):
-        fac = [kp] * j + [rep.F(i)] + [km] * (n - 1 - j)
-        t = kron_all(fac)
-        acc = t if acc is None else acc + t
-    return acc
+    return _balanced_coproduct(rep.F(i), rep.Khalf(i), rep.Khalf(i, -1), n)
 
 
 def coproduct_K(rep: SpinRep, i: int, n: int, power: int = 1) -> SparseMatrix:
@@ -185,7 +219,7 @@ def coproduct_K(rep: SpinRep, i: int, n: int, power: int = 1) -> SparseMatrix:
 
 def coproduct_generators(N: int, n: int):
     """All coproduct images on the n-fold tensor power, for commutant work."""
-    rep = SpinRep(N)
+    rep = spin_rep(N)
     out = []
     for i in range(1, rep.k + 1):
         out.append(coproduct_K(rep, i, n))

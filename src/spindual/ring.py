@@ -243,6 +243,15 @@ GR_I = GaussRat(0, 1)
 _I_POW = (GR_ONE, GR_I, -GR_ONE, -GR_I)
 
 
+def require_generic(v0: GaussRat) -> None:
+    """Raise PoleError if v0 is a root of unity: +-1 and +-i are the only
+    ones in Q(i), and there q = v0^2 is one too, so S^(x)n need not be
+    semisimple and the checks that rely on it are unsound."""
+    if v0 ** 4 == 1:
+        raise PoleError(f"v0 = {v0!r} is a root of unity, where S^(x)n is "
+                        f"not semisimple")
+
+
 class LaurentPoly:
     """Laurent polynomial in v with GaussRat coefficients.
 

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from spindual import cli
 from spindual.cli import main, _fmt_weight
+from spindual.qgroup import SpinRep
 from spindual.ring import GR_I, GaussRat, P, Q
 
 
@@ -102,6 +104,34 @@ def test_bad_point_exit_2(monkeypatch, capsys, point):
         out, err = capsys.readouterr()
         assert "FAIL" not in out and "MISMATCH" not in out, argv
         assert "--seed 7" in err and "Traceback" not in err, argv
+
+
+def test_cubic_root_of_unity_exit_2(monkeypatch, capsys):
+    # the dominant-column check is sound only off the roots of unity
+    monkeypatch.setattr(cli, "_point", lambda seed: GR_I)
+    assert main(["verify", "cubic", "--N", "5", "--q", "spec",
+                 "--seed", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert "--seed 7" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "all"], ["fft"]])
+def test_size_guard_exit_2(capsys, argv):
+    # S^(x)6 for N = 9 has 16^6 = 2^24 rows: refused before anything is built
+    t0 = time.perf_counter()
+    assert main(argv + ["--N", "9", "--n", "6"]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert "2^24" in err and "Traceback" not in err
+
+
+def test_fft_counts_share_one_spin_rep():
+    SpinRep.E.cache_clear()
+    for seed in range(1, 6):
+        assert cli.fft_counts(3, 4, seed)[-1]
+    assert SpinRep.E.cache_info().currsize == 1
 
 
 def test_bad_config_exit_2(capsys):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from spindual.ring import (GaussRat, ONE, TWO, HALF, QQ, qint, sc, Scalar, Q)
+from spindual.ring import (GaussRat, ONE, TWO, HALF, QQ, qint, sc, Scalar, Q,
+                           GR_ONE, GR_I, PoleError)
 from spindual.linalg import SparseMatrix, random_point
+from spindual.qgroup import dominant_columns
 from spindual import clifford as cl
 from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   build_C_classical, C_embedded,
@@ -11,7 +13,8 @@ from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   check_cubic_specialized, check_cd_relations,
                                   classical_spectrum_candidates,
                                   quantum_spectrum_candidates, spectrum_of_C,
-                                  principal_eigenvector, integrality_check)
+                                  principal_eigenvector, integrality_check,
+                                  _cubic_residuals, _f_term, _pair_generators)
 
 
 def test_pair_action_coefficient():
@@ -110,6 +113,67 @@ def test_cubic_classical():
 def test_cubic_specialized():
     v0 = random_point(random.Random(2))
     assert all(m.is_zero() for m in check_cubic_specialized(6, v0))
+
+
+MID = QQ ** 2 + QQ ** (-2)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_quantum_cubic_returns_commutators(N):
+    # the restriction to dominant columns is sound only with C equivariant:
+    # both quantum checks lead with the commutators [Delta(g), C]
+    k = N // 2
+    v0 = random_point(random.Random(11))
+    comm = check_commutation(N)
+    sym = check_cubic(N)
+    spec = check_cubic_specialized(N, v0)
+    assert len(sym) == len(spec) == len(comm) + 2 == 3 * k + 2
+    assert sym[:3 * k] == list(comm.values())
+    assert spec[:3 * k] == [m.specialize(v0) for m in comm.values()]
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_cubic_restriction_matches_full_space(N):
+    # with the right and a wrong middle coefficient, the restricted
+    # residuals are the full-space residuals on the dominant columns
+    d = 1 << (N // 2)
+    ident = SparseMatrix.identity(d, GR_ONE)
+    cols = dominant_columns(N, 3)
+    for seed in (11, 23):
+        v0 = random_point(random.Random(seed))
+        C = build_C_quantum(N).specialize(v0)
+        gens = [g.specialize(v0) for _, g in _pair_generators(N)]
+        C1, C2 = C.kron(ident), ident.kron(C)
+        for mid in (MID.specialize(v0), GaussRat(2)):
+            full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
+                    for a, b in ((C1, C2), (C2, C1))]
+            got = _cubic_residuals(N, C, gens, mid, GR_ONE)[-2:]
+            assert got == [m.restrict_columns(cols) for m in full], (seed, mid)
+
+
+def test_cubic_wrong_coefficient_fails():
+    # middle coefficient 2 instead of q^2 + q^-2: C still commutes, but the
+    # restricted cubic residuals do not vanish
+    res = _cubic_residuals(5, build_C_quantum(5),
+                           [g for _, g in _pair_generators(5)], TWO, ONE)
+    assert all(m.is_zero() for m in res[:-2])
+    assert not any(m.is_zero() for m in res[-2:])
+
+
+def test_cubic_dropped_f_term_fails_equivariance():
+    # without the f-term C still satisfies the cubic relation, but it is no
+    # intertwiner: the check must fail on the commutators with E_2, F_2
+    C = build_C_quantum(5) - _f_term(5)
+    res = _cubic_residuals(5, C, [g for _, g in _pair_generators(5)], MID,
+                           ONE)
+    assert len(res) == 3 * 2 + 2
+    assert [m.is_zero() for m in res] == [True] * 4 + [False] * 2 + [True] * 2
+
+
+@pytest.mark.parametrize("v0", [GR_ONE, -GR_ONE, GR_I, -GR_I])
+def test_cubic_specialized_rejects_root_of_unity(v0):
+    with pytest.raises(PoleError):
+        check_cubic_specialized(5, v0)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])

@@ -1,10 +1,13 @@
+from itertools import product
+
 import pytest
 
 from spindual.ring import ONE, QQ, q_power
 from spindual.linalg import SparseMatrix
+from spindual.combinat import is_dominant
 from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
                              cartan_entry, verify_relations, coproduct_E,
-                             coproduct_F, coproduct_K)
+                             coproduct_F, coproduct_K, dominant_columns)
 
 
 def test_rank_and_roots():
@@ -61,3 +64,16 @@ def test_transpose_antiautomorphism():
     for i in range(1, rep.k + 1):
         assert rep.E(i).transpose() == rep.F(i)
         assert rep.K(i).transpose() == rep.K(i)
+
+
+@pytest.mark.parametrize("N,count", [(5, 13), (6, 80), (7, 40), (8, 242)])
+def test_dominant_columns(N, count):
+    # x(m) has doubled weight (1 - 2 m_j)_j: E_i empties slot i, raising
+    # coordinate i; a basis vector of S^(x)3 has the sum of its factors'
+    k = rank_of(N)
+    weights = [tuple(1 - 2 * ((m >> (k - j)) & 1) for j in range(1, k + 1))
+               for m in range(1 << k)]
+    want = [j for j, ws in enumerate(product(weights, repeat=3))
+            if is_dominant(tuple(map(sum, zip(*ws))), N)]
+    cols = dominant_columns(N, 3)
+    assert cols == want and len(cols) == count
