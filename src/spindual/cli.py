@@ -67,9 +67,16 @@ def _operator_bits(suite: str, N: int, n: int) -> int:
             "so3": N.bit_length(), "duality": 0}[suite]
 
 
-def _check_size(suites, N: int, n: int) -> None:
-    """Refuse, before anything is built, a run whose largest operator would
-    have more than 2^MAX_OPERATOR_BITS rows."""
+def _check_config(suites, N: int, n: int) -> None:
+    """Refuse, before anything is built, a configuration some suite cannot
+    run: a spin suite with N < 3, Temperley-Lieb with n < 2, or a largest
+    operator with more than 2^MAX_OPERATOR_BITS rows."""
+    spin = [s for s in suites if s in SPIN_SUITES]
+    if N < 3 and spin:
+        raise ValueError(f"suite {spin[0]!r} needs N >= 3, got N={N}")
+    if n < 2 and "tl" in suites:
+        raise ValueError(f"suite 'tl' needs n >= 2 for Temperley-Lieb, "
+                         f"got n={n}")
     bits, suite = max((_operator_bits(s, N, n), s) for s in suites)
     if bits > MAX_OPERATOR_BITS:
         raise ValueError(f"suite {suite!r} at N={N} n={n} would build "
@@ -86,12 +93,7 @@ def run_verify(args) -> int:
     N = args.N
     n = args.n
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    if N < 3 and any(s in SPIN_SUITES for s in suites):
-        raise ValueError(f"suite {args.suite!r} needs N >= 3, got N={N}")
-    if n < 2 and "tl" in suites:
-        raise ValueError(f"suite {args.suite!r} needs n >= 2 for "
-                         f"Temperley-Lieb, got n={n}")
-    _check_size(suites, N, n)
+    _check_config(suites, N, n)
     for suite in suites:
         if suite == "relations":
             rep.check(f"defining relations N={N}",
@@ -215,7 +217,7 @@ def hw_closure(N: int, n: int, v0: GaussRat):
 
 
 def run_fft(args) -> int:
-    _check_size(("fft",), args.N, args.n)
+    _check_config(("fft",), args.N, args.n)
     print(f"N={args.N} n={args.n} seed={args.seed}")
     try:
         closure, sm, com, ok = fft_counts(args.N, args.n, args.seed)
@@ -249,6 +251,7 @@ def run_table(args) -> int:
                 "dimension": combinat.weyl_dim(w, N),
             })
     elif args.kind == "spectrum":
+        _check_config(("spectrum",), N, n)
         rep = intertwiner.spectrum_of_C(N, classical=args.q == "one",
                                         eps=args.sign)
         if not (rep.annihilates and rep.complete):

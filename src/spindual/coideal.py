@@ -11,7 +11,7 @@ F with F^2 = 1, F B_1 = -B_1 F, F B_i = B_i F for i > 1.
 from __future__ import annotations
 
 from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
-from .linalg import SparseMatrix, nullspace, kron_all
+from .linalg import SparseMatrix, embed, nullspace, kron_all
 from . import clifford as cl
 from .qgroup import rank_of, _balanced_coproduct
 from .intertwiner import C_embedded
@@ -175,12 +175,7 @@ def tl_generators(n: int) -> list:
     for r, a in s.items():
         for c, b in phi.items():
             e[(r, c)] = a * b * inv
-    out = []
-    for i in range(1, n):
-        left = SparseMatrix.identity(2 ** (i - 1))
-        right = SparseMatrix.identity(2 ** (n - i - 1))
-        out.append(left.kron(e).kron(right))
-    return out
+    return [embed(e, 2 ** (i - 1), 2 ** (n - i - 1)) for i in range(1, n)]
 
 
 def tl_braid_rep(n: int) -> CoidealRep:
@@ -212,8 +207,7 @@ def duality_rep(N: int, n: int) -> CoidealRep:
     B = [C_embedded(N, i, n) for i in range(1, n)]
     F = None
     if N % 2 == 0:
-        f = cl.parity(k, k)
-        F = f.kron(SparseMatrix.identity((1 << k) ** (n - 1)))
+        F = embed(cl.parity(k, k), 1, (1 << k) ** (n - 1))
     return CoidealRep(n, -(QQ ** 2), B, F)
 
 
@@ -222,5 +216,5 @@ def classical_duality_rep(N: int, n: int, eps: int = 1) -> CoidealRep:
     F = None
     if N % 2 == 0:
         k = rank_of(N)
-        F = cl.parity(k, k).kron(SparseMatrix.identity((1 << k) ** (n - 1)))
+        F = embed(cl.parity(k, k), 1, (1 << k) ** (n - 1))
     return CoidealRep(n, -ONE, B, F)

@@ -8,9 +8,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .ring import (Scalar, GaussRat, GR_ONE, Q, ONE, TWO, HALF, QQ, qint,
+from .ring import (Scalar, GaussRat, Q, ONE, TWO, HALF, QQ, qint,
                    q_power, require_generic)
-from .linalg import SparseMatrix, verify_spectrum, SpectrumReport
+from .linalg import SparseMatrix, embed, verify_spectrum, SpectrumReport
 from . import clifford as cl
 from .qgroup import (spin_rep, rank_of, coproduct_E, coproduct_F,
                      dominant_columns)
@@ -78,10 +78,7 @@ def C_embedded(N: int, i: int, n: int, classical=False, eps: int = 1) -> SparseM
     """C_i = 1 (x) ... (x) C (x) ... (x) 1 acting on slots (i, i+1) of S^(x)n."""
     C = build_C_classical(N, eps) if classical else build_C_quantum(N)
     d = 1 << rank_of(N)
-    sq = SparseMatrix(d * d, d * d, C.data)
-    left = SparseMatrix.identity(d ** (i - 1))
-    right = SparseMatrix.identity(d ** (n - i - 1))
-    return left.kron(sq).kron(right)
+    return embed(C, d ** (i - 1), d ** (n - i - 1))
 
 
 # -- commutation and cubic relations ---------------------------------------
@@ -146,7 +143,7 @@ def check_cubic(N: int, classical=False, eps: int = 1) -> list:
                 for a, b in ((C1, C2), (C2, C1))]
     return _cubic_residuals(N, build_C_quantum(N),
                             [g for _, g in _pair_generators(N)],
-                            QQ ** 2 + QQ ** (-2), ONE)
+                            QQ ** 2 + QQ ** (-2))
 
 
 def check_cubic_specialized(N: int, v0: GaussRat) -> list:
@@ -159,17 +156,18 @@ def check_cubic_specialized(N: int, v0: GaussRat) -> list:
     C = build_C_quantum(N).specialize(v0)
     gens = [g.specialize(v0) for _, g in _pair_generators(N)]
     mid = (QQ ** 2 + QQ ** (-2)).specialize(v0)
-    return _cubic_residuals(N, C, gens, mid, GR_ONE)
+    return _cubic_residuals(N, C, gens, mid)
 
 
 def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid,
-                     one) -> list:
+                     one=None) -> list:
     """[g, C] for each g in `gens`, then lhs(C1; C2) - C2 and
     lhs(C2; C1) - C1 with middle coefficient `mid`, restricted to the
-    dominant columns of S^(x)3 and evaluated right to left."""
+    dominant columns of S^(x)3 and evaluated right to left.  `one` is
+    ignored: the embeddings need no identity entries."""
     out = [g * C - C * g for g in gens]
-    ident = SparseMatrix.identity(1 << rank_of(N), one)
-    a, b = C.kron(ident), ident.kron(C)
+    d = 1 << rank_of(N)
+    a, b = embed(C, 1, d), embed(C, d, 1)
     cols = dominant_columns(N, 3)
     a_d, b_d = a.restrict_columns(cols), b.restrict_columns(cols)
     aa, ba, ab, bb = a * a_d, b * a_d, a * b_d, b * b_d

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .ring import GaussRat, ONE, Q
+from .ring import GaussRat, ModP, MP_ONE, ONE, PoleError, Q
 
 
 class SparseMatrix:
@@ -43,6 +43,8 @@ class SparseMatrix:
         return not self.data
 
     def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
         return (self.nrows == other.nrows and self.ncols == other.ncols
                 and self.data == other.data)
 
@@ -165,12 +167,23 @@ def kron_all(mats) -> SparseMatrix:
     return out
 
 
-def embed_factor(m: SparseMatrix, pos: int, n: int, one=ONE) -> SparseMatrix:
+def embed(m: SparseMatrix, left: int, right: int) -> SparseMatrix:
+    """id_left (x) m (x) id_right, for identities of sizes `left` and
+    `right`, by index arithmetic: the entries of m are reused, none is
+    multiplied."""
+    nr, nc = m.nrows, m.ncols
+    out = {}
+    for i in range(left):
+        for (r, c), x in m.data.items():
+            r0, c0 = (i * nr + r) * right, (i * nc + c) * right
+            for j in range(right):
+                out[(r0 + j, c0 + j)] = x
+    return SparseMatrix(left * nr * right, left * nc * right, out)
+
+
+def embed_factor(m: SparseMatrix, pos: int, n: int) -> SparseMatrix:
     """id^(pos) (x) m (x) id^(n-pos-1) on the n-fold tensor power."""
-    d = m.nrows
-    left = SparseMatrix.identity(d ** pos, one)
-    right = SparseMatrix.identity(d ** (n - pos - 1), one)
-    return left.kron(m).kron(right)
+    return embed(m, m.nrows ** pos, m.nrows ** (n - pos - 1))
 
 
 class EchelonBasis:
@@ -407,21 +420,54 @@ class SpectrumReport:
                 f"mults={self.multiplicities}, dim={self.dim})")
 
 
-def verify_spectrum(m: SparseMatrix, candidates, one=ONE) -> SpectrumReport:
-    """Check that prod(m - c) vanishes over the candidate eigenvalues and
-    read off each multiplicity as dim - rank(m - c).
+# verify_spectrum counts multiplicities at v = 2 mod P.  Any point works
+# where no entry has a pole and the candidates keep distinct images; the
+# function checks both.
+SPECTRUM_POINT = ModP(2)
 
-    A vanishing product with distinct candidates forces diagonalizability,
-    so geometric multiplicities are the multiplicities.
+
+def verify_spectrum(m: SparseMatrix, candidates) -> SpectrumReport:
+    """Check that prod(m - c) vanishes over the candidate eigenvalues, in
+    exact arithmetic, and read off each multiplicity as dim - rank(m - c)
+    with m and c reduced at v = SPECTRUM_POINT over F_P.  The
+    multiplicities are keyed on the given candidates.  Why these counts
+    are the multiplicities over Q(i)(v) whenever the product vanishes:
+
+    - The candidates have distinct images at the point, so they are
+      distinct.  A matrix annihilated by a product of distinct linear
+      factors is diagonalizable, so its multiplicities m_j = dim -
+      rank(m - c_j) over Q(i)(v) add up to dim.
+    - No entry has a pole at the point, so reduction there is a ring map
+      from the local ring at the point onto F_P.  Rank can only drop under
+      it, so each count m_j' >= m_j.
+    - Eigenspaces for distinct eigenvalues are independent, and the images
+      of the c_j are distinct, so the sum of the m_j' is at most dim.
+    - Together: sum m_j <= sum m_j' <= dim = sum m_j, so m_j' = m_j for
+      every j.
+
+    Raises ArithmeticError, naming the point, if two candidates have the
+    same image there or an entry of m or a candidate has a pole there.
     """
     n = m.nrows
-    ident = SparseMatrix.identity(n, one)
+    ident = SparseMatrix.identity(n)
     prod = ident
-    mults = {}
     for c in candidates:
-        shifted = m - ident.scale(c)
-        prod = prod * shifted
-        mults[c] = n - matrix_rank(shifted)
+        prod = prod * (m - ident.scale(c))
+    pt = SPECTRUM_POINT
+    try:
+        mp = m.specialize(pt)
+        images = [c.specialize(pt) for c in candidates]
+    except PoleError as exc:
+        raise ArithmeticError(f"spectrum counts at v = {pt!r}: {exc}") from exc
+    seen = {}
+    for c, x in zip(candidates, images):
+        if x in seen:
+            raise ArithmeticError(f"spectrum candidates {seen[x]!r} and "
+                                  f"{c!r} have the same image at v = {pt!r}")
+        seen[x] = c
+    ident_p = SparseMatrix.identity(n, MP_ONE)
+    mults = {c: n - matrix_rank(mp - ident_p.scale(x))
+             for c, x in zip(candidates, images)}
     return SpectrumReport(prod.is_zero(), mults, n)
 
 

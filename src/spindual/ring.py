@@ -282,6 +282,8 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -352,14 +354,23 @@ class LaurentPoly:
 
     def evaluate(self, v0):
         """The value at v = v0, a GaussRat or (coefficients reduced) a ModP."""
+        coeffs = self.coeffs
         if isinstance(v0, ModP):
             x = v0.x
             return _mp(sum(c.mod_p().x * pow(x, e, P)
-                           for e, c in self.coeffs.items()) % P)
-        out = GR_ZERO
-        for e, c in self.coeffs.items():
-            out = out + c * (v0 ** e)
-        return out
+                           for e, c in coeffs.items()) % P)
+        if not coeffs:
+            return GR_ZERO
+        # Horner from the top exponent down to the lowest one, lo, then one
+        # factor v0^lo (a single inversion of v0 if lo < 0)
+        lo, hi = min(coeffs), max(coeffs)
+        out = coeffs[hi]
+        for e in range(hi - 1, lo - 1, -1):
+            out = out * v0
+            c = coeffs.get(e)
+            if c is not None:
+                out = out + c
+        return out * v0 ** lo if lo else out
 
     def subst_iv2(self):
         """The substitution v -> i*v^2 (i.e. q -> -q^2) on a bare polynomial."""
@@ -493,14 +504,22 @@ class Scalar:
         return hash((self.num, self.den))
 
     # -- arithmetic --------------------------------------------------------
+    # Both operands are reduced, so two cases need no gcd (Knuth, TAOCP
+    # vol. 2, 4.5.1): a Laurent c plus a/b is (a + c*b)/b, as
+    # gcd(a + c*b, b) = gcd(a, b) = 1; a unit c*v^e times a/b is
+    # (c*v^e*a)/b.  b is already normalized, so the result is the one the
+    # reduce path gives, field for field.
     def __add__(self, other):
-        if self.den is LP_ONE and other.den is LP_ONE or \
-           (self.den.is_one() and other.den.is_one()):
-            return Scalar(self.num + other.num, LP_ONE, reduce=False)
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        sd, od = self.den, other.den
+        if sd.is_one():
+            if od.is_one():
+                return Scalar(self.num + other.num, LP_ONE, reduce=False)
+            return Scalar(self.num * od + other.num, od, reduce=False)
+        if od.is_one():
+            return Scalar(self.num + other.num * sd, sd, reduce=False)
+        if sd == od:
+            return Scalar(self.num + other.num, sd)
+        return Scalar(self.num * od + other.num * sd, sd * od)
 
     def __neg__(self):
         return Scalar(-self.num, self.den, reduce=False)
@@ -509,9 +528,15 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.den.is_one() and other.den.is_one():
-            return Scalar(self.num * other.num, LP_ONE, reduce=False)
-        return Scalar(self.num * other.num, self.den * other.den)
+        sd, od = self.den, other.den
+        if sd.is_one():
+            if od.is_one():
+                return Scalar(self.num * other.num, LP_ONE, reduce=False)
+            if self.num.is_monomial():
+                return Scalar(self.num * other.num, od, reduce=False)
+        elif od.is_one() and other.num.is_monomial():
+            return Scalar(self.num * other.num, sd, reduce=False)
+        return Scalar(self.num * other.num, sd * od)
 
     def inv(self):
         if not self.num:
@@ -544,6 +569,8 @@ class Scalar:
         on a coefficient whose denominator P divides."""
         if not v0:
             raise PoleError("v0 = 0 is never a valid specialization point")
+        if self.den.is_one():
+            return self.num.evaluate(v0)
         d = self.den.evaluate(v0)
         if not d:
             raise PoleError(f"denominator vanishes at v0 = {v0!r}")

@@ -154,3 +154,13 @@ def test_table_to_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["entries"]
+
+
+@pytest.mark.parametrize("N,msg", [("2", "N >= 3"), ("14", "2^14")])
+def test_table_spectrum_bad_config_exit_2(capsys, N, msg):
+    # the same guards as verify spectrum, before any operator is built
+    t0 = time.perf_counter()
+    assert main(["table", "spectrum", "--N", N]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and msg in err and "Traceback" not in err

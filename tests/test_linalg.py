@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from spindual.ring import GaussRat, GR_ONE, MP_ONE, ONE, TWO, V, QQ, sc
+from spindual.ring import GaussRat, GR_ONE, MP_ONE, ONE, TWO, V, QQ, P, sc
 from spindual.linalg import (SparseMatrix, EchelonBasis, matrix_rank,
                              nullspace, algebra_closure_dim,
                              commutant_dimension, verify_spectrum, kron_all,
-                             embed_factor, random_point,
-                             highest_weight_restriction)
+                             embed, embed_factor, random_point,
+                             highest_weight_restriction, SPECTRUM_POINT)
+from spindual.intertwiner import (build_C_quantum, build_C_classical,
+                                  quantum_spectrum_candidates,
+                                  classical_spectrum_candidates)
 from spindual import cli, coideal, qgroup
 
 
@@ -136,3 +139,59 @@ def test_hw_restriction_rejects_non_invariant_generators():
 
 def test_random_point_respects_seed():
     assert random_point(random.Random(5)) == random_point(random.Random(5))
+
+
+@pytest.mark.parametrize("left,right", [(1, 1), (1, 4), (4, 1), (2, 3)])
+def test_embed_matches_kron_and_reuses_entries(left, right):
+    m = SparseMatrix(2, 3, {(0, 0): V, (0, 2): -TWO, (1, 1): QQ + ONE})
+    got = embed(m, left, right)
+    want = SparseMatrix.identity(left).kron(m).kron(
+        SparseMatrix.identity(right))
+    assert got == want and (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    # no scalar products: every entry is one of m's own objects
+    ids = {id(x) for x in m.data.values()}
+    assert all(id(x) in ids for x in got.data.values())
+
+
+def test_sparse_matrix_eq_foreign_operand():
+    ident = SparseMatrix.identity(2)
+    assert ident.__eq__(None) is NotImplemented
+    assert not (ident == None) and ident != "I"    # noqa: E711
+
+
+def _symbolic_mults(m, candidates):
+    ident = SparseMatrix.identity(m.nrows)
+    return {c: m.nrows - matrix_rank(m - ident.scale(c)) for c in candidates}
+
+
+@pytest.mark.parametrize("N,classical", [(3, False), (4, False), (5, False),
+                                         (3, True), (4, True), (5, True),
+                                         (6, True)])
+def test_spectrum_counts_mod_p_match_symbolic_rank(N, classical):
+    if classical:
+        C = build_C_classical(N)
+        cands = [v for v, _ in classical_spectrum_candidates(N)]
+    else:
+        C, cands = build_C_quantum(N), quantum_spectrum_candidates(N)
+    rep = verify_spectrum(C, cands)
+    assert rep.annihilates and rep.complete
+    assert list(rep.multiplicities) == cands
+    assert rep.multiplicities == _symbolic_mults(C, cands)
+
+
+def test_verify_spectrum_negative_controls():
+    # a Jordan block is not diagonalizable: (J - 1) != 0
+    jordan = SparseMatrix(2, 2, {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE})
+    rep = verify_spectrum(jordan, [ONE])
+    assert not rep.annihilates and not rep.complete
+    # a wrong candidate list: the last quantum eigenvalue with its sign flipped
+    cands = quantum_spectrum_candidates(5)
+    rep = verify_spectrum(build_C_quantum(5), cands[:-1] + [-cands[-1]])
+    assert not rep.annihilates and not rep.complete
+    # two candidates with one image at the point, and a candidate with a
+    # pole there: no count can be certified
+    with pytest.raises(ArithmeticError, match="same image at v = "
+                       + repr(SPECTRUM_POINT)):
+        verify_spectrum(swap2(), [ONE, sc(P + 1)])
+    with pytest.raises(ArithmeticError, match=repr(SPECTRUM_POINT)):
+        verify_spectrum(swap2(), [ONE, ONE / (V - TWO)])

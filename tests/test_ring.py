@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spindual.ring import (GaussRat, LaurentPoly, Scalar, PoleError, Q,
+                           LP_ONE,
                            ZERO, ONE, TWO, I, V, QQ, HALF, GR_I,
                            ModP, MP_ONE, P, I_MOD_P,
                            qint, qint_plus, qbinom, q_power, sc)
@@ -260,3 +261,60 @@ def test_specialize_mod_p_poles():
         Scalar.from_gauss(GaussRat(Q(1, P))).specialize(ModP(2))
     with pytest.raises(PoleError):
         V.specialize(ModP(P))
+
+
+# -- the gcd-free fast paths of Scalar + and * --------------------------------
+
+gauss_small = st.builds(GaussRat, small, small)
+laurent_polys = st.dictionaries(small, gauss_small, max_size=3).map(
+    lambda d: LaurentPoly({e: c for e, c in d.items() if c}))
+units = st.builds(lambda e, c: Scalar(LaurentPoly.monomial(e, c)), small,
+                  gauss_small.filter(bool))
+laurents = laurent_polys.map(Scalar)
+DENS = [LaurentPoly({0: GaussRat(1), 1: GaussRat(1)}),               # 1 + v
+        LaurentPoly({0: GaussRat(1), 2: GaussRat(1)}),               # 1 + v^2
+        LaurentPoly({0: GaussRat(2), 1: GaussRat(-3), 2: GaussRat(1)}),
+        LaurentPoly({-1: GaussRat(0, 2), 3: GaussRat(Q(1, 2))})]
+reduced = st.builds(lambda p, d: Scalar(p, d), laurent_polys,
+                    st.sampled_from(DENS))
+any_scalar = units | laurents | reduced
+
+
+def same_fields(got, want):
+    return (got.num.coeffs == want.num.coeffs
+            and got.den.coeffs == want.den.coeffs)
+
+
+@given(any_scalar, any_scalar)
+@example(Scalar(DENS[0]), Scalar(LP_ONE, DENS[0]))        # (1+v) * 1/(1+v)
+@example(ONE, Scalar(LP_ONE, DENS[0]))
+@example(V, Scalar(LP_ONE, DENS[1]))
+@example(Scalar(LP_ONE, DENS[2]), -V ** 3)
+@example(Scalar(V.num, DENS[2]), -Scalar(LP_ONE, DENS[2]))  # (v-1)/(v-1)(v-2)
+@example(QQ, -QQ)                                         # zero sums
+@example(Scalar(V.num, DENS[3]), -Scalar(V.num, DENS[3]))
+def test_scalar_fast_paths_match_reduce_path(x, y):
+    # unit * reduced, reduced * unit, Laurent + reduced and reduced +
+    # Laurent skip the gcd; each result must be the one Scalar(num, den)
+    # reduces to
+    assert same_fields(x * y, Scalar(x.num * y.num, x.den * y.den))
+    assert same_fields(y * x, Scalar(y.num * x.num, y.den * x.den))
+    want = Scalar(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert same_fields(x + y, want) and same_fields(y + x, want)
+    assert same_fields(x - x, ZERO)
+
+
+@given(laurent_polys, pairs.filter(any))
+def test_specialize_laurent_is_sum_of_terms(p, x):
+    v0 = gr(x)
+    want = GaussRat(0)
+    for e, c in p.coeffs.items():
+        want = want + c * v0 ** e
+    assert Scalar(p).specialize(v0) == want
+    assert p.evaluate(v0) == want
+
+
+def test_laurent_eq_foreign_operand():
+    assert LP_ONE.__eq__(None) is NotImplemented
+    assert not (LP_ONE == None) and LP_ONE != 1    # noqa: E711
+    assert LP_ONE == LaurentPoly({0: GaussRat(1)})
