@@ -2,7 +2,8 @@
 tables, and centralizer dimension counts.
 
 Exit codes: 0 all checks passed / table emitted, 1 at least one check
-failed, 2 invalid configuration.
+failed, 2 invalid configuration, 3 internal error (a crash, reported with
+its traceback, never as a failed check).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 
 from .ring import GaussRat, MP_ONE, P, PoleError, require_generic
 from .linalg import (random_point, algebra_closure_dim, commutant_dimension,
-                     highest_weight_restriction)
+                     highest_weight_restriction, first_nonzero)
 from . import qgroup, intertwiner, coideal, combinat
 
 
@@ -31,29 +32,33 @@ SPIN_SUITES = ("relations", "commutation", "cubic", "spectrum", "integrality",
 MAX_OPERATOR_BITS = 12
 
 
-def _fmt_weight(doubled) -> str:
-    parts = []
-    for d in doubled:
-        parts.append(str(d // 2) if d % 2 == 0 else f"{d}/2")
-    return ",".join(parts)
-
-
 class Reporter:
     def __init__(self):
         self.failures = 0
 
     def check(self, label: str, fn):
+        """Print PASS or FAIL for `fn`, which returns a {relation:
+        residual} dict or a bool.  FAIL is a nonzero residual (named), False,
+        or an ArithmeticError raised on purpose; anything else propagates."""
         t0 = time.perf_counter()
         try:
-            ok = fn()
-        except PoleError:                  # a bad point, not a math failure
+            res = fn()
+        except PoleError:
             raise
-        except Exception as exc:           # a crash is a failure, not an abort
-            ok = False
-            label = f"{label} [{type(exc).__name__}: {exc}]"
+        except ArithmeticError as exc:
+            res, label = False, f"{label} [{type(exc).__name__}: {exc}]"
+        except ValueError as exc:    # configs are vetted first: a defect
+            raise RuntimeError(f"check {label!r} raised ValueError") from exc
+        if isinstance(res, dict):
+            bad = first_nonzero(res)
+            if bad is not None:
+                name, pos = bad
+                where = f" = {res[name]}" if pos is None else f" at {pos}"
+                label = f"{label} [nonzero: {name}{where}]"
+            res = bad is None
         dt = time.perf_counter() - t0
-        print(f"{'PASS' if ok else 'FAIL'}  {label}  ({dt:.2f}s)")
-        if not ok:
+        print(f"{'PASS' if res else 'FAIL'}  {label}  ({dt:.2f}s)")
+        if not res:
             self.failures += 1
 
 
@@ -97,52 +102,47 @@ def run_verify(args) -> int:
     for suite in suites:
         if suite == "relations":
             rep.check(f"defining relations N={N}",
-                      lambda: qgroup.verify_relations(N))
+                      lambda: qgroup.relation_residuals(N))
         elif suite == "commutation":
             rep.check(f"[coproduct(g), C] = 0 N={N}",
-                      lambda: all(m.is_zero() for m in
-                                  intertwiner.check_commutation(N).values()))
+                      lambda: intertwiner.check_commutation(N))
         elif suite == "cubic":
             if args.q == "spec":
                 v0 = _point(args.seed)
                 print(f"# specialization point v = {v0!r} (seed {args.seed})")
                 rep.check(f"cubic relation N={N} at v0",
-                          lambda: all(m.is_zero() for m in
-                                      intertwiner.check_cubic_specialized(N, v0)))
+                          lambda: intertwiner.check_cubic_specialized(N, v0))
             else:
                 rep.check(f"cubic relation N={N} symbolic",
-                          lambda: all(m.is_zero() for m in
-                                      intertwiner.check_cubic(N, classical=args.q == "one")))
+                          lambda: intertwiner.check_cubic(
+                              N, classical=args.q == "one"))
         elif suite == "spectrum":
             cls = args.q == "one"
             rep.check(f"{'classical' if cls else 'quantum'} spectrum N={N}",
-                      lambda: (lambda r: r.annihilates and r.complete)(
-                          intertwiner.spectrum_of_C(N, classical=cls,
-                                                    eps=args.sign)))
+                      lambda: intertwiner.spectrum_of_C(
+                          N, classical=cls, eps=args.sign).complete)
         elif suite == "duality":
             rep.check(f"duality N={N} n={n}",
-                      lambda: combinat.verify_duality(N, n))
+                      lambda: combinat.duality_residuals(N, n))
         elif suite == "fft":
             rep.check(f"fft counts N={N} n={n}",
                       lambda: fft_counts(N, n, args.seed)[-1])
         elif suite == "tl":
             rep.check(f"TL idempotents n={n}",
-                      lambda: all((e * e - e).is_zero()
-                                  for e in coideal.tl_generators(n)))
+                      lambda: {f"e{i}^2 - e{i}": e * e - e for i, e in
+                               enumerate(coideal.tl_generators(n), 1)})
             rep.check(f"TL coideal images n={n}",
-                      lambda: coideal.residuals_zero(
-                          coideal.check_coideal_relations(coideal.tl_braid_rep(n))))
+                      lambda: coideal.check_coideal_relations(
+                          coideal.tl_braid_rep(n)))
             print(f"# measured constant c = {coideal.tl_measured_constant()!r}")
         elif suite == "so3":
             rep.check(f"so3 classical rep Nparam={N}",
-                      lambda: coideal.residuals_zero(
-                          coideal.check_coideal_relations(
-                              coideal.so3_classical_rep(N))))
+                      lambda: coideal.check_coideal_relations(
+                          coideal.so3_classical_rep(N)))
             if N % 2:
                 rep.check(f"so3 nonclassical rep Nparam={N} sign={args.sign}",
-                          lambda: coideal.residuals_zero(
-                              coideal.check_coideal_relations(
-                                  coideal.so3_nonclassical_rep(N, args.sign))))
+                          lambda: coideal.check_coideal_relations(
+                              coideal.so3_nonclassical_rep(N, args.sign)))
             rep.check(f"twist commutant Nparam={N}",
                       lambda: twist_commutant(N) == (1 if (N + 1) % 2 else 2))
         elif suite == "integrality":
@@ -254,7 +254,7 @@ def run_table(args) -> int:
         _check_config(("spectrum",), N, n)
         rep = intertwiner.spectrum_of_C(N, classical=args.q == "one",
                                         eps=args.sign)
-        if not (rep.annihilates and rep.complete):
+        if not rep.complete:
             print("spectrum verification failed", file=sys.stderr)
             return 1
         for val, mult in rep.multiplicities.items():
@@ -279,7 +279,7 @@ def render(doc, fmt: str) -> str:
             return val
         if key == "complement" and doc["N"] % 2 == 0:
             return ",".join(map(str, val))
-        return _fmt_weight(val)
+        return combinat.fmt_weight(val)
 
     if fmt == "csv":
         buf = io.StringIO()
@@ -350,6 +350,11 @@ def main(argv=None) -> int:
         print(f"config error: the point of --seed {args.seed} is unusable "
               f"({exc}); try another seed", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback    # here, not at the top: it adds 3 ms to start-up
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     return 2
 
 

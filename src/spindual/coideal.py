@@ -11,7 +11,8 @@ F with F^2 = 1, F B_1 = -B_1 F, F B_i = B_i F for i > 1.
 from __future__ import annotations
 
 from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
-from .linalg import SparseMatrix, embed, nullspace, kron_all
+from .linalg import SparseMatrix, embed, nullspace, kron_all, vstack
+from .linalg import residuals_zero  # noqa: F401  (re-exported)
 from . import clifford as cl
 from .qgroup import rank_of, _balanced_coproduct
 from .intertwiner import C_embedded
@@ -30,7 +31,7 @@ class CoidealRep:
 
 
 def check_coideal_relations(rep: CoidealRep) -> dict:
-    """Residual matrices for every defining relation; all must be zero."""
+    """{relation: residual} for every defining relation."""
     out = {}
     B = rep.B
     mid = rep.param + rep.param.inv()
@@ -50,10 +51,6 @@ def check_coideal_relations(rep: CoidealRep) -> dict:
         for i in range(1, len(B)):
             out[f"FB{i+1}"] = rep.F * B[i] - B[i] * rep.F
     return out
-
-
-def residuals_zero(res: dict) -> bool:
-    return all(m.is_zero() for m in res.values())
 
 
 # -- explicit three-strand representations ---------------------------------
@@ -142,28 +139,16 @@ def tl_generators(n: int) -> list:
     component of C^2 (x) C^2, found as the joint kernel of the coproduct
     action -- nothing about the singlet is hardcoded."""
     dE, dF, dK = _sl2_coproduct(2)
-    ident4 = SparseMatrix.identity(4)
-    stack = SparseMatrix(12, 4)
-    for b, m in enumerate((dE, dF, dK - ident4)):
-        for (r, c), val in m.data.items():
-            stack[(4 * b + r, c)] = val
-    vecs = nullspace(stack)
-    if len(vecs) != 1:
-        raise ArithmeticError(
-            f"joint kernel of the sl2 coproduct has dimension {len(vecs)}, "
-            f"expected 1")
-    s = vecs[0]
-    stack2 = SparseMatrix(12, 4)
-    for b, m in enumerate((dE, dF, dK - ident4)):
-        mt = m.transpose()
-        for (r, c), val in mt.data.items():
-            stack2[(4 * b + r, c)] = val
-    covecs = nullspace(stack2)
-    if len(covecs) != 1:
-        raise ArithmeticError(
-            f"joint kernel of the transposed sl2 coproduct has dimension "
-            f"{len(covecs)}, expected 1")
-    phi = covecs[0]
+    ops = [dE, dF, dK - SparseMatrix.identity(4)]
+    kernels = []
+    for side, ms in (("", ops), ("transposed ", [m.transpose() for m in ops])):
+        vecs = nullspace(vstack(ms))
+        if len(vecs) != 1:
+            raise ArithmeticError(
+                f"joint kernel of the {side}sl2 coproduct has dimension "
+                f"{len(vecs)}, expected 1")
+        kernels.append(vecs[0])
+    s, phi = kernels
     pairing = None
     for idx, v in phi.items():
         x = s.get(idx)
@@ -203,18 +188,18 @@ def tl_measured_constant(n: int = 3) -> Scalar:
 def duality_rep(N: int, n: int) -> CoidealRep:
     """B_i = C_i on the n-fold spinor tensor power, parameter -q^2; for N
     even also F = f (x) 1^(n-1) with f the diagonal (-1)^{m{k}} operator."""
-    k = rank_of(N)
     B = [C_embedded(N, i, n) for i in range(1, n)]
-    F = None
-    if N % 2 == 0:
-        F = embed(cl.parity(k, k), 1, (1 << k) ** (n - 1))
-    return CoidealRep(n, -(QQ ** 2), B, F)
+    return CoidealRep(n, -(QQ ** 2), B, _duality_F(N, n))
 
 
 def classical_duality_rep(N: int, n: int, eps: int = 1) -> CoidealRep:
     B = [C_embedded(N, i, n, classical=True, eps=eps) for i in range(1, n)]
-    F = None
-    if N % 2 == 0:
-        k = rank_of(N)
-        F = embed(cl.parity(k, k), 1, (1 << k) ** (n - 1))
-    return CoidealRep(n, -ONE, B, F)
+    return CoidealRep(n, -ONE, B, _duality_F(N, n))
+
+
+def _duality_F(N: int, n: int):
+    """F = f (x) 1^(n-1) for N even, None for N odd."""
+    if N % 2:
+        return None
+    k = rank_of(N)
+    return embed(cl.parity(k, k), 1, (1 << k) ** (n - 1))

@@ -229,17 +229,23 @@ def dual_dimension(w, N: int, n: int) -> int:
 
 # -- the duality check ------------------------------------------------------
 
-def verify_duality(N: int, n: int) -> bool:
-    """Multiplicity of every weight in S^(x)n equals the dimension of the
-    complementary dual-side module, and the total dimension is (2^k)^n."""
+def fmt_weight(doubled) -> str:
+    """A doubled weight in halves: (3, 1) -> '3/2,1/2'."""
+    return ",".join(str(Fraction(d, 2)) for d in doubled)
+
+
+def duality_residuals(N: int, n: int) -> dict:
+    """{relation: residual} for the duality of S^(x)n: per weight, its
+    multiplicity minus the dimension of the complementary dual-side module,
+    and `total` = sum of m * dim(V_lambda) - (2^k)^n."""
     k = N // 2
-    table = spinor_table(N, n)
+    out = {}
     total = 0
-    for w, m in table.items():
-        if m != dual_dimension(w, N, n):
-            return False
+    for w, m in spinor_table(N, n).items():
+        out[f"m({fmt_weight(w)}) - dual dim"] = m - dual_dimension(w, N, n)
         total += m * weyl_dim(w, N)
-    return total == (1 << k) ** n
+    out["total"] = total - (1 << k) ** n
+    return out
 
 
 def sum_mult_squared(N: int, n: int) -> int:

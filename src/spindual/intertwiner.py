@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .ring import (Scalar, GaussRat, Q, ONE, TWO, HALF, QQ, qint,
+from .ring import (Scalar, GaussRat, Q, ONE, HALF, QQ, qint,
                    q_power, require_generic)
 from .linalg import SparseMatrix, embed, verify_spectrum, SpectrumReport
 from . import clifford as cl
@@ -106,16 +106,17 @@ def check_commutation(N: int, drop_f_term=False) -> dict:
     return {label: g * C - C * g for label, g in _pair_generators(N)}
 
 
-def check_cubic(N: int, classical=False, eps: int = 1) -> list:
-    """Residuals of the cubic relation on S^(x)3: lhs(C1; C2) - C2 and
-    lhs(C2; C1) - C1, where lhs(a; b) = a^2 b + (q^2 + q^-2) a b a + b a^2
-    (the middle coefficient degenerates to 2 at q = 1).
+def check_cubic(N: int, classical=False, eps: int = 1) -> dict:
+    """{relation: residual} for the cubic relation on S^(x)3: lhs(C1; C2)
+    - C2 and lhs(C2; C1) - C1, where lhs(a; b) = a^2 b + (q^2 + q^-2) a b a
+    + b a^2 (the middle coefficient degenerates to 2 at q = 1).
 
-    The classical (q = 1) residuals cover the whole space.  The quantum
-    list is [Delta(g), C] for g = K_i^{1/2}, E_i, F_i on S (x) S, followed
-    by the two cubic residuals on the columns of `dominant_columns(N, 3)`
-    only (242 of 4096 for N = 8).  Why all of them zero certifies the
-    cubic relation on the whole space:
+    At q = 1 this is `check_coideal_relations` of the three-strand
+    classical duality representation on the whole space (with F's
+    relations for N even).  The quantum dict is `check_commutation`'s
+    [Delta(g), C], then `cubic C1;C2` and `cubic C2;C1` on the columns of
+    `dominant_columns(N, 3)` only (242 of 4096 for N = 8).  Why all of
+    them zero certifies the cubic relation on the whole space:
 
     - C commutes with the Delta(g), so C1 = C (x) 1 and C2 = 1 (x) C commute
       with the threefold coproduct, since Delta3(x) = Delta(x) (x) K^{-1/2}
@@ -134,45 +135,40 @@ def check_cubic(N: int, classical=False, eps: int = 1) -> list:
       submodules they generate, i.e. everything.
 
     Without the commutators the first step fails, which is why they are
-    part of the list and go to the same zero test.
+    part of the dict and go to the same zero test.
     """
     if classical:
-        C1 = C_embedded(N, 1, 3, True, eps)
-        C2 = C_embedded(N, 2, 3, True, eps)
-        return [a * a * b + (a * b * a).scale(TWO) + b * a * a - b
-                for a, b in ((C1, C2), (C2, C1))]
-    return _cubic_residuals(N, build_C_quantum(N),
-                            [g for _, g in _pair_generators(N)],
+        from .coideal import check_coideal_relations, classical_duality_rep
+        return check_coideal_relations(classical_duality_rep(N, 3, eps))
+    return _cubic_residuals(N, build_C_quantum(N), _pair_generators(N),
                             QQ ** 2 + QQ ** (-2))
 
 
-def check_cubic_specialized(N: int, v0: GaussRat) -> list:
-    """The quantum residual list of `check_cubic` at the exact point
+def check_cubic_specialized(N: int, v0: GaussRat) -> dict:
+    """The quantum residual dict of `check_cubic` at the exact point
     v = v0, in Gaussian-rational arithmetic: C and the Delta(g) are
     specialized on S (x) S before anything is embedded.  The soundness
     argument of `check_cubic` needs q = v0^2 not a root of unity, so a
     root of unity v0 raises PoleError."""
     require_generic(v0)
     C = build_C_quantum(N).specialize(v0)
-    gens = [g.specialize(v0) for _, g in _pair_generators(N)]
+    pairs = [(label, g.specialize(v0)) for label, g in _pair_generators(N)]
     mid = (QQ ** 2 + QQ ** (-2)).specialize(v0)
-    return _cubic_residuals(N, C, gens, mid)
+    return _cubic_residuals(N, C, pairs, mid)
 
 
-def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid,
-                     one=None) -> list:
-    """[g, C] for each g in `gens`, then lhs(C1; C2) - C2 and
-    lhs(C2; C1) - C1 with middle coefficient `mid`, restricted to the
-    dominant columns of S^(x)3 and evaluated right to left.  `one` is
-    ignored: the embeddings need no identity entries."""
-    out = [g * C - C * g for g in gens]
+def _cubic_residuals(N: int, C: SparseMatrix, pairs: list, mid) -> dict:
+    """[g, C] for each (label, g) in `pairs`, then the two cubic residuals
+    with middle coefficient `mid`, restricted to the dominant columns of
+    S^(x)3 and evaluated right to left."""
+    out = {label: g * C - C * g for label, g in pairs}
     d = 1 << rank_of(N)
     a, b = embed(C, 1, d), embed(C, d, 1)
     cols = dominant_columns(N, 3)
     a_d, b_d = a.restrict_columns(cols), b.restrict_columns(cols)
     aa, ba, ab, bb = a * a_d, b * a_d, a * b_d, b * b_d
-    out.append(a * ab + (a * ba).scale(mid) + b * aa - b_d)
-    out.append(b * ba + (b * ab).scale(mid) + a * bb - a_d)
+    out["cubic C1;C2"] = a * ab + (a * ba).scale(mid) + b * aa - b_d
+    out["cubic C2;C1"] = b * ba + (b * ab).scale(mid) + a * bb - a_d
     return out
 
 

@@ -26,7 +26,7 @@ class SparseMatrix:
         return SparseMatrix(n, n, {(i, i): one for i in range(n)})
 
     @staticmethod
-    def diagonal(entries, one=ONE) -> "SparseMatrix":
+    def diagonal(entries) -> "SparseMatrix":
         n = len(entries)
         return SparseMatrix(n, n, {(i, i): e for i, e in enumerate(entries) if e})
 
@@ -181,9 +181,32 @@ def embed(m: SparseMatrix, left: int, right: int) -> SparseMatrix:
     return SparseMatrix(left * nr * right, left * nc * right, out)
 
 
-def embed_factor(m: SparseMatrix, pos: int, n: int) -> SparseMatrix:
-    """id^(pos) (x) m (x) id^(n-pos-1) on the n-fold tensor power."""
-    return embed(m, m.nrows ** pos, m.nrows ** (n - pos - 1))
+def vstack(mats) -> SparseMatrix:
+    """The matrices `mats` (equal column counts) one above the other."""
+    out = {}
+    top = 0
+    for m in mats:
+        for (r, c), x in m.data.items():
+            out[(top + r, c)] = x
+        top += m.nrows
+    return SparseMatrix(top, mats[0].ncols, out)
+
+
+def first_nonzero(res: dict):
+    """(label, first nonzero (row, col) or None for an int) of the first
+    nonzero SparseMatrix or int residual in `res`; None if all are zero."""
+    for label, r in res.items():
+        if isinstance(r, int):
+            if r:
+                return label, None
+        elif not r.is_zero():
+            return label, min(r.data)
+    return None
+
+
+def residuals_zero(res: dict) -> bool:
+    """The zero test every {label: residual} identity check is judged by."""
+    return first_nonzero(res) is None
 
 
 class EchelonBasis:
@@ -229,9 +252,6 @@ class EchelonBasis:
         self.rows[p] = {c: v * inv for c, v in row.items()}
         return True
 
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
-
 
 def matrix_rank(m: SparseMatrix) -> int:
     basis = EchelonBasis()
@@ -243,12 +263,12 @@ def matrix_rank(m: SparseMatrix) -> int:
     return len(basis)
 
 
-def nullspace(m: SparseMatrix, one=ONE) -> list:
+def nullspace(m: SparseMatrix) -> list:
     """Basis of the right nullspace as sparse vectors {index: elem}.
 
     Dense Gauss elimination on columns; intended for small spaces only.
     """
-    return _kernel(m, one)[1]
+    return _kernel(m, ONE)[1]
 
 
 def _kernel(m: SparseMatrix, one):
@@ -296,11 +316,7 @@ def highest_weight_restriction(gens, raising, cartan, dim: int, one=ONE):
     (e*(g*w_f) != 0 for a raising e) or some w_f is not a joint eigenvector
     of `cartan`: the result would not be a restriction.
     """
-    stack = {}
-    for b, e in enumerate(raising):
-        for (r, c), x in e.data.items():
-            stack[(b * dim + r, c)] = x
-    free, vecs = _kernel(SparseMatrix(len(raising) * dim, dim, stack), one)
+    free, vecs = _kernel(vstack(raising), one)
     m = len(free)
     W = SparseMatrix(dim, m, {(r, j): x for j, w in enumerate(vecs)
                               for r, x in w.items()})
@@ -333,27 +349,22 @@ def _flatten(m: SparseMatrix) -> dict:
     return {r * m.ncols + c: v for (r, c), v in m.data.items()}
 
 
-def algebra_closure_dim(gens, dim: int, one=ONE, max_dim=None) -> int:
+def algebra_closure_dim(gens, dim: int, one=ONE) -> int:
     """Dimension of the unital algebra generated by `gens` inside End(V).
 
     Breadth-first closure under left multiplication by the generators.
     """
     basis = EchelonBasis()
-    stored = []
     queue = deque()
     for m in [SparseMatrix.identity(dim, one)] + list(gens):
         if basis.insert(_flatten(m)):
-            stored.append(m)
             queue.append(m)
     while queue:
         b = queue.popleft()
         for g in gens:
             p = g * b
             if basis.insert(_flatten(p)):
-                stored.append(p)
                 queue.append(p)
-                if max_dim is not None and len(basis) > max_dim:
-                    return len(basis)
     return len(basis)
 
 

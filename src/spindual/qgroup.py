@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 from .ring import Scalar, QQ, q_power, qbinom
-from .linalg import SparseMatrix, kron_all
+from .linalg import SparseMatrix, kron_all, residuals_zero
 from . import clifford as cl
 
 
@@ -118,7 +118,7 @@ def dominant_columns(N: int, n: int) -> list:
     Delta(K_i) = K_i^(x)n has eigenvalue v^e there with e >= 0.  The K_i are
     diagonal with monomial entries, so e is the sum of the v-valuations of
     the factors; E_i raises e (K_i E_i K_i^-1 = q^{(a_i, a_i)} E_i, as
-    `verify_relations` certifies), so a highest-weight vector has e >= 0
+    `relation_residuals` certifies), so a highest-weight vector has e >= 0
     for every i."""
     rep = spin_rep(N)
     ks = range(1, rep.k + 1)
@@ -138,59 +138,52 @@ def dominant_columns(N: int, n: int) -> list:
             if all(sum(e) >= 0 for e in zip(*ws))]
 
 
-def verify_relations(N: int) -> bool:
-    """All defining relations of the quantized orthogonal algebra hold
-    exactly for the spin representation: Cartan commutation, weight
-    scaling of E/F, the commutator [E_i, F_j], and the quantum Serre
-    relations with q_i-binomial coefficients."""
+def relation_residuals(N: int) -> dict:
+    """{relation: residual} for every defining relation of the quantized
+    orthogonal algebra on the spin representation: K_i K_i^-1 = 1,
+    (K_i^1/2)^2 = K_i, Cartan commutation, weight scaling of E/F, the
+    commutator [E_i, F_j], and the quantum Serre relations with
+    q_i-binomial coefficients.  Every residual is zero iff all hold."""
     rep = spin_rep(N)
     k, d = rep.k, rep.dim
     ident = SparseMatrix.identity(d)
-    zero = SparseMatrix(d, d)
+    out = {}
     for i in range(1, k + 1):
-        if rep.K(i) * rep.K(i, -1) != ident:
-            return False
-        if rep.Khalf(i) * rep.Khalf(i) != rep.K(i):
-            return False
+        K, Ki = rep.K(i), rep.K(i, -1)
+        out[f"K{i} K{i}^-1"] = K * Ki - ident
+        out[f"K{i}^1/2 K{i}^1/2"] = rep.Khalf(i) * rep.Khalf(i) - K
         for j in range(1, k + 1):
-            if rep.K(i) * rep.K(j) != rep.K(j) * rep.K(i):
-                return False
-            pw = root_pairing(N, i, j)
-            if rep.K(i) * rep.E(j) * rep.K(i, -1) != rep.E(j).scale(q_power(2 * pw)):
-                return False
-            if rep.K(i) * rep.F(j) * rep.K(i, -1) != rep.F(j).scale(q_power(-2 * pw)):
-                return False
+            out[f"[K{i}, K{j}]"] = K * rep.K(j) - rep.K(j) * K
+            pw = 2 * root_pairing(N, i, j)
+            for name, X, e in (("E", rep.E(j), pw), ("F", rep.F(j), -pw)):
+                out[f"K{i} {name}{j} K{i}^-1"] = K * X * Ki - X.scale(q_power(e))
             comm = rep.E(i) * rep.F(j) - rep.F(j) * rep.E(i)
             if i == j:
                 qi = rep.qi(i)
-                tgt = (rep.K(i) - rep.K(i, -1)).scale((qi - qi.inv()).inv())
-                if comm != tgt:
-                    return False
-            elif not comm.is_zero():
-                return False
-    # quantum Serre
+                comm = comm - (K - Ki).scale((qi - qi.inv()).inv())
+            out[f"[E{i}, F{j}]"] = comm
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             if i == j:
                 continue
             m = 1 - cartan_entry(N, i, j)
-            for X in (rep.E, rep.F):
-                acc = zero
-                term = X(j)
-                for s in range(m + 1):
-                    # E_i^{m-s} E_j E_i^s with sign and q_i-binomial
-                    left = ident
-                    for _ in range(m - s):
-                        left = left * X(i)
-                    right = ident
-                    for _ in range(s):
-                        right = right * X(i)
-                    coef = qbinom(m, s, rep.qi(i))
-                    piece = (left * term * right).scale(coef)
+            coefs = [qbinom(m, s, rep.qi(i)) for s in range(m + 1)]
+            for name, X in (("E", rep.E), ("F", rep.F)):
+                # sum_s (-1)^s [m choose s]_{q_i} X_i^{m-s} X_j X_i^s
+                pows = [ident]
+                for _ in range(m):
+                    pows.append(pows[-1] * X(i))
+                acc = SparseMatrix(d, d)
+                for s, coef in enumerate(coefs):
+                    piece = (pows[m - s] * X(j) * pows[s]).scale(coef)
                     acc = acc + (piece if s % 2 == 0 else -piece)
-                if not acc.is_zero():
-                    return False
-    return True
+                out[f"Serre {name} {i},{j}"] = acc
+    return out
+
+
+def verify_relations(N: int) -> bool:
+    """Every residual of `relation_residuals(N)` is zero."""
+    return residuals_zero(relation_residuals(N))
 
 
 def _balanced_coproduct(x: SparseMatrix, kh: SparseMatrix, khi: SparseMatrix,

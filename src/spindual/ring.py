@@ -437,7 +437,8 @@ class Scalar:
     """Reduced rational function num/den in v over the Gaussian rationals.
 
     Canonical form: gcd(num, den) = 1 up to units, den has valuation 0 and
-    trailing coefficient 1.  Equality is then structural.
+    trailing coefficient 1, and a den equal to one is the shared LP_ONE.
+    Equality is then structural.
     """
 
     __slots__ = ("num", "den")
@@ -449,7 +450,9 @@ class Scalar:
             self.num = LP_ZERO
             self.den = LP_ONE
             return
-        if reduce and not den.is_one():
+        if den is not LP_ONE and den.is_one():
+            den = LP_ONE          # shared, so `den is LP_ONE` tests for one
+        elif reduce and den is not LP_ONE:
             if den.is_monomial():
                 e = den.valuation()
                 c = den.trailing().inv()
@@ -491,7 +494,7 @@ class Scalar:
         return bool(self.num)
 
     def is_one(self):
-        return self.den.is_one() and self.num.is_one()
+        return self.den is LP_ONE and self.num.is_one()
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -511,11 +514,11 @@ class Scalar:
     # reduce path gives, field for field.
     def __add__(self, other):
         sd, od = self.den, other.den
-        if sd.is_one():
-            if od.is_one():
+        if sd is LP_ONE:
+            if od is LP_ONE:
                 return Scalar(self.num + other.num, LP_ONE, reduce=False)
             return Scalar(self.num * od + other.num, od, reduce=False)
-        if od.is_one():
+        if od is LP_ONE:
             return Scalar(self.num + other.num * sd, sd, reduce=False)
         if sd == od:
             return Scalar(self.num + other.num, sd)
@@ -529,12 +532,12 @@ class Scalar:
 
     def __mul__(self, other):
         sd, od = self.den, other.den
-        if sd.is_one():
-            if od.is_one():
+        if sd is LP_ONE:
+            if od is LP_ONE:
                 return Scalar(self.num * other.num, LP_ONE, reduce=False)
             if self.num.is_monomial():
                 return Scalar(self.num * other.num, od, reduce=False)
-        elif od.is_one() and other.num.is_monomial():
+        elif od is LP_ONE and other.num.is_monomial():
             return Scalar(self.num * other.num, sd, reduce=False)
         return Scalar(self.num * other.num, sd * od)
 
@@ -569,7 +572,7 @@ class Scalar:
         on a coefficient whose denominator P divides."""
         if not v0:
             raise PoleError("v0 = 0 is never a valid specialization point")
-        if self.den.is_one():
+        if self.den is LP_ONE:
             return self.num.evaluate(v0)
         d = self.den.evaluate(v0)
         if not d:
@@ -578,13 +581,13 @@ class Scalar:
 
     def is_laurent(self):
         """True if the scalar is a Laurent polynomial (trivial denominator)."""
-        return self.den.is_one()
+        return self.den is LP_ONE
 
     def has_gaussian_integer_coeffs(self):
-        return self.den.is_one() and all(c.is_integer() for c in self.num.coeffs.values())
+        return self.den is LP_ONE and all(c.is_integer() for c in self.num.coeffs.values())
 
     def __repr__(self):
-        if self.den.is_one():
+        if self.den is LP_ONE:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 

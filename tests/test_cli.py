@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from spindual import cli
-from spindual.cli import main, _fmt_weight
+from spindual import cli, qgroup
+from spindual.cli import main
+from spindual.combinat import fmt_weight
 from spindual.qgroup import SpinRep
 from spindual.ring import GR_I, GaussRat, P, Q
 
@@ -16,13 +17,30 @@ def run(capsys, *argv):
 
 
 def test_fmt_weight():
-    assert _fmt_weight([3, 1]) == "3/2,1/2"
-    assert _fmt_weight([2, 0]) == "1,0"
+    assert fmt_weight([3, 1]) == "3/2,1/2"
+    assert fmt_weight([2, 0]) == "1,0"
 
 
 def test_verify_relations(capsys):
     code, out = run(capsys, "verify", "relations", "--N", "4")
     assert code == 0 and "PASS" in out
+
+
+@pytest.mark.parametrize("exc,code", [(IndexError, 3), (ValueError, 3),
+                                      (ArithmeticError, 1)])
+def test_crash_is_not_a_failure(monkeypatch, capsys, exc, code):
+    # only a computed counterexample (or a check's own ArithmeticError)
+    # is a FAIL; any other exception is an internal error with exit 3
+    def boom(N):
+        raise exc("boom")
+    monkeypatch.setattr(qgroup, "relation_residuals", boom)
+    assert main(["verify", "relations", "--N", "4"]) == code
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert "PASS" not in out and "FAIL" not in out
+        assert "internal error:" in err and "Traceback" in err
+    else:
+        assert "FAIL" in out and "ArithmeticError: boom" in out and err == ""
 
 
 def test_verify_duality(capsys):

@@ -5,8 +5,10 @@ from spindual.combinat import (is_dominant, is_admissible, tensor_with_spinor,
                                spinor_table, old_new_split, weyl_dim,
                                complement, complement_inverse, branch_halfint,
                                gz_dimension, branch_diagram, diagram_dimension,
-                               valid_o_label, dual_dimension, verify_duality,
+                               valid_o_label, dual_dimension, duality_residuals,
                                sum_mult_squared, conjugate)
+from spindual.linalg import residuals_zero
+from spindual import combinat
 
 
 def test_tensor_steps_N5():
@@ -104,7 +106,18 @@ def test_diagram_machinery():
 @pytest.mark.parametrize("N,nmax", [(3, 6), (5, 5), (4, 4), (6, 4)])
 def test_duality(N, nmax):
     for n in range(1, nmax + 1):
-        assert verify_duality(N, n), (N, n)
+        assert residuals_zero(duality_residuals(N, n)), (N, n)
+
+
+def test_duality_residuals_name_the_broken_weight(monkeypatch):
+    # a dual dimension off by one at one weight: that weight's residual is
+    # the only nonzero one (the total uses the multiplicities, not dual dims)
+    real = combinat.dual_dimension
+    monkeypatch.setattr(combinat, "dual_dimension",
+                        lambda w, N, n: real(w, N, n) + (w == (3, 1)))
+    res = duality_residuals(5, 3)
+    assert {k: r for k, r in res.items() if r} == {"m(3/2,1/2) - dual dim": -1}
+    assert res["total"] == 0
 
 
 def test_sum_mult_squared_known_values():

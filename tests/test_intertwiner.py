@@ -4,7 +4,7 @@ import pytest
 
 from spindual.ring import (GaussRat, ONE, TWO, HALF, QQ, qint, sc, Scalar, Q,
                            GR_ONE, GR_I, PoleError)
-from spindual.linalg import SparseMatrix, random_point
+from spindual.linalg import SparseMatrix, random_point, residuals_zero
 from spindual.qgroup import dominant_columns
 from spindual import clifford as cl
 from spindual.intertwiner import (c_op, d_op, build_C_quantum,
@@ -103,16 +103,20 @@ def test_far_commutation_of_embeddings():
 
 @pytest.mark.parametrize("N", [3, 4])
 def test_cubic_symbolic(N):
-    assert all(m.is_zero() for m in check_cubic(N))
+    assert residuals_zero(check_cubic(N))
 
 
 def test_cubic_classical():
-    assert all(m.is_zero() for m in check_cubic(5, classical=True))
+    assert residuals_zero(check_cubic(5, classical=True))
+    # for N even the three-strand check also covers the relations of F
+    res = check_cubic(4, classical=True)
+    assert residuals_zero(res)
+    assert {"cubic 1,2", "cubic 2,1", "F^2", "FB1", "FB2"} <= set(res)
 
 
 def test_cubic_specialized():
     v0 = random_point(random.Random(2))
-    assert all(m.is_zero() for m in check_cubic_specialized(6, v0))
+    assert residuals_zero(check_cubic_specialized(6, v0))
 
 
 MID = QQ ** 2 + QQ ** (-2)
@@ -127,9 +131,12 @@ def test_quantum_cubic_returns_commutators(N):
     comm = check_commutation(N)
     sym = check_cubic(N)
     spec = check_cubic_specialized(N, v0)
-    assert len(sym) == len(spec) == len(comm) + 2 == 3 * k + 2
-    assert sym[:3 * k] == list(comm.values())
-    assert spec[:3 * k] == [m.specialize(v0) for m in comm.values()]
+    cubic = ["cubic C1;C2", "cubic C2;C1"]
+    assert list(sym) == list(spec) == list(comm) + cubic
+    assert len(comm) == 3 * k
+    assert {g: sym[g] for g in comm} == comm
+    assert {g: spec[g] for g in comm} == {g: m.specialize(v0)
+                                          for g, m in comm.items()}
 
 
 @pytest.mark.parametrize("N", [5, 6])
@@ -142,32 +149,31 @@ def test_cubic_restriction_matches_full_space(N):
     for seed in (11, 23):
         v0 = random_point(random.Random(seed))
         C = build_C_quantum(N).specialize(v0)
-        gens = [g.specialize(v0) for _, g in _pair_generators(N)]
+        pairs = [(g, m.specialize(v0)) for g, m in _pair_generators(N)]
         C1, C2 = C.kron(ident), ident.kron(C)
         for mid in (MID.specialize(v0), GaussRat(2)):
             full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
                     for a, b in ((C1, C2), (C2, C1))]
-            got = _cubic_residuals(N, C, gens, mid, GR_ONE)[-2:]
+            res = _cubic_residuals(N, C, pairs, mid)
+            got = [res["cubic C1;C2"], res["cubic C2;C1"]]
             assert got == [m.restrict_columns(cols) for m in full], (seed, mid)
 
 
 def test_cubic_wrong_coefficient_fails():
     # middle coefficient 2 instead of q^2 + q^-2: C still commutes, but the
     # restricted cubic residuals do not vanish
-    res = _cubic_residuals(5, build_C_quantum(5),
-                           [g for _, g in _pair_generators(5)], TWO, ONE)
-    assert all(m.is_zero() for m in res[:-2])
-    assert not any(m.is_zero() for m in res[-2:])
+    res = _cubic_residuals(5, build_C_quantum(5), _pair_generators(5), TWO)
+    assert [g for g, m in res.items() if not m.is_zero()] == [
+        "cubic C1;C2", "cubic C2;C1"]
 
 
 def test_cubic_dropped_f_term_fails_equivariance():
     # without the f-term C still satisfies the cubic relation, but it is no
     # intertwiner: the check must fail on the commutators with E_2, F_2
     C = build_C_quantum(5) - _f_term(5)
-    res = _cubic_residuals(5, C, [g for _, g in _pair_generators(5)], MID,
-                           ONE)
+    res = _cubic_residuals(5, C, _pair_generators(5), MID)
     assert len(res) == 3 * 2 + 2
-    assert [m.is_zero() for m in res] == [True] * 4 + [False] * 2 + [True] * 2
+    assert [g for g, m in res.items() if not m.is_zero()] == ["E2", "F2"]
 
 
 @pytest.mark.parametrize("v0", [GR_ONE, -GR_ONE, GR_I, -GR_I])

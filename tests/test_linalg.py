@@ -6,7 +6,8 @@ from spindual.ring import GaussRat, GR_ONE, MP_ONE, ONE, TWO, V, QQ, P, sc
 from spindual.linalg import (SparseMatrix, EchelonBasis, matrix_rank,
                              nullspace, algebra_closure_dim,
                              commutant_dimension, verify_spectrum, kron_all,
-                             embed, embed_factor, random_point,
+                             embed, random_point, residuals_zero,
+                             first_nonzero,
                              highest_weight_restriction, SPECTRUM_POINT)
 from spindual.intertwiner import (build_C_quantum, build_C_classical,
                                   quantum_spectrum_candidates,
@@ -28,13 +29,6 @@ def test_mul_and_kron_shapes():
     ai = a.kron(ident)
     v = {0: ONE}   # |00>
     assert ai.apply(v) == {2: ONE}
-
-
-def test_embed_factor():
-    a = swap2()
-    m = embed_factor(a, 1, 3)
-    v = {0b000: ONE}
-    assert m.apply(v) == {0b010: ONE}
 
 
 def test_rank_and_nullspace():
@@ -141,7 +135,8 @@ def test_random_point_respects_seed():
     assert random_point(random.Random(5)) == random_point(random.Random(5))
 
 
-@pytest.mark.parametrize("left,right", [(1, 1), (1, 4), (4, 1), (2, 3)])
+@pytest.mark.parametrize("left,right", [(1, 1), (1, 4), (4, 1), (2, 3),
+                                        (2, 2)])
 def test_embed_matches_kron_and_reuses_entries(left, right):
     m = SparseMatrix(2, 3, {(0, 0): V, (0, 2): -TWO, (1, 1): QQ + ONE})
     got = embed(m, left, right)
@@ -151,6 +146,15 @@ def test_embed_matches_kron_and_reuses_entries(left, right):
     # no scalar products: every entry is one of m's own objects
     ids = {id(x) for x in m.data.values()}
     assert all(id(x) in ids for x in got.data.values())
+
+
+def test_residuals_zero_on_matrices_and_ints():
+    zero = SparseMatrix(2, 2)
+    bad = SparseMatrix(2, 2, {(1, 0): ONE, (0, 1): TWO})
+    assert residuals_zero({"a": zero, "n": 0}) and residuals_zero({})
+    assert first_nonzero({"a": zero, "b": bad, "n": 1}) == ("b", (0, 1))
+    assert first_nonzero({"a": zero, "n": -1, "b": bad}) == ("n", None)
+    assert not residuals_zero({"a": zero, "n": 1})
 
 
 def test_sparse_matrix_eq_foreign_operand():

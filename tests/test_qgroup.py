@@ -2,12 +2,15 @@ from itertools import product
 
 import pytest
 
-from spindual.ring import ONE, QQ, q_power
+from spindual.ring import ONE, TWO, QQ, q_power
 from spindual.linalg import SparseMatrix
 from spindual.combinat import is_dominant
 from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
                              cartan_entry, verify_relations, coproduct_E,
-                             coproduct_F, coproduct_K, dominant_columns)
+                             coproduct_F, coproduct_K, dominant_columns,
+                             relation_residuals)
+from spindual import qgroup
+from spindual.cli import main
 
 
 def test_rank_and_roots():
@@ -30,6 +33,28 @@ def test_cartan_matrices():
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_defining_relations(N):
     assert verify_relations(N)
+
+
+class DoubledE1(SpinRep):
+    """A wrong spin representation: E_1 is doubled."""
+
+    def E(self, i):
+        e = super().E(i)
+        return e.scale(TWO) if i == 1 else e
+
+
+def test_relations_name_the_broken_one(monkeypatch, capsys):
+    # every relation but [E1, F1] is homogeneous in E_1, so doubling E_1
+    # breaks that one alone, and the CLI's FAIL line names it
+    monkeypatch.setattr(qgroup, "spin_rep", DoubledE1)
+    res = relation_residuals(4)
+    assert [g for g, m in res.items() if not m.is_zero()] == ["[E1, F1]"]
+    assert {"K1 E2 K1^-1", "Serre E 1,2", "Serre F 2,1"} <= set(res)
+    assert not verify_relations(4)
+    assert main(["verify", "relations", "--N", "4"]) == 1
+    fail = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("FAIL")]
+    assert len(fail) == 1 and "[nonzero: [E1, F1] at (" in fail[0]
 
 
 def test_khalf_squares_to_K():

@@ -318,3 +318,21 @@ def test_laurent_eq_foreign_operand():
     assert LP_ONE.__eq__(None) is NotImplemented
     assert not (LP_ONE == None) and LP_ONE != 1    # noqa: E711
     assert LP_ONE == LaurentPoly({0: GaussRat(1)})
+
+
+# -- a denominator equal to one is the shared LP_ONE ---------------------------
+
+@given(any_scalar, any_scalar)
+@example(Scalar(LaurentPoly({0: GaussRat(1)}), DENS[0]), ONE)   # inv: 1/(1+v)
+@example(QQ, Scalar(LP_ONE, DENS[1]))
+def test_one_valued_denominator_is_lp_one(x, y):
+    # every way of making a Scalar stores LP_ONE itself for a denominator
+    # equal to one, so `den is LP_ONE` tests for it; repr is as by value
+    made = [x + y, x - y, x * y, -x, x.substitute_neg_qsq(),
+            Scalar(x.num, LaurentPoly({0: GaussRat(1)}), reduce=False)]
+    if x:
+        made += [x.inv(), y / x]
+    for s in made:
+        one = s.den == LaurentPoly({0: GaussRat(1)})
+        assert (s.den is LP_ONE) == one
+        assert repr(s) == (repr(s.num) if one else f"({s.num!r})/({s.den!r})")
