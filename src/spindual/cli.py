@@ -16,7 +16,7 @@ import random
 import sys
 import time
 
-from .ring import GaussRat, MP_ONE, P, PoleError, require_generic
+from .ring import GaussRat, P, PoleError, require_generic
 from .linalg import (random_point, algebra_closure_dim, commutant_dimension,
                      highest_weight_restriction, first_nonzero)
 from . import qgroup, intertwiner, coideal, combinat
@@ -181,8 +181,18 @@ def fft_counts(N: int, n: int, seed: int):
     As an extra exact check, the highest-weight space must split over the
     joint Delta(K_i)-eigenvalues into blocks of sizes m_lambda; otherwise
     this raises ArithmeticError, as it does when a generator does not keep
-    the kernel.  For n <= 3 the commutant of the coproduct image is also
-    counted exactly over Q(i) on the whole space, as a cross-check.
+    the kernel.  For n <= 3 the commutant of the coproduct image on the
+    whole space is also counted, over F_P at v0 mod P, as a cross-check
+    that needs no highest-weight theory.  It certifies com_Q(i), the
+    commutant over Q(i) at v0:
+
+    - Reducing the constraint rows mod P can only drop their rank, and
+      joint eigenspaces of the diagonal generators that merge mod P only
+      add unknowns, which cannot lower the nullity.  So com_P >= com_Q(i).
+    - A(v0) lies in the commutant, so com_Q(i) >= dim A(v0) >= closure.
+    - So sum m_lambda^2 = closure <= com_Q(i) <= com_P, and com_P = sum
+      m_lambda^2 pins com_Q(i); a bad prime can only make com_P too large,
+      a reported failure.
     """
     v0 = _point(seed)
     require_generic(v0)
@@ -194,26 +204,26 @@ def fft_counts(N: int, n: int, seed: int):
     sm = sum(m * m for m in table.values())
     com = None
     if n <= 3:
-        cg = [g.specialize(v0) for g in qgroup.coproduct_generators(N, n)]
-        com = commutant_dimension(cg, (1 << qgroup.rank_of(N)) ** n)
+        vp = v0.mod_p(P)
+        cg = [g.specialize(vp, P) for g in qgroup.coproduct_generators(N, n)]
+        com = commutant_dimension(cg, (1 << qgroup.rank_of(N)) ** n, P)
     ok = closure == sm and (com is None or com == sm)
     return closure, sm, com, ok
 
 
 def hw_closure(N: int, n: int, v0: GaussRat):
     """(closure dim, highest-weight block sizes) over F_P at v0 mod P."""
-    vp = v0.mod_p()
+    vp = v0.mod_p(P)
     r = coideal.duality_rep(N, n)
-    gens = [b.specialize(vp) for b in r.B]
+    gens = [b.specialize(vp, P) for b in r.B]
     if r.F is not None:
-        gens.append(r.F.specialize(vp))
+        gens.append(r.F.specialize(vp, P))
     rep = qgroup.spin_rep(N)
     ks = range(1, rep.k + 1)
-    raising = [qgroup.coproduct_E(rep, i, n).specialize(vp) for i in ks]
-    cartan = [qgroup.coproduct_K(rep, i, n).specialize(vp) for i in ks]
-    hw, sizes = highest_weight_restriction(gens, raising, cartan,
-                                           rep.dim ** n, one=MP_ONE)
-    return algebra_closure_dim(hw, sum(sizes), one=MP_ONE), sizes
+    raising = [qgroup.coproduct_E(rep, i, n).specialize(vp, P) for i in ks]
+    cartan = [qgroup.coproduct_K(rep, i, n).specialize(vp, P) for i in ks]
+    hw, sizes = highest_weight_restriction(gens, raising, cartan, P)
+    return algebra_closure_dim(hw, sum(sizes), P), sizes
 
 
 def run_fft(args) -> int:
@@ -231,7 +241,7 @@ def run_fft(args) -> int:
     print(f"algebra closure dim : {closure}")
     print(f"sum of m^2          : {sm}")
     if com is not None:
-        print(f"commutant dim       : {com}")
+        print(f"commutant dim (mod p): {com}")
     print("VERDICT:", "equal" if ok else "MISMATCH")
     return 0 if ok else 1
 

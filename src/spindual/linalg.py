@@ -1,16 +1,18 @@
-"""Sparse exact linear algebra over the scalar tower.
+"""Sparse exact linear algebra over the scalar tower and over F_p.
 
 Matrices are dict-of-entries {(row, col): elem}; entries may be Scalar
-(symbolic), GaussRat (specialized) or ModP (specialized and reduced mod p)
--- everything here is duck-typed over +, *, unary -, bool (nonzero test)
-and .inv().
+(symbolic) or GaussRat (specialized), duck-typed over +, *, unary -, bool
+(nonzero test) and .inv(), or ints mod a prime p (`specialize(v0, p)`).
+Echelon, rank, nullspace, highest-weight restriction, closure and
+commutant take that p as an argument and reduce any int entries mod p.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 
-from .ring import GaussRat, ModP, MP_ONE, ONE, PoleError, Q
+from .ring import GaussRat, ONE, P, PoleError, Q
 
 
 class SparseMatrix:
@@ -143,12 +145,12 @@ class SparseMatrix:
     def is_diagonal(self):
         return all(r == c for r, c in self.data)
 
-    def specialize(self, v0) -> "SparseMatrix":
-        """Every entry at v = v0 (a GaussRat or ModP); entries that vanish
-        there are dropped, so no zero is stored."""
+    def specialize(self, v0, p: int = None) -> "SparseMatrix":
+        """Every entry at v = v0, a GaussRat, or at an int v0 mod a prime p;
+        entries that vanish there are dropped, so no zero is stored."""
         out = {}
         for rc, v in self.data.items():
-            x = v.specialize(v0)
+            x = v.specialize(v0, p)
             if x:
                 out[rc] = x
         return SparseMatrix(self.nrows, self.ncols, out)
@@ -214,112 +216,138 @@ class EchelonBasis:
 
     Rows are kept with a pivot (smallest column) normalized to 1; insert()
     reduces against the stored rows and reports whether the row was new.
+    Without `p` the entries are field elements (Scalar, GaussRat); with a
+    prime `p` they are ints taken mod p: a row may hold any ints, and the
+    stored rows hold residues in [0, p).
     """
 
-    def __init__(self):
+    def __init__(self, p: int = None):
         self.rows = {}  # pivot col -> normalized row dict
+        self.p = p
 
     def __len__(self):
         return len(self.rows)
 
     def reduce(self, row: dict) -> dict:
+        # An entry is zero-tested (and over F_p reduced) only when it leads
+        # the row, and once more at the end, so a step costs one
+        # multiply-subtract per entry.  The columns wait in a heap: a step
+        # at c0 only touches columns >= c0.
+        p, rows = self.p, self.rows
         row = dict(row)
-        while row:
-            p = min(row)
-            piv = self.rows.get(p)
-            if piv is None:
-                return row
-            f = row[p]
-            for c, v in piv.items():
-                s = row.get(c)
-                pv = f * v
-                if s is None:
-                    row[c] = -pv
-                else:
-                    s = s - pv
-                    if s:
-                        row[c] = s
+        cols = list(row)
+        heapify(cols)
+        while cols:
+            c0 = heappop(cols)
+            f = row[c0] if p is None else row[c0] % p
+            if f:
+                piv = rows.get(c0)
+                if piv is None:
+                    break
+                get = row.get
+                for c, v in piv.items():
+                    x = get(c)
+                    if x is None:
+                        row[c] = -(f * v)
+                        heappush(cols, c)
                     else:
-                        del row[c]
-        return row
+                        row[c] = x - f * v
+            del row[c0]     # zero, after the step if there was one
+        if p is None:
+            return {c: v for c, v in row.items() if v}
+        return {c: x for c, v in row.items() if (x := v % p)}
 
     def insert(self, row: dict) -> bool:
         row = self.reduce(row)
         if not row:
             return False
-        p = min(row)
-        inv = row[p].inv()
-        self.rows[p] = {c: v * inv for c, v in row.items()}
+        c0, p = min(row), self.p
+        inv = row[c0].inv() if p is None else pow(row[c0], -1, p)
+        self.rows[c0] = {c: v * inv if p is None else v * inv % p
+                         for c, v in row.items()}
         return True
 
 
-def matrix_rank(m: SparseMatrix) -> int:
-    basis = EchelonBasis()
+def _echelon(m: SparseMatrix, p) -> EchelonBasis:
+    """The rows of m in an EchelonBasis (over F_p for a prime p)."""
+    basis = EchelonBasis(p)
     by_row = {}
     for (r, c), v in m.data.items():
         by_row.setdefault(r, {})[c] = v
     for row in by_row.values():
         basis.insert(row)
-    return len(basis)
+    return basis
 
 
-def nullspace(m: SparseMatrix) -> list:
-    """Basis of the right nullspace as sparse vectors {index: elem}.
+def _one(mats, p):
+    """1 in the entries' ring: the int 1 over F_p, else x * x^-1 for the
+    first entry x of `mats` (the Scalar one if they store none)."""
+    if p is not None:
+        return 1
+    x = next((x for m in mats for x in m.data.values()), None)
+    return ONE if x is None else x * x.inv()
 
-    Dense Gauss elimination on columns; intended for small spaces only.
-    """
-    return _kernel(m, ONE)[1]
+
+def _mul(a: SparseMatrix, b: SparseMatrix, p) -> SparseMatrix:
+    """a * b, over F_p for a prime p: each entry reduced once, at the end."""
+    m = a * b
+    if p is not None:
+        m.data = {rc: z for rc, v in m.data.items() if (z := v % p)}
+    return m
 
 
-def _kernel(m: SparseMatrix, one):
-    """(free columns, nullspace basis): the basis vector for the free column
-    f is `one` at f and zero at every other free column."""
-    basis = EchelonBasis()
-    by_row = {}
-    for (r, c), v in m.data.items():
-        by_row.setdefault(r, {})[c] = v
-    for row in by_row.values():
-        basis.insert(row)
-    pivots = set(basis.rows)
-    free = [c for c in range(m.ncols) if c not in pivots]
+def matrix_rank(m: SparseMatrix, p: int = None) -> int:
+    """Rank of m, over F_p for a prime p (int entries)."""
+    return len(_echelon(m, p))
+
+
+def nullspace(m: SparseMatrix, p: int = None) -> list:
+    """Basis of the right nullspace of m (over F_p for a prime p) as sparse
+    vectors {index: elem}, one per free (non-pivot) column f: 1 at f, zero
+    at every other free column, and f is its largest index."""
+    rows = _echelon(m, p).rows
+    one = _one([m], p)
     out = []
-    for f in free:
-        # back-substitution: vec[f] = 1, solve pivot entries
+    for f in range(m.ncols):
+        if f in rows:
+            continue
+        # back-substitution, highest pivot first; a pivot row holds no
+        # column below its pivot, so only pivots below f get an entry
         vec = {f: one}
-        for p in sorted(basis.rows, reverse=True):
-            row = basis.rows[p]
+        for piv in sorted(rows, reverse=True):
             s = None
-            for c, v in row.items():
-                if c == p:
-                    continue
+            for c, v in rows[piv].items():
                 x = vec.get(c)
-                if x is None:
-                    continue
-                t = v * x
-                s = t if s is None else s + t
-            if s is not None and s:
-                vec[p] = -s
+                if x is not None:
+                    t = v * x
+                    s = t if s is None else s + t
+            if s is not None:
+                s = -s if p is None else -s % p
+                if s:
+                    vec[piv] = s
         out.append(vec)
-    return free, out
+    return out
 
 
-def highest_weight_restriction(gens, raising, cartan, dim: int, one=ONE):
-    """Restrict `gens` to W, the joint kernel of the `raising` operators on a
-    `dim`-dimensional space: returns the restricted generators and the
+def highest_weight_restriction(gens, raising, cartan, p: int = None):
+    """Restrict `gens` to W, the joint kernel of the `raising` operators
+    (over F_p for a prime p): returns the restricted generators and the
     sizes of the blocks of W on which the diagonal `cartan` operators take
     one joint value.
 
-    W is spanned by nullspace vectors w_f, one per free column f, each with
-    `one` at f and zero at every other free column; so a vector of W has
-    its coordinates at the free columns, and g on W is read off the rows of
+    W is spanned by the `nullspace` vectors w_f, one per free column f,
+    each with 1 at f and zero at every other free column; so a vector of W
+    has its coordinates at the free columns, and g on W is read off the rows of
     g*W at those columns.  Raises ArithmeticError if some g*w_f leaves W
     (e*(g*w_f) != 0 for a raising e) or some w_f is not a joint eigenvector
     of `cartan`: the result would not be a restriction.
     """
-    free, vecs = _kernel(vstack(raising), one)
+    vecs = nullspace(vstack(raising), p)
+    free = [max(w) for w in vecs]
     m = len(free)
-    W = SparseMatrix(dim, m, {(r, j): x for j, w in enumerate(vecs)
-                              for r, x in w.items()})
+    W = SparseMatrix(raising[0].ncols, m, {(r, j): x
+                                           for j, w in enumerate(vecs)
+                                           for r, x in w.items()})
 
     def weight(r):
         return tuple(h.data.get((r, r)) or None for h in cartan)
@@ -334,9 +362,9 @@ def highest_weight_restriction(gens, raising, cartan, dim: int, one=ONE):
     pos = {f: j for j, f in enumerate(free)}
     out = []
     for i, g in enumerate(gens):
-        gw = g * W
+        gw = _mul(g, W, p)
         for b, e in enumerate(raising):
-            if not (e * gw).is_zero():
+            if not _mul(e, gw, p).is_zero():
                 raise ArithmeticError(f"generator {i} does not preserve the "
                                       f"kernel of raising operator {b}")
         out.append(SparseMatrix(m, m, {(pos[r], c): x
@@ -349,27 +377,29 @@ def _flatten(m: SparseMatrix) -> dict:
     return {r * m.ncols + c: v for (r, c), v in m.data.items()}
 
 
-def algebra_closure_dim(gens, dim: int, one=ONE) -> int:
-    """Dimension of the unital algebra generated by `gens` inside End(V).
+def algebra_closure_dim(gens, dim: int, p: int = None) -> int:
+    """Dimension of the unital algebra generated by `gens` inside End(V),
+    over F_p for a prime p.
 
     Breadth-first closure under left multiplication by the generators.
     """
-    basis = EchelonBasis()
+    basis = EchelonBasis(p)
     queue = deque()
-    for m in [SparseMatrix.identity(dim, one)] + list(gens):
+    for m in [SparseMatrix.identity(dim, _one(gens, p))] + list(gens):
         if basis.insert(_flatten(m)):
             queue.append(m)
     while queue:
         b = queue.popleft()
         for g in gens:
-            p = g * b
-            if basis.insert(_flatten(p)):
-                queue.append(p)
+            prod = _mul(g, b, p)
+            if basis.insert(_flatten(prod)):
+                queue.append(prod)
     return len(basis)
 
 
-def commutant_dimension(gens, dim: int) -> int:
-    """dim of {X : XM = MX for all generators M} in End(V).
+def commutant_dimension(gens, dim: int, p: int = None) -> int:
+    """dim of {X : XM = MX for all generators M} in End(V), over F_p for a
+    prime p.
 
     Diagonal generators are used first to cut the unknowns down to the
     pairs (r, c) lying in a common joint eigenspace; the remaining
@@ -388,7 +418,7 @@ def commutant_dimension(gens, dim: int) -> int:
         for r in rows:
             for c in rows:
                 unknowns[(r, c)] = len(unknowns)
-    basis = EchelonBasis()
+    basis = EchelonBasis(p)
     for g in rest:
         by_col = {}
         by_row = {}
@@ -397,23 +427,19 @@ def commutant_dimension(gens, dim: int) -> int:
             by_row.setdefault(r, []).append((c, v))
         # constraint rows of X g - g X = 0, one per output position (a, b)
         con = {}
+        # (only the unknown X[a,b] appears in both sums of row (a, b));
+        # insert drops the zero entries and rows
+        con = {}
         for (a, k), ui in unknowns.items():     # X[a,k] * g[k,b]
             for b, v in by_row.get(k, ()):
-                d = con.setdefault((a, b), {})
-                d[ui] = _acc(d.get(ui), v)
+                con.setdefault((a, b), {})[ui] = v
         for (k, b), ui in unknowns.items():     # -g[a,k] * X[k,b]
             for a, v in by_col.get(k, ()):
                 d = con.setdefault((a, b), {})
-                d[ui] = _acc(d.get(ui), -v)
+                d[ui] = d[ui] - v if ui in d else -v
         for row in con.values():
-            row = {i: v for i, v in row.items() if v}
-            if row:
-                basis.insert(row)
+            basis.insert(row)
     return len(unknowns) - len(basis)
-
-
-def _acc(cur, v):
-    return v if cur is None else cur + v
 
 
 class SpectrumReport:
@@ -434,7 +460,7 @@ class SpectrumReport:
 # verify_spectrum counts multiplicities at v = 2 mod P.  Any point works
 # where no entry has a pole and the candidates keep distinct images; the
 # function checks both.
-SPECTRUM_POINT = ModP(2)
+SPECTRUM_POINT = 2
 
 
 def verify_spectrum(m: SparseMatrix, candidates) -> SpectrumReport:
@@ -464,20 +490,19 @@ def verify_spectrum(m: SparseMatrix, candidates) -> SpectrumReport:
     prod = ident
     for c in candidates:
         prod = prod * (m - ident.scale(c))
-    pt = SPECTRUM_POINT
+    pt = f"{SPECTRUM_POINT} mod {P}"
     try:
-        mp = m.specialize(pt)
-        images = [c.specialize(pt) for c in candidates]
+        mp = m.specialize(SPECTRUM_POINT, P)
+        images = [c.specialize(SPECTRUM_POINT, P) for c in candidates]
     except PoleError as exc:
-        raise ArithmeticError(f"spectrum counts at v = {pt!r}: {exc}") from exc
+        raise ArithmeticError(f"spectrum counts at v = {pt}: {exc}") from exc
     seen = {}
     for c, x in zip(candidates, images):
         if x in seen:
             raise ArithmeticError(f"spectrum candidates {seen[x]!r} and "
-                                  f"{c!r} have the same image at v = {pt!r}")
+                                  f"{c!r} have the same image at v = {pt}")
         seen[x] = c
-    ident_p = SparseMatrix.identity(n, MP_ONE)
-    mults = {c: n - matrix_rank(mp - ident_p.scale(x))
+    mults = {c: n - matrix_rank(mp - SparseMatrix.identity(n, x), P)
              for c, x in zip(candidates, images)}
     return SpectrumReport(prod.is_zero(), mults, n)
 
@@ -485,9 +510,10 @@ def verify_spectrum(m: SparseMatrix, candidates) -> SpectrumReport:
 def random_point(rng) -> GaussRat:
     """Small random Gaussian-rational specialization point, nonzero and not
     a root of unity (its norm is not 1).  It may still be a pole of some
-    scalar, or have a denominator divisible by the prime of `ring.ModP`;
-    specializing there raises PoleError, and nothing retries: the CLI
-    reports it as a configuration error naming the seed."""
+    scalar, or have a denominator divisible by `ring.P`, the prime of the
+    counts mod p; specializing there raises PoleError, and nothing
+    retries: the CLI reports it as a configuration error naming the
+    seed."""
     while True:
         a = Q(rng.randint(-9, 9), rng.randint(1, 5))
         b = Q(rng.randint(-3, 3), rng.randint(1, 5))

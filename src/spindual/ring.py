@@ -10,21 +10,22 @@ A Gaussian rational is stored as three Python ints (a, b, d) meaning
 values have equal triples.  `Q` (= fractions.Fraction) is only the type
 of rational inputs and of the `re`/`im`/`norm` views.
 
-`ModP` is the prime field F_P for one fixed prime P = 1 (mod 4), so that
-i has an image (a fixed square root of -1).  `GaussRat.mod_p` reduces a
-Gaussian rational into it, and `Scalar.specialize` accepts a `ModP` point:
-the centralizer counts run their linear algebra there.
+F_p is ints in [0, p) with the prime p passed explicitly: i maps to
+`root_of_unity(4, p)` (p = 1 mod 4) in `GaussRat.mod_p(p)` and
+`Scalar.specialize(v0, p)`.  The centralizer and spectrum counts run
+there at the prime `P`; `prime_1_mod(m)` gives primes for other orders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import gcd
 
 
 class PoleError(ZeroDivisionError):
     """Raised when a specialization point is unusable: a zero of a
-    denominator (mod p for a ModP point), a denominator p divides, or a
+    denominator (mod p for a point mod p), a denominator p divides, or a
     root of unity where a count needs a generic point."""
 
 
@@ -60,73 +61,51 @@ def _add(x: "GaussRat", a2: int, b2: int, d2: int) -> "GaussRat":
     return _canon(x.a * m1 + a2 * m2, x.b * m1 + b2 * m2, d1 * m1)
 
 
-P = 2147483629          # the largest prime below 2^31 that is 1 mod 4
+P = 2147483629          # prime_1_mod(4): largest prime < 2^31, = 1 mod 4
 
 
-def _sqrt_minus_one() -> int:
-    for g in range(2, P):
-        r = pow(g, (P - 1) // 4, P)
-        if r * r % P == P - 1:
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the bases 2, 3, 5, 7, exact for every
+    n < 3215031751 (Jaeschke 1993), so for every n below 2^31."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if not n % b:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    # b witnesses that n is composite unless b^d = 1 or b^(2^r d) = -1
+    # for some r < s
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def prime_1_mod(m: int) -> int:
+    """The largest prime p < 2^31 with p = 1 (mod m): F_p then holds the
+    m-th roots of unity, and i as well when 4 divides m."""
+    for p in range(((1 << 31) - 2) // m * m + 1, 1, -m):
+        if is_prime(p):
+            return p
+    raise ValueError(f"no prime below 2^31 is 1 mod {m}")
+
+
+@lru_cache(maxsize=None)
+def root_of_unity(m: int, p: int) -> int:
+    """The first g^((p-1)/m) mod p, g = 2, 3, ..., of exact order m (for
+    m = 4 a square root of -1, the image of i); a ValueError if m does not
+    divide p - 1."""
+    if (p - 1) % m:
+        raise ValueError(f"F_{p} has no primitive {m}-th root of unity")
+    qs = {q for q in range(2, m + 1) if not m % q and is_prime(q)}
+    for g in range(2, p):
+        r = pow(g, (p - 1) // m, p)
+        if all(pow(r, m // q, p) != 1 for q in qs):
             return r
-
-
-I_MOD_P = _sqrt_minus_one()     # the image of i in F_P
-
-
-def _mp(x: int) -> "ModP":
-    """x in F_P, already reduced to 0 <= x < P."""
-    m = _new(ModP)
-    m.x = x
-    return m
-
-
-class ModP:
-    """An element of the prime field F_P, stored as an int 0 <= x < P.
-
-    Duck-typed like GaussRat for the sparse linear algebra: + - * unary -,
-    bool, ==, hash and inv().  It compares equal only to another ModP.
-    """
-
-    __slots__ = ("x",)
-
-    def __init__(self, x: int = 0):
-        self.x = x % P
-
-    def __bool__(self):
-        return self.x != 0
-
-    def __eq__(self, other):
-        if isinstance(other, ModP):
-            return self.x == other.x
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.x)
-
-    def __add__(self, other):
-        s = self.x + other.x
-        return _mp(s - P if s >= P else s)
-
-    def __sub__(self, other):
-        s = self.x - other.x
-        return _mp(s + P if s < 0 else s)
-
-    def __neg__(self):
-        return _mp(P - self.x if self.x else 0)
-
-    def __mul__(self, other):
-        return _mp(self.x * other.x % P)
-
-    def inv(self):
-        if not self.x:
-            raise ZeroDivisionError("inverse of zero ModP")
-        return _mp(pow(self.x, -1, P))
-
-    def __repr__(self):
-        return f"{self.x} mod {P}"
-
-
-MP_ONE = ModP(1)
 
 
 class GaussRat:
@@ -189,13 +168,17 @@ class GaussRat:
     def conj(self):
         return _gr(self.a, -self.b, self.d)
 
-    def mod_p(self) -> ModP:
-        """The image in F_P under i -> I_MOD_P; a ring homomorphism on the
-        Gaussian rationals whose denominator P does not divide."""
-        if not self.d % P:
+    def mod_p(self, p: int) -> int:
+        """The image in F_p, an int in [0, p), under i -> root_of_unity(4, p);
+        a ring homomorphism on the Gaussian rationals whose denominator p
+        does not divide."""
+        a, d = self.a, self.d
+        if not d % p:
             raise PoleError(f"the denominator of {self!r} is divisible by "
-                            f"p = {P}")
-        return _mp((self.a + self.b * I_MOD_P) * pow(self.d, -1, P) % P)
+                            f"p = {p}")
+        if self.b:
+            a += self.b * root_of_unity(4, p)
+        return a % p if d == 1 else a * pow(d, -1, p) % p
 
     def norm(self) -> Q:
         return Q(self.a * self.a + self.b * self.b, self.d * self.d)
@@ -352,13 +335,13 @@ class LaurentPoly:
     def is_monomial(self):
         return len(self.coeffs) == 1
 
-    def evaluate(self, v0):
-        """The value at v = v0, a GaussRat or (coefficients reduced) a ModP."""
+    def evaluate(self, v0, p: int = None):
+        """The value at v = v0: a GaussRat, or with a prime p the int in
+        [0, p) at the nonzero residue v0, coefficients reduced mod p."""
         coeffs = self.coeffs
-        if isinstance(v0, ModP):
-            x = v0.x
-            return _mp(sum(c.mod_p().x * pow(x, e, P)
-                           for e, c in coeffs.items()) % P)
+        if p is not None:
+            return sum(c.mod_p(p) * pow(v0, e, p)
+                       for e, c in coeffs.items()) % p
         if not coeffs:
             return GR_ZERO
         # Horner from the top exponent down to the lowest one, lo, then one
@@ -566,18 +549,22 @@ class Scalar:
         """Ring homomorphism v -> i*v^2, i.e. q -> -q^2 with (-q^2)^(1/2) = i*q."""
         return Scalar(self.num.subst_iv2(), self.den.subst_iv2())
 
-    def specialize(self, v0):
-        """Exact evaluation at v = v0, a GaussRat or a ModP; raises PoleError
-        on a denominator zero (mod P for a ModP point) and, at a ModP point,
-        on a coefficient whose denominator P divides."""
+    def specialize(self, v0, p: int = None):
+        """Exact evaluation at v = v0, a GaussRat; or, with a prime p, at the
+        int v0 mod p, giving an int in [0, p).  Raises PoleError on a
+        denominator zero (mod p with a prime) and, with a prime, on a
+        coefficient whose denominator p divides."""
+        if p is not None:
+            v0 %= p
         if not v0:
             raise PoleError("v0 = 0 is never a valid specialization point")
+        num = self.num.evaluate(v0, p)
         if self.den is LP_ONE:
-            return self.num.evaluate(v0)
-        d = self.den.evaluate(v0)
+            return num
+        d = self.den.evaluate(v0, p)
         if not d:
             raise PoleError(f"denominator vanishes at v0 = {v0!r}")
-        return self.num.evaluate(v0) * d.inv()
+        return num * d.inv() if p is None else num * pow(d, -1, p) % p
 
     def is_laurent(self):
         """True if the scalar is a Laurent polynomial (trivial denominator)."""

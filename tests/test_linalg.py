@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from spindual.ring import GaussRat, GR_ONE, MP_ONE, ONE, TWO, V, QQ, P, sc
+from spindual.ring import GaussRat, ONE, TWO, V, QQ, P, sc
 from spindual.linalg import (SparseMatrix, EchelonBasis, matrix_rank,
                              nullspace, algebra_closure_dim,
                              commutant_dimension, verify_spectrum, kron_all,
@@ -87,18 +88,18 @@ def test_specialize_drops_vanishing_entries():
     s = m.specialize(GaussRat(2))
     assert s.data == {(1, 1): GaussRat(2)}
     assert matrix_rank(s) == 1
-    sp = m.specialize(GaussRat(2).mod_p())
-    assert list(sp.data) == [(1, 1)] and matrix_rank(sp) == 1
+    sp = m.specialize(GaussRat(2).mod_p(P), P)
+    assert sp.data == {(1, 1): 2} and matrix_rank(sp, P) == 1
 
 
 def _reduced_coproduct(N, n, v0):
     rep = qgroup.SpinRep(N)
-    vp = v0.mod_p()
+    vp = v0.mod_p(P)
     ks = range(1, rep.k + 1)
-    return (vp, rep.dim ** n,
-            [qgroup.coproduct_E(rep, i, n).specialize(vp) for i in ks],
-            [qgroup.coproduct_K(rep, i, n).specialize(vp) for i in ks],
-            [qgroup.coproduct_F(rep, i, n).specialize(vp) for i in ks])
+    return (vp,
+            [qgroup.coproduct_E(rep, i, n).specialize(vp, P) for i in ks],
+            [qgroup.coproduct_K(rep, i, n).specialize(vp, P) for i in ks],
+            [qgroup.coproduct_F(rep, i, n).specialize(vp, P) for i in ks])
 
 
 @pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (5, 3)])
@@ -111,8 +112,7 @@ def test_hw_closure_matches_full_space_closure(N, n):
         gens = [b.specialize(v0) for b in r.B]
         if r.F is not None:
             gens.append(r.F.specialize(v0))
-        full = algebra_closure_dim(gens, (1 << qgroup.rank_of(N)) ** n,
-                                   one=GR_ONE)
+        full = algebra_closure_dim(gens, (1 << qgroup.rank_of(N)) ** n)
         assert cli.hw_closure(N, n, v0)[0] == full, (N, n, seed)
 
 
@@ -120,15 +120,12 @@ def test_hw_restriction_rejects_non_invariant_generators():
     # Delta(F_1) lowers weights, so it maps highest-weight vectors out of
     # the kernel of Delta(E_1): no count may come back
     N, n = 3, 3
-    vp, dim, raising, cartan, lowering = _reduced_coproduct(N, n,
-                                                            cli._point(11))
-    gens = [b.specialize(vp) for b in coideal.duality_rep(N, n).B]
-    hw, sizes = highest_weight_restriction(gens, raising, cartan, dim,
-                                           one=MP_ONE)
+    vp, raising, cartan, lowering = _reduced_coproduct(N, n, cli._point(11))
+    gens = [b.specialize(vp, P) for b in coideal.duality_rep(N, n).B]
+    hw, sizes = highest_weight_restriction(gens, raising, cartan, P)
     assert sizes == [1, 2] and len(hw) == len(gens)
     with pytest.raises(ArithmeticError, match="does not preserve"):
-        highest_weight_restriction(gens + lowering[:1], raising, cartan, dim,
-                                   one=MP_ONE)
+        highest_weight_restriction(gens + lowering[:1], raising, cartan, P)
 
 
 def test_random_point_respects_seed():
@@ -194,8 +191,44 @@ def test_verify_spectrum_negative_controls():
     assert not rep.annihilates and not rep.complete
     # two candidates with one image at the point, and a candidate with a
     # pole there: no count can be certified
-    with pytest.raises(ArithmeticError, match="same image at v = "
-                       + repr(SPECTRUM_POINT)):
+    at = f"at v = {SPECTRUM_POINT} mod {P}"
+    with pytest.raises(ArithmeticError, match="same image " + at):
         verify_spectrum(swap2(), [ONE, sc(P + 1)])
-    with pytest.raises(ArithmeticError, match=repr(SPECTRUM_POINT)):
+    with pytest.raises(ArithmeticError, match=at):
         verify_spectrum(swap2(), [ONE, ONE / (V - TWO)])
+
+
+# -- the F_p paths against the Q(i) ones --------------------------------------
+
+@pytest.mark.parametrize("N,n,want", [(3, 3, 5), (4, 2, 10), (5, 2, 3),
+                                      (4, 3, 70)])
+def test_commutant_mod_p_matches_gaussian(N, n, want):
+    # the commutant of the coproduct image at v0, over Q(i) and over F_P
+    gens = qgroup.coproduct_generators(N, n)
+    dim = (1 << qgroup.rank_of(N)) ** n
+    for seed in (11, 23):
+        v0 = cli._point(seed)
+        vp = v0.mod_p(P)
+        exact = commutant_dimension([g.specialize(v0) for g in gens], dim)
+        mod_p = commutant_dimension([g.specialize(vp, P) for g in gens], dim,
+                                    P)
+        assert exact == mod_p == want, (N, n, seed)
+
+
+small_matrices = st.integers(1, 6).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+    min_size=1, max_size=6))
+
+
+@given(small_matrices)
+@example([[2, 1, 0, 0], [0, 0, 1, 0], [2, 1, 1, 1]])
+def test_rank_mod_p_matches_gaussian_rank(rows):
+    # every minor is at most 3^6 * 6! < P in absolute value, so no nonzero
+    # minor vanishes mod P and the two ranks agree.  In the example, row 3
+    # minus row 1 leaves -P at column 1 (1 - 2 * (P + 1)/2), zero only mod
+    # P, ahead of the pivot column 2 of row 2
+    ints = {(r, c): x for r, row in enumerate(rows)
+            for c, x in enumerate(row) if x}
+    nr, nc = len(rows), len(rows[0])
+    exact = SparseMatrix(nr, nc, {rc: GaussRat(x) for rc, x in ints.items()})
+    assert matrix_rank(SparseMatrix(nr, nc, ints), P) == matrix_rank(exact)

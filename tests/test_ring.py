@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from spindual.ring import (GaussRat, LaurentPoly, Scalar, PoleError, Q,
                            LP_ONE,
                            ZERO, ONE, TWO, I, V, QQ, HALF, GR_I,
-                           ModP, MP_ONE, P, I_MOD_P,
+                           P, is_prime, prime_1_mod, root_of_unity,
                            qint, qint_plus, qbinom, q_power, sc)
 
 
@@ -196,52 +196,50 @@ def test_scalar_eq_foreign_operand():
     assert ONE == 1 and ONE == sc(1) and ONE != sc(2)
 
 
-# -- F_P and the reduction Q(i) -> F_P ----------------------------------------
+# -- F_P and the reduction Q(i) -> F_P, on plain ints -------------------------
 
 residues = st.integers(-3 * P, 3 * P)
 
 
+def red(g):
+    return g.mod_p(P)
+
+
 @given(residues, residues)
 def test_modp_matches_int_mod_p(x, y):
-    mx, my = ModP(x), ModP(y)
-    assert mx.x == x % P and 0 <= mx.x < P
-    assert (mx + my).x == (x + y) % P
-    assert (mx - my).x == (x - y) % P
-    assert (-mx).x == -x % P
-    assert (mx * my).x == x * y % P
-    assert bool(mx) == (x % P != 0)
-    assert (mx == my) == ((x - y) % P == 0)
-    if mx == my:
-        assert hash(mx) == hash(my)
+    # an integer reduces to its int residue, 1/x to the inverse mod P
+    gx = GaussRat(x)
+    assert type(red(gx)) is int and red(gx) == x % P and 0 <= red(gx) < P
+    assert red(GaussRat(x) * GaussRat(y)) == x * y % P
+    assert red(GaussRat(x) - GaussRat(y)) == (x - y) % P
     if x % P:
-        assert (mx * mx.inv()) == MP_ONE
-        assert mx.inv().x == pow(x, -1, P)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            mx.inv()
-    assert mx.__eq__(x) is NotImplemented
+        assert red(GaussRat(Q(y, x))) == y * pow(x, -1, P) % P
+    elif x:
+        with pytest.raises(PoleError):
+            red(GaussRat(Q(1, x)))
 
 
 @given(pairs, pairs)
 def test_mod_p_is_ring_homomorphism(x, y):
     gx, gy = gr(x), gr(y)
-    red = GaussRat.mod_p
-    assert red(gx + gy) == red(gx) + red(gy)
-    assert red(gx - gy) == red(gx) - red(gy)
-    assert red(-gx) == -red(gx)
-    assert red(gx * gy) == red(gx) * red(gy)
+    assert red(gx + gy) == (red(gx) + red(gy)) % P
+    assert red(gx - gy) == (red(gx) - red(gy)) % P
+    assert red(-gx) == -red(gx) % P
+    assert red(gx * gy) == red(gx) * red(gy) % P
     if any(x):
-        assert red(gx.inv()) == red(gx).inv()
-    assert red(GaussRat(x[0])) == ModP(x[0].numerator) * ModP(x[0].denominator).inv()
+        assert red(gx.inv()) == pow(red(gx), -1, P)
+    assert red(GaussRat(x[0])) == \
+        x[0].numerator * pow(x[0].denominator, -1, P) % P
 
 
 def test_mod_p_images():
-    assert I_MOD_P * I_MOD_P % P == P - 1 and P % 4 == 1
-    assert GR_I.mod_p() == ModP(I_MOD_P)
+    i = root_of_unity(4, P)
+    assert i * i % P == P - 1 and P % 4 == 1
+    assert GR_I.mod_p(P) == i and GaussRat(2, 3).mod_p(P) == (2 + 3 * i) % P
     with pytest.raises(PoleError):
-        GaussRat(Q(1, P)).mod_p()
+        GaussRat(Q(1, P)).mod_p(P)
     with pytest.raises(PoleError):
-        GaussRat(Q(3, 2 * P), 1).mod_p()
+        GaussRat(Q(3, 2 * P), 1).mod_p(P)
 
 
 @given(scalars())
@@ -251,16 +249,57 @@ def test_specialize_mod_p_commutes_with_reduction(s):
         x = s.specialize(pt)
     except PoleError:
         return
-    assert s.specialize(pt.mod_p()) == x.mod_p()
+    assert s.specialize(red(pt), P) == red(x)
 
 
 def test_specialize_mod_p_poles():
     with pytest.raises(PoleError):          # 1/(q - 1) at q = 1 mod P
-        (ONE / (QQ - ONE)).specialize(ModP(P - 1))
+        (ONE / (QQ - ONE)).specialize(P - 1, P)
     with pytest.raises(PoleError):          # a coefficient with P in its denominator
-        Scalar.from_gauss(GaussRat(Q(1, P))).specialize(ModP(2))
+        Scalar.from_gauss(GaussRat(Q(1, P))).specialize(2, P)
     with pytest.raises(PoleError):
-        V.specialize(ModP(P))
+        V.specialize(P, P)
+
+
+# -- primes p = 1 (mod m) and roots of unity in F_p ---------------------------
+
+def trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+@given(st.integers(-5, 10 ** 5))
+@example(2047)            # strong pseudoprimes to base 2
+@example(3277)
+@example(1373653)         # ... to bases 2 and 3
+@example(25326001)        # ... to bases 2, 3 and 5
+@example(2 ** 31 - 1)
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == trial_division_prime(n)
+
+
+def test_prime_1_mod_4_is_P():
+    assert prime_1_mod(4) == P
+    # P - 1 = 2^2 * 3^2 * 59652323: no root of unity of order 8 or 5
+    for m in (8, 5):
+        with pytest.raises(ValueError):
+            root_of_unity(m, P)
+
+
+@given(st.integers(1, 400))
+@example(4)
+@example(36)
+def test_prime_1_mod_is_largest_below_2_31(m):
+    p = prime_1_mod(m)
+    assert (p - 1) % m == 0 and p < 2 ** 31 and trial_division_prime(p)
+    assert not any(is_prime(q) for q in range(p + m, 2 ** 31, m))
+
+
+@given(st.integers(1, 400))
+def test_root_of_unity_has_exact_order(m):
+    p = prime_1_mod(m)
+    r = root_of_unity(m, p)
+    assert 0 < r < p and pow(r, m, p) == 1
+    assert all(pow(r, d, p) != 1 for d in range(1, m) if not m % d)
 
 
 # -- the gcd-free fast paths of Scalar + and * --------------------------------
