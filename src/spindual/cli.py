@@ -17,7 +17,7 @@ import sys
 import time
 
 from .ring import GaussRat, P, PoleError, require_generic
-from .linalg import (random_point, algebra_closure_dim, commutant_dimension,
+from .linalg import (random_point, commutant_dimension, certify_blocks,
                      highest_weight_restriction, first_nonzero)
 from . import qgroup, intertwiner, coideal, combinat
 
@@ -28,8 +28,15 @@ SUITES = ("relations", "commutation", "cubic", "spectrum", "duality",
 SPIN_SUITES = ("relations", "commutation", "cubic", "spectrum", "integrality",
                "fft")
 # The largest operator a command may build has at most 2^12 = 4096 rows:
-# the cubic check up to N = 9, fft up to (2^k)^n = 4096, e.g. (4, 6).
+# the cubic check up to N = 9, fft up to (2^k)^n = 4096, e.g. (4, 6)
+# (which the block limit below refuses).
 MAX_OPERATOR_BITS = 12
+# fft certifies each highest-weight block M_lambda by a closure of up to
+# m_lambda^2 matrices.  The largest block measured to finish in under
+# 60 s has m_lambda = 35: each of the four in (4, 5) takes about 2 s
+# (2-core Xeon, Python 3.11).  Size alone does not fix the time: dense
+# blocks are slower, and the 28 of (3, 8) took 124 s.
+MAX_FFT_BLOCK = 35
 
 
 class Reporter:
@@ -74,8 +81,10 @@ def _operator_bits(suite: str, N: int, n: int) -> int:
 
 def _check_config(suites, N: int, n: int) -> None:
     """Refuse, before anything is built, a configuration some suite cannot
-    run: a spin suite with N < 3, Temperley-Lieb with n < 2, or a largest
-    operator with more than 2^MAX_OPERATOR_BITS rows."""
+    run: a spin suite with N < 3, Temperley-Lieb with n < 2, a largest
+    operator with more than 2^MAX_OPERATOR_BITS rows, or for fft a
+    highest-weight block larger than MAX_FFT_BLOCK (read off
+    `combinat.spinor_table`)."""
     spin = [s for s in suites if s in SPIN_SUITES]
     if N < 3 and spin:
         raise ValueError(f"suite {spin[0]!r} needs N >= 3, got N={N}")
@@ -87,6 +96,13 @@ def _check_config(suites, N: int, n: int) -> None:
         raise ValueError(f"suite {suite!r} at N={N} n={n} would build "
                          f"operators with 2^{bits} rows, above the limit "
                          f"2^{MAX_OPERATOR_BITS} = {1 << MAX_OPERATOR_BITS}")
+    if "fft" in suites:
+        w, m = max(combinat.spinor_table(N, n).items(), key=lambda t: t[1])
+        if m > MAX_FFT_BLOCK:
+            raise ValueError(f"suite 'fft' at N={N} n={n} has a "
+                             f"highest-weight block of size {m} at weight "
+                             f"({combinat.fmt_weight(w)}), above the limit "
+                             f"{MAX_FFT_BLOCK}")
 
 
 def _point(seed: int) -> GaussRat:
@@ -160,31 +176,44 @@ def twist_commutant(Nparam: int) -> int:
 def fft_counts(N: int, n: int, seed: int):
     """(closure dim, sum of m^2, commutant dim or None, all equal?)
 
-    The closure is the dimension of the algebra generated by the B_i (and F
-    for N even) at the point v0 = _point(seed), computed on the
-    highest-weight space (the joint kernel of the Delta(E_i)) over F_P:
-    reduce the generators at the image of v0 mod P, restrict them to that
-    kernel, and run the closure on its sum of m_lambda dimensions instead
-    of 2^{kn}.  Why reaching sum m_lambda^2 certifies the claim:
+    The closure is the dimension of the algebra A_P generated by the B_i
+    (and F for N even) at the point v0 = _point(seed), reduced mod P and
+    restricted to the highest-weight space W (the joint kernel of the
+    Delta(E_i)).  W splits over the joint Delta(K_i)-eigenvalues into the
+    multiplicity spaces M_lambda, which every generator keeps, since it
+    commutes with the Delta(K_i); each block must sit at a weight lambda
+    of S^(x)n with size m_lambda, or this raises ArithmeticError.  The
+    closure runs once per block (`linalg.certify_blocks`), never on W as a
+    whole.  Why the blocks certify the claim:
 
-    - Restriction to an invariant subspace is an algebra quotient, and rank
-      can only drop under reduction mod P.  So the F_P closure on the
-      highest-weight space is at most the Q(i) dimension of A(v0), the
-      algebra the generators span at v0.
+    - Each block's closure is m_lambda^2: A_P maps onto End(M_lambda), so
+      M_lambda is absolutely irreducible.
+    - The blocks are pairwise non-isomorphic A_P-modules: blocks of
+      different sizes trivially, and each equal-size pair by a word in
+      the generators with different traces on the two, or else by a
+      closure of 2m^2 on their direct sum (a pair that passes neither
+      raises ArithmeticError).
+    - Jacobson density (Wedderburn on the semisimple quotient, with the
+      Chinese remainder theorem over the distinct simple modules) then
+      says A_P maps onto the sum of the End(M_lambda), so dim A_P on W is
+      the sum of the block closures, sum m_lambda^2.
+    - Restriction to an invariant subspace is an algebra quotient, and
+      rank can only drop under reduction mod P.  So the F_P closure on
+      the highest-weight space is at most the Q(i) dimension of A(v0),
+      the algebra the generators span at v0.
     - A(v0) lies in the commutant of the coproduct image (test_02's
       commutation, specialized), which at a point that is not a root of
       unity is semisimple of dimension sum m_lambda^2.
     - So a closure of sum m_lambda^2 certifies equality.  A bad prime or
-      point can only make the count fall short (a reported failure), never
-      pass a wrong claim.
+      point can only make a block fall short or a pair stay unseparated
+      (a reported failure), never pass a wrong claim.
 
-    As an extra exact check, the highest-weight space must split over the
-    joint Delta(K_i)-eigenvalues into blocks of sizes m_lambda; otherwise
-    this raises ArithmeticError, as it does when a generator does not keep
-    the kernel.  For n <= 3 the commutant of the coproduct image on the
-    whole space is also counted, over F_P at v0 mod P, as a cross-check
-    that needs no highest-weight theory.  It certifies com_Q(i), the
-    commutant over Q(i) at v0:
+    Every operator is built from operators on S and S (x) S reduced once
+    at v0 mod P, then embedded or tensored mod P; nothing on S^(x)n is
+    built over Q(i)(v).  For n <= 3 the commutant of the coproduct image
+    on the whole space is also counted, over F_P at v0 mod P, as a
+    cross-check that needs no highest-weight theory.  It certifies
+    com_Q(i), the commutant over Q(i) at v0:
 
     - Reducing the constraint rows mod P can only drop their rank, and
       joint eigenspaces of the diagonal generators that merge mod P only
@@ -194,50 +223,90 @@ def fft_counts(N: int, n: int, seed: int):
       m_lambda^2 pins com_Q(i); a bad prime can only make com_P too large,
       a reported failure.
     """
+    return fft_certificate(N, n, seed)[0]
+
+
+def fft_certificate(N: int, n: int, seed: int):
+    """(the `fft_counts` tuple, [(weight, m_lambda, closure) per block],
+    the pair separations of `linalg.certify_blocks`)."""
     v0 = _point(seed)
     require_generic(v0)
-    closure, sizes = hw_closure(N, n, v0)
-    table = combinat.spinor_table(N, n)
-    if sizes != sorted(table.values()):
-        raise ArithmeticError(f"highest-weight blocks {sizes} do not match "
-                              f"the multiplicities {sorted(table.values())}")
-    sm = sum(m * m for m in table.values())
+    vp = v0.mod_p(P)
+    cop = qgroup.reduced_coproduct_generators(N, n, vp, P)
+    blocks, closures, seps = _hw_certificate(N, n, vp, cop)
+    closure = sum(closures)
+    sm = sum(m * m for _, m, _ in blocks)
     com = None
     if n <= 3:
-        vp = v0.mod_p(P)
-        cg = [g.specialize(vp, P) for g in qgroup.coproduct_generators(N, n)]
-        com = commutant_dimension(cg, (1 << qgroup.rank_of(N)) ** n, P)
+        com = commutant_dimension(cop, (1 << qgroup.rank_of(N)) ** n, P)
     ok = closure == sm and (com is None or com == sm)
-    return closure, sm, com, ok
+    return ((closure, sm, com, ok),
+            [(w, m, c) for (w, m, _), c in zip(blocks, closures)], seps)
 
 
 def hw_closure(N: int, n: int, v0: GaussRat):
     """(closure dim, highest-weight block sizes) over F_P at v0 mod P."""
     vp = v0.mod_p(P)
-    r = coideal.duality_rep(N, n)
-    gens = [b.specialize(vp, P) for b in r.B]
-    if r.F is not None:
-        gens.append(r.F.specialize(vp, P))
-    rep = qgroup.spin_rep(N)
-    ks = range(1, rep.k + 1)
-    raising = [qgroup.coproduct_E(rep, i, n).specialize(vp, P) for i in ks]
-    cartan = [qgroup.coproduct_K(rep, i, n).specialize(vp, P) for i in ks]
-    hw, sizes = highest_weight_restriction(gens, raising, cartan, P)
-    return algebra_closure_dim(hw, sum(sizes), P), sizes
+    blocks, closures, _ = _hw_certificate(
+        N, n, vp, qgroup.reduced_coproduct_generators(N, n, vp, P))
+    return sum(closures), sorted(m for _, m, _ in blocks)
+
+
+def _hw_certificate(N: int, n: int, vp: int, cop):
+    """(blocks as (weight, m_lambda, restricted generators), closures,
+    separations) over F_P at v = vp, from the reduced coproduct images
+    `cop` of `qgroup.reduced_coproduct_generators`."""
+    table = combinat.spinor_table(N, n)
+    found = highest_weight_restriction(
+        coideal.reduced_duality_generators(N, n, vp, P),
+        cop[1::3], cop[0::3], P)
+    blocks = []
+    for cols, gens in found:
+        w = qgroup.column_weight(N, n, cols[0])
+        if table.get(w) != len(cols):
+            raise ArithmeticError(
+                f"highest-weight block at weight ({combinat.fmt_weight(w)}) "
+                f"has size {len(cols)}, not its multiplicity {table.get(w)}")
+        blocks.append((w, len(cols), gens))
+    blocks = [(combinat.fmt_weight(w), m, gens)
+              for w, m, gens in sorted(blocks, key=lambda b: b[0],
+                                         reverse=True)]
+    if len(blocks) != len(table):
+        raise ArithmeticError(f"{len(blocks)} highest-weight blocks for "
+                              f"{len(table)} weights of S^(x){n}")
+    closures, seps = certify_blocks(blocks, P)
+    return blocks, closures, seps
+
+
+def _signed(x: int) -> int:
+    """The residue x mod P as the integer of least absolute value."""
+    return x - P if x > P // 2 else x
 
 
 def run_fft(args) -> int:
-    _check_config(("fft",), args.N, args.n)
-    print(f"N={args.N} n={args.n} seed={args.seed}")
+    N, n = args.N, args.n
+    _check_config(("fft",), N, n)
+    print(f"N={N} n={n} seed={args.seed}")
     try:
-        closure, sm, com, ok = fft_counts(args.N, args.n, args.seed)
+        (closure, sm, com, ok), blocks, seps = fft_certificate(N, n, args.seed)
     except PoleError:
         raise
     except ArithmeticError as exc:
         print(f"VERDICT: MISMATCH ({exc})")
         return 1
-    hw = sum(combinat.spinor_table(args.N, args.n).values())
-    print(f"highest-weight dim  : {hw} (closure runs mod p = {P})")
+    names = [f"B{i}" for i in range(1, n)] + (["F"] if N % 2 == 0 else [])
+    print(f"highest-weight dim  : {sum(m for _, m, _ in blocks)} "
+          f"(closure runs mod p = {P}, one block per weight)")
+    for w, m, c in blocks:
+        print(f"  block ({w})  m={m}  closure {c} "
+              f"{'=' if c == m * m else '<'} m^2 = {m * m}")
+    for a, b, word, val in seps:
+        if word is None:
+            how = f"closure on the sum {val} = 2m^2"
+        else:
+            how = (f"trace of {' '.join(names[i] for i in word)}: "
+                   f"{_signed(val[0])} vs {_signed(val[1])}")
+        print(f"  pair ({a}) / ({b})  {how}")
     print(f"algebra closure dim : {closure}")
     print(f"sum of m^2          : {sm}")
     if com is not None:

@@ -15,7 +15,7 @@ from .linalg import SparseMatrix, embed, nullspace, kron_all, vstack
 from .linalg import residuals_zero  # noqa: F401  (re-exported)
 from . import clifford as cl
 from .qgroup import rank_of, _balanced_coproduct
-from .intertwiner import C_embedded
+from .intertwiner import C_embedded, build_C_quantum
 
 
 class CoidealRep:
@@ -203,3 +203,16 @@ def _duality_F(N: int, n: int):
         return None
     k = rank_of(N)
     return embed(cl.parity(k, k), 1, (1 << k) ** (n - 1))
+
+
+def reduced_duality_generators(N: int, n: int, vp: int, p: int) -> list:
+    """The B_i (and F for N even) of `duality_rep(N, n)` at v = vp over
+    F_p: C and the parity operator are reduced on S (x) S and on S, then
+    embedded, so no operator on S^(x)n is specialized."""
+    k = rank_of(N)
+    d = 1 << k
+    C = build_C_quantum(N).specialize(vp, p)
+    gens = [embed(C, d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]
+    if N % 2 == 0:
+        gens.append(embed(cl.parity(k, k).specialize(vp, p), 1, d ** (n - 1)))
+    return gens

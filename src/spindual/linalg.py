@@ -288,12 +288,15 @@ def _one(mats, p):
     return ONE if x is None else x * x.inv()
 
 
+def _mod(m: SparseMatrix, p: int) -> SparseMatrix:
+    """m with its int entries reduced mod p and zeros dropped, in place."""
+    m.data = {rc: z for rc, v in m.data.items() if (z := v % p)}
+    return m
+
+
 def _mul(a: SparseMatrix, b: SparseMatrix, p) -> SparseMatrix:
     """a * b, over F_p for a prime p: each entry reduced once, at the end."""
-    m = a * b
-    if p is not None:
-        m.data = {rc: z for rc, v in m.data.items() if (z := v % p)}
-    return m
+    return a * b if p is None else _mod(a * b, p)
 
 
 def matrix_rank(m: SparseMatrix, p: int = None) -> int:
@@ -331,46 +334,59 @@ def nullspace(m: SparseMatrix, p: int = None) -> list:
 
 def highest_weight_restriction(gens, raising, cartan, p: int = None):
     """Restrict `gens` to W, the joint kernel of the `raising` operators
-    (over F_p for a prime p): returns the restricted generators and the
-    sizes of the blocks of W on which the diagonal `cartan` operators take
-    one joint value.
+    (over F_p for a prime p), one block at a time: returns a list of
+    (free columns, restricted generators), one pair per joint value of the
+    diagonal `cartan` operators on W, ordered by their first free column.
 
     W is spanned by the `nullspace` vectors w_f, one per free column f,
     each with 1 at f and zero at every other free column; so a vector of W
     has its coordinates at the free columns, and g on W is read off the rows of
     g*W at those columns.  Raises ArithmeticError if some g*w_f leaves W
-    (e*(g*w_f) != 0 for a raising e) or some w_f is not a joint eigenvector
-    of `cartan`: the result would not be a restriction.
+    (e*(g*w_f) != 0 for a raising e), some w_f is not a joint eigenvector
+    of `cartan`, or a restricted generator has an entry between two
+    blocks: the result would not be a restriction to each block.
     """
     vecs = nullspace(vstack(raising), p)
     free = [max(w) for w in vecs]
-    m = len(free)
-    W = SparseMatrix(raising[0].ncols, m, {(r, j): x
-                                           for j, w in enumerate(vecs)
-                                           for r, x in w.items()})
+    W = SparseMatrix(raising[0].ncols, len(free),
+                     {(r, j): x for j, w in enumerate(vecs)
+                      for r, x in w.items()})
 
     def weight(r):
         return tuple(h.data.get((r, r)) or None for h in cartan)
 
-    sizes = {}
-    for f, w in zip(free, vecs):
+    blocks = {}     # joint value -> positions in W
+    for j, (f, w) in enumerate(zip(free, vecs)):
         wt = weight(f)
         if any(weight(r) != wt for r in w):
             raise ArithmeticError(f"highest-weight vector at column {f} "
                                   f"is not a weight vector")
-        sizes[wt] = sizes.get(wt, 0) + 1
-    pos = {f: j for j, f in enumerate(free)}
-    out = []
+        blocks.setdefault(wt, []).append(j)
+    where = {}      # free column -> (block, position in the block)
+    for b, js in enumerate(blocks.values()):
+        for t, j in enumerate(js):
+            where[free[j]] = (b, t)
+    out = [[] for _ in blocks]
     for i, g in enumerate(gens):
         gw = _mul(g, W, p)
         for b, e in enumerate(raising):
             if not _mul(e, gw, p).is_zero():
                 raise ArithmeticError(f"generator {i} does not preserve the "
                                       f"kernel of raising operator {b}")
-        out.append(SparseMatrix(m, m, {(pos[r], c): x
-                                       for (r, c), x in gw.data.items()
-                                       if r in pos}))
-    return out, sorted(sizes.values())
+        parts = [{} for _ in blocks]
+        for (r, c), x in gw.data.items():
+            if r not in where:
+                continue
+            (b, t), (bc, tc) = where[r], where[free[c]]
+            if b != bc:
+                raise ArithmeticError(
+                    f"generator {i} has an entry between the blocks of "
+                    f"highest-weight columns {free[c]} and {r}")
+            parts[b][(t, tc)] = x
+        for b, js in enumerate(blocks.values()):
+            out[b].append(SparseMatrix(len(js), len(js), parts[b]))
+    return [([free[j] for j in js], ms)
+            for js, ms in zip(blocks.values(), out)]
 
 
 def _flatten(m: SparseMatrix) -> dict:
@@ -381,20 +397,105 @@ def algebra_closure_dim(gens, dim: int, p: int = None) -> int:
     """Dimension of the unital algebra generated by `gens` inside End(V),
     over F_p for a prime p.
 
-    Breadth-first closure under left multiplication by the generators.
+    Breadth-first closure under left multiplication by the generators; it
+    stops once the span is all of End(V), of dimension dim^2.
     """
     basis = EchelonBasis(p)
     queue = deque()
     for m in [SparseMatrix.identity(dim, _one(gens, p))] + list(gens):
         if basis.insert(_flatten(m)):
             queue.append(m)
-    while queue:
+    full = dim * dim
+    while queue and len(basis) < full:
         b = queue.popleft()
         for g in gens:
             prod = _mul(g, b, p)
             if basis.insert(_flatten(prod)):
                 queue.append(prod)
     return len(basis)
+
+
+# Words of up to this many generators are tried before a pair of blocks
+# falls back to the closure on their direct sum.
+WORD_LENGTH = 3
+
+
+def _trace_mul(a, b: SparseMatrix, p: int) -> int:
+    """tr(a b) mod p for int entries, without forming a b; tr(b) for
+    a = None."""
+    if a is None:
+        return sum(x for (r, c), x in b.data.items() if r == c) % p
+    bd = b.data
+    return sum(x * bd.get((c, r), 0) for (r, c), x in a.data.items()) % p
+
+
+def _word_traces(gens, p):
+    """(word, trace) for every word of 1 to WORD_LENGTH generators,
+    shortest first; a word (i, j, ...) is gens[i] gens[j] ..., and its
+    last letter is traced against the product of the others."""
+    level = [((), None)]
+    for depth in range(WORD_LENGTH):
+        nxt = []
+        for word, w in level:
+            for i, g in enumerate(gens):
+                yield word + (i,), _trace_mul(w, g, p)
+                if depth + 1 < WORD_LENGTH:
+                    nxt.append((word + (i,), g if w is None else _mul(w, g, p)))
+        level = nxt
+
+
+def _direct_sum(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    n = a.nrows
+    data = dict(a.data)
+    data.update({(r + n, c + n): x for (r, c), x in b.data.items()})
+    return SparseMatrix(n + b.nrows, n + b.ncols, data)
+
+
+def certify_blocks(blocks, p: int):
+    """Certify over F_p that the generators restricted to the blocks M_1,
+    M_2, ... span all of End(M_1) + End(M_2) + ...; `blocks` is a list of
+    (label, size m, restricted generators), the generators in the same
+    order on every block.  Returns (closures, separations):
+
+    - closures: `algebra_closure_dim` of each block, which is m^2 exactly
+      when the block is absolutely irreducible;
+    - separations, only if every block reached m^2: for every pair (a, b)
+      of equal-size blocks, (a, b, word, (trace on a, trace on b)) for the
+      first word of up to WORD_LENGTH generators whose traces differ, or
+      (a, b, None, closure on the direct sum) if no word does and that
+      closure is 2m^2.  Either proves the two modules non-isomorphic:
+      isomorphic modules give every algebra element the same trace, and
+      the image of the algebra in End(M_a) + End(M_b) is the graph of an
+      isomorphism, of dimension m^2, when the modules are isomorphic.
+
+    Blocks of different sizes are never isomorphic.  Raises
+    ArithmeticError, naming both labels, for a pair that neither test
+    separates: that is a failure, never a pass.
+    """
+    closures = [algebra_closure_dim(gs, m, p) for _, m, gs in blocks]
+    seps = []
+    if any(c != m * m for c, (_, m, _) in zip(closures, blocks)):
+        return closures, seps
+    for a, (la, m, ga) in enumerate(blocks):
+        for lb, mb, gb in blocks[a + 1:]:
+            if mb != m:
+                continue
+            hit = next(((wa, (ta, tb)) for (wa, ta), (_, tb) in
+                        zip(_word_traces(ga, p), _word_traces(gb, p))
+                        if ta != tb), None)
+            if hit is None:
+                both = algebra_closure_dim(
+                    [_direct_sum(x, y) for x, y in zip(ga, gb)], 2 * m, p)
+                if both != 2 * m * m:
+                    raise ArithmeticError(
+                        f"blocks {la} and {lb} are not certified "
+                        f"non-isomorphic: no word of up to {WORD_LENGTH} "
+                        f"generators has different traces on them, and the "
+                        f"closure on their sum is {both} < 2m^2 = "
+                        f"{2 * m * m}")
+                hit = (None, both)
+            seps.append((la, lb) + hit)
+    return closures, seps
 
 
 def commutant_dimension(gens, dim: int, p: int = None) -> int:

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 from .ring import Scalar, QQ, q_power, qbinom
-from .linalg import SparseMatrix, kron_all, residuals_zero
+from .linalg import SparseMatrix, kron_all, residuals_zero, _mod
 from . import clifford as cl
 
 
@@ -138,6 +138,20 @@ def dominant_columns(N: int, n: int) -> list:
             if all(sum(e) >= 0 for e in zip(*ws))]
 
 
+def column_weight(N: int, n: int, j: int) -> tuple:
+    """The weight of basis vector j of S^(x)n, in the doubled coordinates
+    of `combinat.spinor_table`: slot r of a factor x(m) adds +1 if it is
+    empty and -1 if it is filled (omega_r = diag(q^{-m_r})), so x(0..0)
+    has the highest weight (1, ..., 1) and E_i adds the doubled root."""
+    k = rank_of(N)
+    w = [0] * k
+    for _ in range(n):
+        j, m = divmod(j, 1 << k)
+        for r in range(k):
+            w[r] += 1 - 2 * cl.bit(m, r + 1, k)
+    return tuple(w)
+
+
 def relation_residuals(N: int) -> dict:
     """{relation: residual} for every defining relation of the quantized
     orthogonal algebra on the spin representation: K_i K_i^-1 = 1,
@@ -218,4 +232,27 @@ def coproduct_generators(N: int, n: int):
         out.append(coproduct_K(rep, i, n))
         out.append(coproduct_E(rep, i, n))
         out.append(coproduct_F(rep, i, n))
+    return out
+
+
+def reduced_coproduct_generators(N: int, n: int, vp: int, p: int):
+    """`coproduct_generators(N, n)` specialized at v = vp over F_p, built
+    without an operator on S^(x)n over Q(i)(v): E_i, F_i, K_i and
+    K_i^{+-1/2} are reduced once on S, then tensored one factor at a
+    time, each step reduced mod p; the balanced coproduct grows as
+    Delta_{j+1}(x) = Delta_j(x) (x) K^{-1/2} + (K^{1/2})^(x)j (x) x.
+    Reduction at vp is a ring map on the entries (none has a pole there),
+    so every operator equals the specialized symbolic one."""
+    rep = spin_rep(N)
+    out = []
+    for i in range(1, rep.k + 1):
+        K, kh, khi, E, F = (m.specialize(vp, p) for m in (
+            rep.K(i), rep.Khalf(i), rep.Khalf(i, -1), rep.E(i), rep.F(i)))
+        dK, dE, dF, khj = K, E, F, kh
+        for _ in range(n - 1):
+            dE = _mod(dE.kron(khi) + khj.kron(E), p)
+            dF = _mod(dF.kron(khi) + khj.kron(F), p)
+            dK = _mod(dK.kron(K), p)
+            khj = _mod(khj.kron(kh), p)
+        out += [dK, dE, dF]
     return out

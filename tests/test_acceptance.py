@@ -87,6 +87,14 @@ def test_07_centralizer_dimension_counts():
                 assert com == sm
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("N,n,want", [(3, 7, 429), (5, 5, 594),
+                                      (4, 5, 5544)])
+def test_07_centralizer_frontier(N, n, want):
+    # the largest points certified block by block, at seed 11
+    assert fft_counts(N, n, 11) == (want, want, None, True)
+
+
 def test_08_temperley_lieb_coideal_action():
     for n in (3, 4, 5):
         es = coideal.tl_generators(n)

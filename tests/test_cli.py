@@ -94,6 +94,24 @@ def test_fft_prints_hw_dim_and_prime(capsys):
     assert "algebra closure dim : 42" in out
 
 
+def test_fft_prints_a_certificate_per_block(capsys):
+    # (4,3): blocks 1, 1, 3, 3, 5, 5 at the weights (a, +-b); each
+    # equal-size pair is told apart by the trace of F
+    code, out = run(capsys, "fft", "--N", "4", "--n", "3", "--seed", "11")
+    assert code == 0 and "VERDICT: equal" in out
+    blocks = [line.split() for line in out.splitlines()
+              if line.startswith("  block ")]
+    assert [(b[1], b[2], b[4]) for b in blocks] == [
+        ("(3/2,3/2)", "m=1", "1"), ("(3/2,1/2)", "m=3", "9"),
+        ("(3/2,-1/2)", "m=3", "9"), ("(3/2,-3/2)", "m=1", "1"),
+        ("(1/2,1/2)", "m=5", "25"), ("(1/2,-1/2)", "m=5", "25")]
+    pairs = [line.strip() for line in out.splitlines()
+             if line.startswith("  pair ")]
+    assert pairs == [f"pair ({a},{b}) / ({a},-{b})  trace of F: 1 vs -1"
+                     for a, b in (("3/2", "3/2"), ("3/2", "1/2"),
+                                  ("1/2", "1/2"))]
+
+
 @pytest.mark.parametrize("N,want", [(3, 1), (4, 2)])
 def test_fft_n1(capsys, N, want):
     # S is simple for N odd and S+ (+) S- for N even: closure = sum m^2
@@ -143,6 +161,19 @@ def test_size_guard_exit_2(capsys, argv):
     out, err = capsys.readouterr()
     assert "PASS" not in out and "FAIL" not in out
     assert "2^24" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["fft"], ["verify", "fft"]])
+def test_fft_block_guard_exit_2(capsys, argv):
+    # (4,6) has 4096 rows, within the operator limit, but a highest-weight
+    # block of 140: refused from the multiplicity table, nothing is built
+    t0 = time.perf_counter()
+    assert main(argv + ["--N", "4", "--n", "6"]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert ("block of size 140 at weight (1,0), above the limit "
+            f"{cli.MAX_FFT_BLOCK}") in err and "Traceback" not in err
 
 
 def test_fft_counts_share_one_spin_rep():

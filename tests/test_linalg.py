@@ -7,13 +7,13 @@ from spindual.ring import GaussRat, ONE, TWO, V, QQ, P, sc
 from spindual.linalg import (SparseMatrix, EchelonBasis, matrix_rank,
                              nullspace, algebra_closure_dim,
                              commutant_dimension, verify_spectrum, kron_all,
-                             embed, random_point, residuals_zero,
-                             first_nonzero,
+                             embed, vstack, random_point, residuals_zero,
+                             first_nonzero, certify_blocks,
                              highest_weight_restriction, SPECTRUM_POINT)
 from spindual.intertwiner import (build_C_quantum, build_C_classical,
                                   quantum_spectrum_candidates,
                                   classical_spectrum_candidates)
-from spindual import cli, coideal, qgroup
+from spindual import cli, coideal, linalg, qgroup
 
 
 def swap2():
@@ -122,10 +122,98 @@ def test_hw_restriction_rejects_non_invariant_generators():
     N, n = 3, 3
     vp, raising, cartan, lowering = _reduced_coproduct(N, n, cli._point(11))
     gens = [b.specialize(vp, P) for b in coideal.duality_rep(N, n).B]
-    hw, sizes = highest_weight_restriction(gens, raising, cartan, P)
-    assert sizes == [1, 2] and len(hw) == len(gens)
+    blocks = highest_weight_restriction(gens, raising, cartan, P)
+    assert sorted(len(cols) for cols, _ in blocks) == [1, 2]
+    assert all(len(ms) == len(gens) for _, ms in blocks)
     with pytest.raises(ArithmeticError, match="does not preserve"):
         highest_weight_restriction(gens + lowering[:1], raising, cartan, P)
+
+
+@pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (5, 3)])
+def test_reduced_operators_match_specialized_symbolic(N, n):
+    # C_i, F and Delta(K_i), Delta(E_i), Delta(F_i) reduced on S and S (x) S
+    # and then tensored mod P, against the symbolic operators on S^(x)n
+    # specialized entry by entry
+    r = coideal.duality_rep(N, n)
+    duality = r.B + ([r.F] if r.F is not None else [])
+    cop = qgroup.coproduct_generators(N, n)
+    for seed in (11, 23):
+        vp = cli._point(seed).mod_p(P)
+        assert (coideal.reduced_duality_generators(N, n, vp, P)
+                == [g.specialize(vp, P) for g in duality]), (N, n, seed)
+        assert (qgroup.reduced_coproduct_generators(N, n, vp, P)
+                == [g.specialize(vp, P) for g in cop]), (N, n, seed)
+
+
+def _blocks(N, n, seed=11):
+    """The labelled highest-weight blocks `cli.fft_counts` certifies."""
+    vp = cli._point(seed).mod_p(P)
+    gens = coideal.reduced_duality_generators(N, n, vp, P)
+    cop = qgroup.reduced_coproduct_generators(N, n, vp, P)
+    return gens, cop, highest_weight_restriction(gens, cop[1::3], cop[0::3],
+                                                 P)
+
+
+def test_certify_blocks_separates_the_pairs():
+    # (4,3): blocks 1, 1, 3, 3, 5, 5, each pair told apart by the trace of F
+    _, _, found = _blocks(4, 3)
+    blocks = [(str(cols[0]), len(cols), ms) for cols, ms in found]
+    closures, seps = certify_blocks(blocks, P)
+    assert closures == [m * m for _, m, _ in blocks]
+    assert sorted(m for _, m, _ in blocks) == [1, 1, 3, 3, 5, 5]
+    assert len(seps) == 3
+    assert all(word == (2,) and tb == P - ta for _, _, word, (ta, tb) in seps)
+
+
+def test_certify_blocks_pair_closure_fallback(monkeypatch):
+    # with no words to try, each pair of (4,3) is told apart by a closure
+    # of 2m^2 on its direct sum
+    monkeypatch.setattr(linalg, "WORD_LENGTH", 0)
+    _, _, found = _blocks(4, 3)
+    blocks = [(str(cols[0]), len(cols), ms) for cols, ms in found]
+    _, seps = certify_blocks(blocks, P)
+    sizes = {label: m for label, m, _ in blocks}
+    assert sorted(sizes[a] for a, _, _, _ in seps) == [1, 3, 5]
+    assert all(word is None and both == 2 * sizes[a] ** 2
+               for a, _, word, both in seps)
+
+
+def test_certify_blocks_rejects_a_duplicated_block():
+    # a module summed with itself: every word has one trace on both
+    # copies and the closure on their sum is m^2 < 2m^2
+    _, _, found = _blocks(4, 3)
+    cols, ms = max(found, key=lambda b: len(b[0]))
+    m = len(cols)
+    with pytest.raises(ArithmeticError,
+                       match=r"blocks a and b are not certified non-iso"
+                             rf".* closure on their sum is {m * m} < "):
+        certify_blocks([("a", m, ms), ("b", m, ms)], P)
+
+
+def test_hw_restriction_rejects_an_entry_between_blocks():
+    # add to B_1 the map w_a -> w_b between the highest-weight vectors of
+    # two blocks (zero on every other w_f): it keeps W, couples two weights
+    gens, cop, found = _blocks(3, 4)
+    fa, fb = found[0][0][0], found[1][0][0]
+    raising = cop[1::3]
+    wb = next(w for w in nullspace(vstack(raising), P) if max(w) == fb)
+    g = gens[0]
+    bad = g + SparseMatrix(g.nrows, g.ncols, {(r, fa): x
+                                              for r, x in wb.items()})
+    highest_weight_restriction([g], raising, cop[0::3], P)
+    with pytest.raises(ArithmeticError, match="between the blocks"):
+        highest_weight_restriction([bad], raising, cop[0::3], P)
+
+
+def test_certify_blocks_dropped_generator_falls_short():
+    # without B_2 the B_1 and B_3 of (3,4) commute: the block of size 3
+    # spans at most 3 < 9 dimensions, and no pair is certified
+    _, _, found = _blocks(3, 4)
+    blocks = [(str(cols[0]), len(cols), [ms[0], ms[2]])
+              for cols, ms in found]
+    closures, seps = certify_blocks(blocks, P)
+    short = [(m, c) for (_, m, _), c in zip(blocks, closures) if c < m * m]
+    assert short and all(c <= m for m, c in short) and seps == []
 
 
 def test_random_point_respects_seed():
