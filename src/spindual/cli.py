@@ -208,9 +208,10 @@ def fft_counts(N: int, n: int, seed: int):
       point can only make a block fall short or a pair stay unseparated
       (a reported failure), never pass a wrong claim.
 
-    Every operator is built from operators on S and S (x) S reduced once
-    at v0 mod P, then embedded or tensored mod P; nothing on S^(x)n is
-    built over Q(i)(v).  For n <= 3 the commutant of the coproduct image
+    Every operator comes from `qgroup.coproduct_generators` and
+    `coideal.duality_rep` at v0 mod P, which reduce the operators on S and
+    S (x) S first and then tensor or embed them mod P; nothing on S^(x)n
+    is built over Q(i)(v).  For n <= 3 the commutant of the coproduct image
     on the whole space is also counted, over F_P at v0 mod P, as a
     cross-check that needs no highest-weight theory.  It certifies
     com_Q(i), the commutant over Q(i) at v0:
@@ -232,34 +233,11 @@ def fft_certificate(N: int, n: int, seed: int):
     v0 = _point(seed)
     require_generic(v0)
     vp = v0.mod_p(P)
-    cop = qgroup.reduced_coproduct_generators(N, n, vp, P)
-    blocks, closures, seps = _hw_certificate(N, n, vp, cop)
-    closure = sum(closures)
-    sm = sum(m * m for _, m, _ in blocks)
-    com = None
-    if n <= 3:
-        com = commutant_dimension(cop, (1 << qgroup.rank_of(N)) ** n, P)
-    ok = closure == sm and (com is None or com == sm)
-    return ((closure, sm, com, ok),
-            [(w, m, c) for (w, m, _), c in zip(blocks, closures)], seps)
-
-
-def hw_closure(N: int, n: int, v0: GaussRat):
-    """(closure dim, highest-weight block sizes) over F_P at v0 mod P."""
-    vp = v0.mod_p(P)
-    blocks, closures, _ = _hw_certificate(
-        N, n, vp, qgroup.reduced_coproduct_generators(N, n, vp, P))
-    return sum(closures), sorted(m for _, m, _ in blocks)
-
-
-def _hw_certificate(N: int, n: int, vp: int, cop):
-    """(blocks as (weight, m_lambda, restricted generators), closures,
-    separations) over F_P at v = vp, from the reduced coproduct images
-    `cop` of `qgroup.reduced_coproduct_generators`."""
+    cop = qgroup.coproduct_generators(N, n, vp, P)
+    r = coideal.duality_rep(N, n, vp, P)
     table = combinat.spinor_table(N, n)
     found = highest_weight_restriction(
-        coideal.reduced_duality_generators(N, n, vp, P),
-        cop[1::3], cop[0::3], P)
+        r.B + ([r.F] if r.F is not None else []), cop[1::3], cop[0::3], P)
     blocks = []
     for cols, gens in found:
         w = qgroup.column_weight(N, n, cols[0])
@@ -275,7 +253,14 @@ def _hw_certificate(N: int, n: int, vp: int, cop):
         raise ArithmeticError(f"{len(blocks)} highest-weight blocks for "
                               f"{len(table)} weights of S^(x){n}")
     closures, seps = certify_blocks(blocks, P)
-    return blocks, closures, seps
+    closure = sum(closures)
+    sm = sum(m * m for _, m, _ in blocks)
+    com = None
+    if n <= 3:
+        com = commutant_dimension(cop, (1 << qgroup.rank_of(N)) ** n, P)
+    ok = closure == sm and (com is None or com == sm)
+    return ((closure, sm, com, ok),
+            [(w, m, c) for (w, m, _), c in zip(blocks, closures)], seps)
 
 
 def _signed(x: int) -> int:
@@ -330,6 +315,9 @@ def run_table(args) -> int:
                 "dimension": combinat.weyl_dim(w, N),
             })
     elif args.kind == "spectrum":
+        if args.q == "spec":
+            raise ValueError("table spectrum has no specialized mode: use "
+                             "--q sym or --q one")
         _check_config(("spectrum",), N, n)
         rep = intertwiner.spectrum_of_C(N, classical=args.q == "one",
                                         eps=args.sign)
@@ -382,28 +370,39 @@ def render(doc, fmt: str) -> str:
 def build_parser():
     p = argparse.ArgumentParser(prog="spindual")
     sub = p.add_subparsers(dest="command", required=True)
+    flags = {"--level": dict(type=int, default=None),
+             "--q": dict(choices=("sym", "one", "spec"), default="sym"),
+             "--seed": dict(type=int, default=0),
+             "--sign": dict(choices=("+", "-"), default="+"),
+             "--format": dict(choices=("json", "csv", "text"),
+                              default="text"),
+             "--out": dict(default=None)}
 
-    def common(sp):
+    def command(name, run, *names):
+        """A subcommand that has --N, --n and only the flags it reads."""
+        sp = sub.add_parser(name)
+        sp.set_defaults(run=run)
         sp.add_argument("--N", type=int, default=5)
         sp.add_argument("--n", type=int, default=3)
-        sp.add_argument("--level", type=int, default=None)
-        sp.add_argument("--q", choices=("sym", "one", "spec"), default="sym")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--sign", choices=("+", "-"), default="+")
-        sp.add_argument("--format", choices=("json", "csv", "text"),
-                        default="text")
-        sp.add_argument("--out", default=None)
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
+        return sp
 
-    sv = sub.add_parser("verify")
-    sv.add_argument("suite", choices=SUITES)
-    common(sv)
-    st = sub.add_parser("table")
-    st.add_argument("kind", choices=("multiplicities", "spectrum",
-                                     "complements"))
-    common(st)
-    sf = sub.add_parser("fft")
-    common(sf)
+    command("verify", run_verify, "--q", "--seed", "--sign").add_argument(
+        "suite", choices=SUITES)
+    command("table", run_table, "--level", "--q", "--sign", "--format",
+            "--out").add_argument("kind", choices=("multiplicities",
+                                                   "spectrum", "complements"))
+    command("fft", run_fft, "--seed")
     return p
+
+
+def _internal_error(exc: Exception) -> int:
+    """Report a crash with its traceback: exit 3, never a failed check."""
+    import traceback    # here, not at the top: it adds 3 ms to start-up
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    traceback.print_exc()
+    return 3
 
 
 def main(argv=None) -> int:
@@ -411,30 +410,24 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.sign = 1 if args.sign == "+" else -1
+    if "sign" in args:
+        args.sign = 1 if args.sign == "+" else -1
     if args.N < 2 or args.n < 1:
         print("invalid N/n", file=sys.stderr)
         return 2
     try:
-        if args.command == "verify":
-            return run_verify(args)
-        if args.command == "table":
-            return run_table(args)
-        if args.command == "fft":
-            return run_fft(args)
+        return args.run(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PoleError as exc:
+        if "seed" not in args:      # no point was drawn: a defect
+            return _internal_error(exc)
         print(f"config error: the point of --seed {args.seed} is unusable "
               f"({exc}); try another seed", file=sys.stderr)
         return 2
     except Exception as exc:
-        import traceback    # here, not at the top: it adds 3 ms to start-up
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc()
-        return 3
-    return 2
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

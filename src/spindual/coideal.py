@@ -11,11 +11,11 @@ F with F^2 = 1, F B_1 = -B_1 F, F B_i = B_i F for i > 1.
 from __future__ import annotations
 
 from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
-from .linalg import SparseMatrix, embed, nullspace, kron_all, vstack
+from .linalg import SparseMatrix, embed, nullspace, kron_all, vstack, _one
 from .linalg import residuals_zero  # noqa: F401  (re-exported)
 from . import clifford as cl
 from .qgroup import rank_of, _balanced_coproduct
-from .intertwiner import C_embedded, build_C_quantum
+from .intertwiner import build_C_classical, build_C_quantum
 
 
 class CoidealRep:
@@ -31,7 +31,8 @@ class CoidealRep:
 
 
 def check_coideal_relations(rep: CoidealRep) -> dict:
-    """{relation: residual} for every defining relation."""
+    """{relation: residual} for every defining relation, over Q(i)(v) or
+    at a GaussRat point."""
     out = {}
     B = rep.B
     mid = rep.param + rep.param.inv()
@@ -45,7 +46,8 @@ def check_coideal_relations(rep: CoidealRep) -> dict:
                     + B[j] * B[i] * B[i] - B[j])
     if rep.F is not None:
         d = rep.F.nrows
-        out["F^2"] = rep.F * rep.F - SparseMatrix.identity(d)
+        out["F^2"] = rep.F * rep.F - SparseMatrix.identity(
+            d, _one([rep.F], None))
         if B:
             out["FB1"] = rep.F * B[0] + B[0] * rep.F
         for i in range(1, len(B)):
@@ -185,34 +187,32 @@ def tl_measured_constant(n: int = 3) -> Scalar:
 
 # -- the duality representation ---------------------------------------------
 
-def duality_rep(N: int, n: int) -> CoidealRep:
+def duality_rep(N: int, n: int, v0=None, p: int = None) -> CoidealRep:
     """B_i = C_i on the n-fold spinor tensor power, parameter -q^2; for N
-    even also F = f (x) 1^(n-1) with f the diagonal (-1)^{m{k}} operator."""
-    B = [C_embedded(N, i, n) for i in range(1, n)]
-    return CoidealRep(n, -(QQ ** 2), B, _duality_F(N, n))
+    even also F = f (x) 1^(n-1) with f the diagonal (-1)^{m{k}} operator.
+
+    At a point v0 (a GaussRat, or an int mod a prime p) C, f and the
+    parameter are specialized first, on S (x) S and S, and then embedded,
+    so no operator on S^(x)n is specialized.  Specialization is a ring map
+    on entries with no pole at the point (`Scalar.specialize` raises
+    PoleError at one), so every operator equals the symbolic one
+    specialized entry by entry."""
+    return _embedded_rep(N, n, build_C_quantum(N), -(QQ ** 2), v0, p)
 
 
 def classical_duality_rep(N: int, n: int, eps: int = 1) -> CoidealRep:
-    B = [C_embedded(N, i, n, classical=True, eps=eps) for i in range(1, n)]
-    return CoidealRep(n, -ONE, B, _duality_F(N, n))
+    return _embedded_rep(N, n, build_C_classical(N, eps), -ONE)
 
 
-def _duality_F(N: int, n: int):
-    """F = f (x) 1^(n-1) for N even, None for N odd."""
-    if N % 2:
-        return None
-    k = rank_of(N)
-    return embed(cl.parity(k, k), 1, (1 << k) ** (n - 1))
-
-
-def reduced_duality_generators(N: int, n: int, vp: int, p: int) -> list:
-    """The B_i (and F for N even) of `duality_rep(N, n)` at v = vp over
-    F_p: C and the parity operator are reduced on S (x) S and on S, then
-    embedded, so no operator on S^(x)n is specialized."""
+def _embedded_rep(N: int, n: int, C: SparseMatrix, param: Scalar, v0=None,
+                p: int = None) -> CoidealRep:
+    """The embedded C_i (and F for N even), specialized first at v0."""
     k = rank_of(N)
     d = 1 << k
-    C = build_C_quantum(N).specialize(vp, p)
-    gens = [embed(C, d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]
-    if N % 2 == 0:
-        gens.append(embed(cl.parity(k, k).specialize(vp, p), 1, d ** (n - 1)))
-    return gens
+    f = None if N % 2 else cl.parity(k, k)
+    if v0 is not None:
+        C, param = C.specialize(v0, p), param.specialize(v0, p)
+        f = None if f is None else f.specialize(v0, p)
+    B = [embed(C, d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]
+    return CoidealRep(n, param, B,
+                      None if f is None else embed(f, 1, d ** (n - 1)))

@@ -288,15 +288,17 @@ def _one(mats, p):
     return ONE if x is None else x * x.inv()
 
 
-def _mod(m: SparseMatrix, p: int) -> SparseMatrix:
-    """m with its int entries reduced mod p and zeros dropped, in place."""
-    m.data = {rc: z for rc, v in m.data.items() if (z := v % p)}
+def _mod(m: SparseMatrix, p) -> SparseMatrix:
+    """m with its int entries reduced mod a prime p and zeros dropped, in
+    place; m as it is for p None."""
+    if p is not None:
+        m.data = {rc: z for rc, v in m.data.items() if (z := v % p)}
     return m
 
 
 def _mul(a: SparseMatrix, b: SparseMatrix, p) -> SparseMatrix:
     """a * b, over F_p for a prime p: each entry reduced once, at the end."""
-    return a * b if p is None else _mod(a * b, p)
+    return _mod(a * b, p)
 
 
 def matrix_rank(m: SparseMatrix, p: int = None) -> int:
@@ -527,7 +529,6 @@ def commutant_dimension(gens, dim: int, p: int = None) -> int:
             by_col.setdefault(c, []).append((r, v))
             by_row.setdefault(r, []).append((c, v))
         # constraint rows of X g - g X = 0, one per output position (a, b)
-        con = {}
         # (only the unknown X[a,b] appears in both sums of row (a, b));
         # insert drops the zero entries and rows
         con = {}

@@ -201,14 +201,17 @@ def verify_relations(N: int) -> bool:
 
 
 def _balanced_coproduct(x: SparseMatrix, kh: SparseMatrix, khi: SparseMatrix,
-                        n: int) -> SparseMatrix:
+                        n: int, p: int = None) -> SparseMatrix:
     """n-fold balanced coproduct of x: sum_j kh^(x)j (x) x (x) khi^(x)(n-1-j),
-    with kh = K^{1/2} and khi = K^{-1/2}.  Private, so that a tracer keyed
-    on coproduct_E/coproduct_F sees their whole time."""
-    acc = None
-    for j in range(n):
-        t = kron_all([kh] * j + [x] + [khi] * (n - 1 - j))
-        acc = t if acc is None else acc + t
+    with kh = K^{1/2} and khi = K^{-1/2}, grown one factor at a time as
+    Delta_{j+1}(x) = Delta_j(x) (x) khi + kh^(x)j (x) x; for a prime p the
+    entries are ints and each step is reduced mod p.  Private, so that a
+    tracer keyed on the public builders sees their whole time."""
+    acc, khj = x, kh
+    for j in range(1, n):
+        acc = _mod(acc.kron(khi) + khj.kron(x), p)
+        if j < n - 1:
+            khj = _mod(khj.kron(kh), p)
     return acc
 
 
@@ -224,35 +227,25 @@ def coproduct_K(rep: SpinRep, i: int, n: int, power: int = 1) -> SparseMatrix:
     return kron_all([rep.K(i, power)] * n)
 
 
-def coproduct_generators(N: int, n: int):
-    """All coproduct images on the n-fold tensor power, for commutant work."""
+def coproduct_generators(N: int, n: int, v0=None, p: int = None):
+    """Delta(K_i), Delta(E_i), Delta(F_i) on the n-fold tensor power for
+    every i, for commutant work.  At a point v0 (a GaussRat, or an int mod
+    a prime p) K_i, K_i^{+-1/2}, E_i and F_i are specialized once on S and
+    then tensored, each step reduced mod p, so no operator on S^(x)n is
+    specialized.  Specialization is a ring map on entries with no pole at
+    the point (they are powers of v and integers), so every operator
+    equals the symbolic one specialized entry by entry."""
     rep = spin_rep(N)
     out = []
     for i in range(1, rep.k + 1):
-        out.append(coproduct_K(rep, i, n))
-        out.append(coproduct_E(rep, i, n))
-        out.append(coproduct_F(rep, i, n))
-    return out
-
-
-def reduced_coproduct_generators(N: int, n: int, vp: int, p: int):
-    """`coproduct_generators(N, n)` specialized at v = vp over F_p, built
-    without an operator on S^(x)n over Q(i)(v): E_i, F_i, K_i and
-    K_i^{+-1/2} are reduced once on S, then tensored one factor at a
-    time, each step reduced mod p; the balanced coproduct grows as
-    Delta_{j+1}(x) = Delta_j(x) (x) K^{-1/2} + (K^{1/2})^(x)j (x) x.
-    Reduction at vp is a ring map on the entries (none has a pole there),
-    so every operator equals the specialized symbolic one."""
-    rep = spin_rep(N)
-    out = []
-    for i in range(1, rep.k + 1):
-        K, kh, khi, E, F = (m.specialize(vp, p) for m in (
-            rep.K(i), rep.Khalf(i), rep.Khalf(i, -1), rep.E(i), rep.F(i)))
-        dK, dE, dF, khj = K, E, F, kh
+        K, kh, khi, E, F = (rep.K(i), rep.Khalf(i), rep.Khalf(i, -1),
+                            rep.E(i), rep.F(i))
+        if v0 is not None:
+            K, kh, khi, E, F = (m.specialize(v0, p)
+                                for m in (K, kh, khi, E, F))
+        dK = K
         for _ in range(n - 1):
-            dE = _mod(dE.kron(khi) + khj.kron(E), p)
-            dF = _mod(dF.kron(khi) + khj.kron(F), p)
             dK = _mod(dK.kron(K), p)
-            khj = _mod(khj.kron(kh), p)
-        out += [dK, dE, dF]
+        out += [dK, _balanced_coproduct(E, kh, khi, n, p),
+                _balanced_coproduct(F, kh, khi, n, p)]
     return out

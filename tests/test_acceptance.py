@@ -57,9 +57,14 @@ def test_04_classical_spectrum_multiplicities():
 
 
 def test_05_quantum_spectrum_annihilating_product():
-    for N in (3, 5):
+    # the eigenvalue multiplicities are the binomials comb(N, j), j <= k for
+    # N odd and j <= 2k for N even, in the order of the candidates
+    for N in (3, 4, 5):
         rep = intertwiner.spectrum_of_C(N)
         assert rep.annihilates and rep.complete, N
+        top = N // 2 if N % 2 else N
+        assert list(rep.multiplicities.values()) == [
+            comb(N, j) for j in range(top + 1)], N
 
 
 DUALITY_GRID = ([(3, n) for n in range(1, 7)] + [(5, n) for n in range(1, 6)]

@@ -196,6 +196,29 @@ def test_bad_config_exit_2(capsys):
         assert "N >= 3" in err, suite
 
 
+@pytest.mark.parametrize("argv", [
+    ["fft", "--out", "x"], ["fft", "--level", "5"], ["fft", "--q", "one"],
+    ["fft", "--sign", "-"], ["fft", "--format", "json"],
+    ["verify", "duality", "--format", "json"], ["verify", "tl", "--out", "x"],
+    ["verify", "duality", "--level", "5"],
+    ["table", "multiplicities", "--seed", "3"]])
+def test_unread_flag_exit_2(capsys, argv, tmp_path, monkeypatch):
+    # each subcommand has only the flags it reads: argparse refuses the rest
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_table_spectrum_spec_exit_2(capsys):
+    # spectrum_of_C has no specialized mode: refused, not printed as one
+    assert main(["table", "spectrum", "--N", "4", "--q", "spec"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--q sym or --q one" in err
+    assert "Traceback" not in err
+
+
 def test_table_to_file(tmp_path, capsys):
     out = tmp_path / "t.json"
     code = main(["table", "multiplicities", "--N", "3", "--n", "2",

@@ -92,6 +92,15 @@ def test_duality_rep_relations(N, n):
     assert (rep.F is not None) == (N % 2 == 0)
 
 
+@pytest.mark.parametrize("N,n", [(3, 3), (4, 3)])
+def test_duality_rep_at_a_point_keeps_the_relations(N, n):
+    # C, F and the parameter specialized before they are embedded
+    rep = duality_rep(N, n, random_point(random.Random(11)))
+    assert isinstance(rep.param, GaussRat)
+    assert residuals_zero(check_coideal_relations(rep))
+    assert (rep.F is not None) == (N % 2 == 0)
+
+
 def test_duality_rep_eigenvalues_in_candidate_set():
     rep = duality_rep(5, 3)
     cands = quantum_spectrum_candidates(5)

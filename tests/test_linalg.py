@@ -93,27 +93,23 @@ def test_specialize_drops_vanishing_entries():
 
 
 def _reduced_coproduct(N, n, v0):
-    rep = qgroup.SpinRep(N)
     vp = v0.mod_p(P)
-    ks = range(1, rep.k + 1)
-    return (vp,
-            [qgroup.coproduct_E(rep, i, n).specialize(vp, P) for i in ks],
-            [qgroup.coproduct_K(rep, i, n).specialize(vp, P) for i in ks],
-            [qgroup.coproduct_F(rep, i, n).specialize(vp, P) for i in ks])
+    cop = qgroup.coproduct_generators(N, n, vp, P)
+    return vp, cop[1::3], cop[0::3], cop[2::3]
+
+
+def _generators(r):
+    return r.B + ([r.F] if r.F is not None else [])
 
 
 @pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (5, 3)])
 def test_hw_closure_matches_full_space_closure(N, n):
     # the F_p closure on the highest-weight space against the Q(i) closure
     # on all of S^(x)n at the same point
-    r = coideal.duality_rep(N, n)
     for seed in (11, 23):
-        v0 = cli._point(seed)
-        gens = [b.specialize(v0) for b in r.B]
-        if r.F is not None:
-            gens.append(r.F.specialize(v0))
+        gens = _generators(coideal.duality_rep(N, n, cli._point(seed)))
         full = algebra_closure_dim(gens, (1 << qgroup.rank_of(N)) ** n)
-        assert cli.hw_closure(N, n, v0)[0] == full, (N, n, seed)
+        assert cli.fft_counts(N, n, seed)[0] == full, (N, n, seed)
 
 
 def test_hw_restriction_rejects_non_invariant_generators():
@@ -121,7 +117,7 @@ def test_hw_restriction_rejects_non_invariant_generators():
     # the kernel of Delta(E_1): no count may come back
     N, n = 3, 3
     vp, raising, cartan, lowering = _reduced_coproduct(N, n, cli._point(11))
-    gens = [b.specialize(vp, P) for b in coideal.duality_rep(N, n).B]
+    gens = coideal.duality_rep(N, n, vp, P).B
     blocks = highest_weight_restriction(gens, raising, cartan, P)
     assert sorted(len(cols) for cols, _ in blocks) == [1, 2]
     assert all(len(ms) == len(gens) for _, ms in blocks)
@@ -131,25 +127,25 @@ def test_hw_restriction_rejects_non_invariant_generators():
 
 @pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (5, 3)])
 def test_reduced_operators_match_specialized_symbolic(N, n):
-    # C_i, F and Delta(K_i), Delta(E_i), Delta(F_i) reduced on S and S (x) S
-    # and then tensored mod P, against the symbolic operators on S^(x)n
-    # specialized entry by entry
-    r = coideal.duality_rep(N, n)
-    duality = r.B + ([r.F] if r.F is not None else [])
+    # C_i, F and Delta(K_i), Delta(E_i), Delta(F_i) specialized on S and
+    # S (x) S and then tensored (mod P, and over Q(i)), against the
+    # symbolic operators on S^(x)n specialized entry by entry
+    duality = _generators(coideal.duality_rep(N, n))
     cop = qgroup.coproduct_generators(N, n)
     for seed in (11, 23):
-        vp = cli._point(seed).mod_p(P)
-        assert (coideal.reduced_duality_generators(N, n, vp, P)
-                == [g.specialize(vp, P) for g in duality]), (N, n, seed)
-        assert (qgroup.reduced_coproduct_generators(N, n, vp, P)
-                == [g.specialize(vp, P) for g in cop]), (N, n, seed)
+        v0 = cli._point(seed)
+        for point, p in ((v0.mod_p(P), P), (v0, None)):
+            assert (_generators(coideal.duality_rep(N, n, point, p))
+                    == [g.specialize(point, p) for g in duality]), (N, n, seed)
+            assert (qgroup.coproduct_generators(N, n, point, p)
+                    == [g.specialize(point, p) for g in cop]), (N, n, seed)
 
 
 def _blocks(N, n, seed=11):
     """The labelled highest-weight blocks `cli.fft_counts` certifies."""
     vp = cli._point(seed).mod_p(P)
-    gens = coideal.reduced_duality_generators(N, n, vp, P)
-    cop = qgroup.reduced_coproduct_generators(N, n, vp, P)
+    gens = _generators(coideal.duality_rep(N, n, vp, P))
+    cop = qgroup.coproduct_generators(N, n, vp, P)
     return gens, cop, highest_weight_restriction(gens, cop[1::3], cop[0::3],
                                                  P)
 

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from spindual.ring import ONE, TWO, QQ, q_power
-from spindual.linalg import SparseMatrix
+from spindual.linalg import SparseMatrix, kron_all
 from spindual.combinat import is_dominant
 from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
                              cartan_entry, verify_relations, coproduct_E,
@@ -81,6 +81,21 @@ def test_coproduct_preserves_EF_commutator(N, n):
         tgt = (coproduct_K(rep, i, n) - coproduct_K(rep, i, n, -1)
                ).scale((qi - qi.inv()).inv())
         assert dE * dF - dF * dE == tgt
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_balanced_coproduct_is_the_sum_of_krons(n):
+    # the one-factor-at-a-time recurrence against the defining sum
+    # sum_j K^{1/2}^(x)j (x) x (x) K^{-1/2}^(x)(n-1-j)
+    rep = SpinRep(4)
+    kh, khi = rep.Khalf(2), rep.Khalf(2, -1)
+    for x in (rep.E(2), rep.F(2)):
+        terms = [kron_all([kh] * j + [x] + [khi] * (n - 1 - j))
+                 for j in range(n)]
+        want = terms[0]
+        for t in terms[1:]:
+            want = want + t
+        assert qgroup._balanced_coproduct(x, kh, khi, n) == want
 
 
 def test_transpose_antiautomorphism():
