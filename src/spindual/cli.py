@@ -27,6 +27,15 @@ SUITES = ("relations", "commutation", "cubic", "spectrum", "duality",
 # Suites built on the spin representation, which needs N >= 3.
 SPIN_SUITES = ("relations", "commutation", "cubic", "spectrum", "integrality",
                "fft")
+# The --q modes each suite runs in, its default first: "sym" over Q(i)(v)
+# (or exactly, with no q at all), "one" at q = 1, "spec" at the point of
+# --seed.  A single suite refuses a mode it lacks; `all` runs each suite
+# in the asked mode where it has one and in its default elsewhere.
+MODES = {"relations": ("sym",), "commutation": ("sym",),
+         "cubic": ("sym", "one", "spec"), "spectrum": ("sym", "one"),
+         "duality": ("sym",), "fft": ("spec",), "tl": ("sym",),
+         "so3": ("sym",), "integrality": ("sym",)}
+MODE_LABELS = {"sym": "symbolic", "one": "q=1", "spec": "at v0"}
 # The largest operator a command may build has at most 2^12 = 4096 rows:
 # the cubic check up to N = 9, fft up to (2^k)^n = 4096, e.g. (4, 6)
 # (which the block limit below refuses).
@@ -109,62 +118,88 @@ def _point(seed: int) -> GaussRat:
     return random_point(random.Random(seed))
 
 
+def _suite_modes(suites, q) -> dict:
+    """{suite: the --q mode it runs in}.  With no --q every suite runs in
+    its default; a single suite must have the mode asked for, or this
+    raises ValueError; `all` falls back to each suite's default."""
+    out = {}
+    for suite in suites:
+        modes = MODES[suite]
+        if q is None or (q not in modes and len(suites) > 1):
+            out[suite] = modes[0]
+        elif q not in modes:
+            raise ValueError(
+                f"suite {suite!r} does not run with --q {q}: use "
+                f"{' or '.join('--q ' + m for m in modes)}")
+        else:
+            out[suite] = q
+    return out
+
+
 def run_verify(args) -> int:
     rep = Reporter()
     N = args.N
     n = args.n
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    modes = _suite_modes(suites, args.q)
     _check_config(suites, N, n)
+    if "spec" in modes.values():
+        print(f"# specialization point v = {_point(args.seed)!r} "
+              f"(seed {args.seed})")
     for suite in suites:
+        mode = modes[suite]
+
+        def check(label, fn):
+            rep.check(f"{label} {MODE_LABELS[mode]}", fn)
+
         if suite == "relations":
-            rep.check(f"defining relations N={N}",
-                      lambda: qgroup.relation_residuals(N))
+            check(f"defining relations N={N}",
+                  lambda: qgroup.relation_residuals(N))
         elif suite == "commutation":
-            rep.check(f"[coproduct(g), C] = 0 N={N}",
-                      lambda: intertwiner.check_commutation(N))
+            check(f"[coproduct(g), C] = 0 N={N}",
+                  lambda: intertwiner.check_commutation(N))
         elif suite == "cubic":
-            if args.q == "spec":
+            if mode == "spec":
                 v0 = _point(args.seed)
-                print(f"# specialization point v = {v0!r} (seed {args.seed})")
-                rep.check(f"cubic relation N={N} at v0",
-                          lambda: intertwiner.check_cubic_specialized(N, v0))
+                check(f"cubic relation N={N}",
+                      lambda: intertwiner.check_cubic_specialized(N, v0))
             else:
-                rep.check(f"cubic relation N={N} symbolic",
-                          lambda: intertwiner.check_cubic(
-                              N, classical=args.q == "one"))
+                check(f"cubic relation N={N}",
+                      lambda: intertwiner.check_cubic(
+                          N, classical=mode == "one"))
         elif suite == "spectrum":
-            cls = args.q == "one"
-            rep.check(f"{'classical' if cls else 'quantum'} spectrum N={N}",
-                      lambda: intertwiner.spectrum_of_C(
-                          N, classical=cls, eps=args.sign).complete)
+            cls = mode == "one"
+            check(f"{'classical' if cls else 'quantum'} spectrum N={N}",
+                  lambda: intertwiner.spectrum_of_C(
+                      N, classical=cls, eps=args.sign).complete)
         elif suite == "duality":
-            rep.check(f"duality N={N} n={n}",
-                      lambda: combinat.duality_residuals(N, n))
+            check(f"duality N={N} n={n}",
+                  lambda: combinat.duality_residuals(N, n))
         elif suite == "fft":
-            rep.check(f"fft counts N={N} n={n}",
-                      lambda: fft_counts(N, n, args.seed)[-1])
+            check(f"fft counts N={N} n={n}",
+                  lambda: fft_counts(N, n, args.seed)[-1])
         elif suite == "tl":
-            rep.check(f"TL idempotents n={n}",
-                      lambda: {f"e{i}^2 - e{i}": e * e - e for i, e in
-                               enumerate(coideal.tl_generators(n), 1)})
-            rep.check(f"TL coideal images n={n}",
-                      lambda: coideal.check_coideal_relations(
-                          coideal.tl_braid_rep(n)))
+            check(f"TL idempotents n={n}",
+                  lambda: {f"e{i}^2 - e{i}": e * e - e for i, e in
+                           enumerate(coideal.tl_generators(n), 1)})
+            check(f"TL coideal images n={n}",
+                  lambda: coideal.check_coideal_relations(
+                      coideal.tl_braid_rep(n)))
             print(f"# measured constant c = {coideal.tl_measured_constant()!r}")
         elif suite == "so3":
-            rep.check(f"so3 classical rep Nparam={N}",
-                      lambda: coideal.check_coideal_relations(
-                          coideal.so3_classical_rep(N)))
+            check(f"so3 classical rep Nparam={N}",
+                  lambda: coideal.check_coideal_relations(
+                      coideal.so3_classical_rep(N)))
             if N % 2:
-                rep.check(f"so3 nonclassical rep Nparam={N} sign={args.sign}",
-                          lambda: coideal.check_coideal_relations(
-                              coideal.so3_nonclassical_rep(N, args.sign)))
-            rep.check(f"twist commutant Nparam={N}",
-                      lambda: twist_commutant(N) == (1 if (N + 1) % 2 else 2))
+                check(f"so3 nonclassical rep Nparam={N} sign={args.sign}",
+                      lambda: coideal.check_coideal_relations(
+                          coideal.so3_nonclassical_rep(N, args.sign)))
+            check(f"twist commutant Nparam={N}",
+                  lambda: twist_commutant(N) == (1 if (N + 1) % 2 else 2))
         elif suite == "integrality":
-            rep.check(f"integrality N={N}",
-                      lambda: intertwiner.integrality_check(
-                          intertwiner.build_C_quantum(N), N))
+            check(f"integrality N={N}",
+                  lambda: intertwiner.integrality_check(
+                      intertwiner.build_C_quantum(N), N))
     return 1 if rep.failures else 0
 
 
@@ -388,8 +423,9 @@ def build_parser():
             sp.add_argument(flag, **flags[flag])
         return sp
 
-    command("verify", run_verify, "--q", "--seed", "--sign").add_argument(
-        "suite", choices=SUITES)
+    verify = command("verify", run_verify, "--q", "--seed", "--sign")
+    verify.add_argument("suite", choices=SUITES)
+    verify.set_defaults(q=None)     # each suite's own default mode
     command("table", run_table, "--level", "--q", "--sign", "--format",
             "--out").add_argument("kind", choices=("multiplicities",
                                                    "spectrum", "complements"))

@@ -191,13 +191,16 @@ def duality_rep(N: int, n: int, v0=None, p: int = None) -> CoidealRep:
     """B_i = C_i on the n-fold spinor tensor power, parameter -q^2; for N
     even also F = f (x) 1^(n-1) with f the diagonal (-1)^{m{k}} operator.
 
-    At a point v0 (a GaussRat, or an int mod a prime p) C, f and the
-    parameter are specialized first, on S (x) S and S, and then embedded,
-    so no operator on S^(x)n is specialized.  Specialization is a ring map
-    on entries with no pole at the point (`Scalar.specialize` raises
-    PoleError at one), so every operator equals the symbolic one
+    At a point v0 (a GaussRat, or an int mod a prime p) C comes from
+    `build_C_quantum` at v0, which specializes on S and then tensors, and
+    f and the parameter are specialized on S; all are then embedded, so no
+    operator on S (x) S or S^(x)n is specialized.  Specialization is a
+    ring map on entries with no pole at the point (`Scalar.specialize`
+    raises PoleError at one), so every operator equals the symbolic one
     specialized entry by entry."""
-    return _embedded_rep(N, n, build_C_quantum(N), -(QQ ** 2), v0, p)
+    # the symbolic C under the cache key of the plain build_C_quantum(N)
+    C = build_C_quantum(N) if v0 is None else build_C_quantum(N, v0, p)
+    return _embedded_rep(N, n, C, -(QQ ** 2), v0, p)
 
 
 def classical_duality_rep(N: int, n: int, eps: int = 1) -> CoidealRep:
@@ -206,12 +209,13 @@ def classical_duality_rep(N: int, n: int, eps: int = 1) -> CoidealRep:
 
 def _embedded_rep(N: int, n: int, C: SparseMatrix, param: Scalar, v0=None,
                 p: int = None) -> CoidealRep:
-    """The embedded C_i (and F for N even), specialized first at v0."""
+    """The embedded C_i (and F for N even); C is given at the point v0,
+    f and the parameter are specialized there first."""
     k = rank_of(N)
     d = 1 << k
     f = None if N % 2 else cl.parity(k, k)
     if v0 is not None:
-        C, param = C.specialize(v0, p), param.specialize(v0, p)
+        param = param.specialize(v0, p)
         f = None if f is None else f.specialize(v0, p)
     B = [embed(C, d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]
     return CoidealRep(n, param, B,

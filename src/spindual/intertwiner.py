@@ -10,10 +10,9 @@ from math import comb
 
 from .ring import (Scalar, GaussRat, Q, ONE, HALF, QQ, qint,
                    q_power, require_generic)
-from .linalg import SparseMatrix, embed, verify_spectrum, SpectrumReport
+from .linalg import SparseMatrix, embed, verify_spectrum, SpectrumReport, _mod
 from . import clifford as cl
-from .qgroup import (spin_rep, rank_of, coproduct_E, coproduct_F,
-                     dominant_columns)
+from .qgroup import spin_rep, rank_of, dominant_columns, _balanced_coproduct
 
 
 # -- the c/d building blocks ------------------------------------------------
@@ -41,25 +40,44 @@ def d_op(i: int, eps: int, N: int) -> SparseMatrix:
 
 
 @lru_cache(maxsize=None)
-def build_C_quantum(N: int) -> SparseMatrix:
+def build_C_quantum(N: int, v0=None, p: int = None) -> SparseMatrix:
     """C = sum_i c_{i,+} (x) d_{i,-} + c_{i,-} (x) d_{i,+}, plus for N odd the
-    extra term (1/[2]) Omega_k^{-1} f_{2k} (x) Omega_k f_{2k}."""
+    extra term (1/[2]) Omega_k^{-1} f_{2k} (x) Omega_k f_{2k}.
+
+    Over Q(i)(v) by default.  At a point v0 (a GaussRat, or an int mod a
+    prime p) the c/d operators and 1/[2] are specialized on S first and
+    then tensored, each product reduced mod p, so no operator on S (x) S
+    is specialized.  Specialization is a ring map on entries with no pole
+    at the point (`Scalar.specialize` raises PoleError at one), so C
+    equals the symbolic one specialized entry by entry."""
     k = rank_of(N)
     acc = None
     for i in range(1, k + 1):
-        t = (c_op(i, +1, N).kron(d_op(i, -1, N))
-             + c_op(i, -1, N).kron(d_op(i, +1, N)))
+        t = (_kron_at(c_op(i, +1, N), d_op(i, -1, N), v0, p)
+             + _kron_at(c_op(i, -1, N), d_op(i, +1, N), v0, p))
         acc = t if acc is None else acc + t
     if N % 2:
-        acc = acc + _f_term(N)
-    return acc
+        acc = acc + _f_term(N, v0, p)
+    return _mod(acc, p)
 
 
-def _f_term(N: int) -> SparseMatrix:
-    """(1/[2]) Omega_k^{-1} f_{2k} (x) Omega_k f_{2k}, with [2] = q + q^-1."""
+def _kron_at(x: SparseMatrix, y: SparseMatrix, v0, p) -> SparseMatrix:
+    """x (x) y; at a point v0, x and y are specialized there first and the
+    product is reduced mod p for a prime p."""
+    if v0 is not None:
+        x, y = x.specialize(v0, p), y.specialize(v0, p)
+    return _mod(x.kron(y), p)
+
+
+def _f_term(N: int, v0=None, p: int = None) -> SparseMatrix:
+    """(1/[2]) Omega_k^{-1} f_{2k} (x) Omega_k f_{2k}, with [2] = q + q^-1,
+    at v0 as in `build_C_quantum`."""
     k = rank_of(N)
-    return c_op(k + 1, +1, N).kron(d_op(k + 1, +1, N)).scale(
-        qint(2, QQ).inv())
+    inv2 = (QQ + QQ.inv()).inv()
+    if v0 is not None:
+        inv2 = inv2.specialize(v0, p)
+    return _mod(_kron_at(c_op(k + 1, +1, N), d_op(k + 1, +1, N), v0, p)
+                .scale(inv2), p)
 
 
 @lru_cache(maxsize=None)
@@ -83,14 +101,19 @@ def C_embedded(N: int, i: int, n: int, classical=False, eps: int = 1) -> SparseM
 
 # -- commutation and cubic relations ---------------------------------------
 
-def _pair_generators(N: int) -> list:
-    """(label, Delta(g)) on S (x) S for g = K_i^{1/2}, E_i, F_i."""
+def _pair_generators(N: int, v0=None) -> list:
+    """(label, Delta(g)) on S (x) S for g = K_i^{1/2}, E_i, F_i; at a
+    GaussRat point v0, K_i^{+-1/2}, E_i and F_i are specialized on S first,
+    as in `qgroup.coproduct_generators`."""
     rep = spin_rep(N)
     out = []
     for i in range(1, rep.k + 1):
-        out += [(f"K{i}^1/2", rep.Khalf(i).kron(rep.Khalf(i))),
-                (f"E{i}", coproduct_E(rep, i, 2)),
-                (f"F{i}", coproduct_F(rep, i, 2))]
+        kh, khi, E, F = rep.Khalf(i), rep.Khalf(i, -1), rep.E(i), rep.F(i)
+        if v0 is not None:
+            kh, khi, E, F = (m.specialize(v0) for m in (kh, khi, E, F))
+        out += [(f"K{i}^1/2", kh.kron(kh)),
+                (f"E{i}", _balanced_coproduct(E, kh, khi, 2)),
+                (f"F{i}", _balanced_coproduct(F, kh, khi, 2))]
     return out
 
 
@@ -115,8 +138,9 @@ def check_cubic(N: int, classical=False, eps: int = 1) -> dict:
     classical duality representation on the whole space (with F's
     relations for N even).  The quantum dict is `check_commutation`'s
     [Delta(g), C], then `cubic C1;C2` and `cubic C2;C1` on the columns of
-    `dominant_columns(N, 3)` only (242 of 4096 for N = 8).  Why all of
-    them zero certifies the cubic relation on the whole space:
+    `dominant_columns(N, 3)` only (242 of 4096 for N = 8), computed on
+    that block as `_cubic_residuals` says.  Why all of them zero
+    certifies the cubic relation on the whole space:
 
     - C commutes with the Delta(g), so C1 = C (x) 1 and C2 = 1 (x) C commute
       with the threefold coproduct, since Delta3(x) = Delta(x) (x) K^{-1/2}
@@ -146,29 +170,46 @@ def check_cubic(N: int, classical=False, eps: int = 1) -> dict:
 
 def check_cubic_specialized(N: int, v0: GaussRat) -> dict:
     """The quantum residual dict of `check_cubic` at the exact point
-    v = v0, in Gaussian-rational arithmetic: C and the Delta(g) are
-    specialized on S (x) S before anything is embedded.  The soundness
-    argument of `check_cubic` needs q = v0^2 not a root of unity, so a
-    root of unity v0 raises PoleError."""
+    v = v0, in Gaussian-rational arithmetic: C and the Delta(g) come from
+    their builders at v0, which specialize on S and then tensor, so no
+    symbolic operator on S (x) S is built.  The soundness argument of
+    `check_cubic` needs q = v0^2 not a root of unity, so a root of unity
+    v0 raises PoleError."""
     require_generic(v0)
-    C = build_C_quantum(N).specialize(v0)
-    pairs = [(label, g.specialize(v0)) for label, g in _pair_generators(N)]
     mid = (QQ ** 2 + QQ ** (-2)).specialize(v0)
-    return _cubic_residuals(N, C, pairs, mid)
+    return _cubic_residuals(N, build_C_quantum(N, v0), _pair_generators(N, v0),
+                            mid)
 
 
 def _cubic_residuals(N: int, C: SparseMatrix, pairs: list, mid) -> dict:
     """[g, C] for each (label, g) in `pairs`, then the two cubic residuals
-    with middle coefficient `mid`, restricted to the dominant columns of
-    S^(x)3 and evaluated right to left."""
+    with middle coefficient `mid` on the columns D = `dominant_columns(N,
+    3)` of S^(x)3, as d^3 x d^3 matrices.
+
+    C1 = C (x) 1 and C2 = 1 (x) C are built only on their D x D blocks
+    (242 x 242 for N = 8, not 4096 x 4096).  Why that gives the residuals
+    of the full operators on the columns D:
+
+    - If the commutators [Delta(K_i^{1/2}), C] in the dict vanish, C keeps
+      every weight space of S (x) S, so C1 and C2 keep every weight space
+      of S^(x)3.
+    - span(D) is a sum of weight spaces: the Delta(K_i) are diagonal, and
+      whether a basis vector is in D depends only on its weight.
+    - So C1 and C2 map span(D) into itself, and every product of them
+      applied to span(D) equals the same product of their D x D blocks.
+    - A nonzero commutator already fails the check, whatever the blocks
+      give.
+
+    With a = C1 and b = C2 on the block, the residuals are evaluated as
+    a (ab + mid ba) + b aa - b and b (ba + mid ab) + a bb - a: eight block
+    products."""
     out = {label: g * C - C * g for label, g in pairs}
     d = 1 << rank_of(N)
-    a, b = embed(C, 1, d), embed(C, d, 1)
     cols = dominant_columns(N, 3)
-    a_d, b_d = a.restrict_columns(cols), b.restrict_columns(cols)
-    aa, ba, ab, bb = a * a_d, b * a_d, a * b_d, b * b_d
-    out["cubic C1;C2"] = a * ab + (a * ba).scale(mid) + b * aa - b_d
-    out["cubic C2;C1"] = b * ba + (b * ab).scale(mid) + a * bb - a_d
+    a, b = embed(C, 1, d, cols), embed(C, d, 1, cols)
+    aa, ab, ba, bb = a * a, a * b, b * a, b * b
+    out["cubic C1;C2"] = a * (ab + ba.scale(mid)) + b * aa - b
+    out["cubic C2;C1"] = b * (ba + ab.scale(mid)) + a * bb - a
     return out
 
 

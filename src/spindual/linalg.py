@@ -169,18 +169,34 @@ def kron_all(mats) -> SparseMatrix:
     return out
 
 
-def embed(m: SparseMatrix, left: int, right: int) -> SparseMatrix:
+def embed(m: SparseMatrix, left: int, right: int,
+          block=None) -> SparseMatrix:
     """id_left (x) m (x) id_right, for identities of sizes `left` and
     `right`, by index arithmetic: the entries of m are reused, none is
-    multiplied."""
+    multiplied.  With `block`, a list of indices D, only the entries in
+    rows and columns of D are built (m square), column by column."""
     nr, nc = m.nrows, m.ncols
+    size = (left * nr * right, left * nc * right)
     out = {}
+    if block is not None:
+        by_col = {}
+        for (r, c), x in m.data.items():
+            by_col.setdefault(c, []).append((r, x))
+        keep = set(block)
+        for col in block:
+            i, rest = divmod(col, nc * right)
+            c, j = divmod(rest, right)
+            for r, x in by_col.get(c, ()):
+                row = (i * nr + r) * right + j
+                if row in keep:
+                    out[(row, col)] = x
+        return SparseMatrix(*size, out)
     for i in range(left):
         for (r, c), x in m.data.items():
             r0, c0 = (i * nr + r) * right, (i * nc + c) * right
             for j in range(right):
                 out[(r0 + j, c0 + j)] = x
-    return SparseMatrix(left * nr * right, left * nc * right, out)
+    return SparseMatrix(*size, out)
 
 
 def vstack(mats) -> SparseMatrix:

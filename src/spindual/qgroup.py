@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 from .ring import Scalar, QQ, q_power, qbinom
-from .linalg import SparseMatrix, kron_all, residuals_zero, _mod
+from .linalg import SparseMatrix, residuals_zero, _mod
 from . import clifford as cl
 
 
@@ -113,13 +113,15 @@ def spin_rep(N: int) -> SpinRep:
     return SpinRep(N)
 
 
+@lru_cache(maxsize=None)
 def dominant_columns(N: int, n: int) -> list:
     """Indices of the basis vectors of S^(x)n whose weight is dominant: every
     Delta(K_i) = K_i^(x)n has eigenvalue v^e there with e >= 0.  The K_i are
     diagonal with monomial entries, so e is the sum of the v-valuations of
     the factors; E_i raises e (K_i E_i K_i^-1 = q^{(a_i, a_i)} E_i, as
     `relation_residuals` certifies), so a highest-weight vector has e >= 0
-    for every i."""
+    for every i.  The list is cached per (N, n) and shared: do not
+    mutate it."""
     rep = spin_rep(N)
     ks = range(1, rep.k + 1)
     exps = []
@@ -213,18 +215,6 @@ def _balanced_coproduct(x: SparseMatrix, kh: SparseMatrix, khi: SparseMatrix,
         if j < n - 1:
             khj = _mod(khj.kron(kh), p)
     return acc
-
-
-def coproduct_E(rep: SpinRep, i: int, n: int) -> SparseMatrix:
-    return _balanced_coproduct(rep.E(i), rep.Khalf(i), rep.Khalf(i, -1), n)
-
-
-def coproduct_F(rep: SpinRep, i: int, n: int) -> SparseMatrix:
-    return _balanced_coproduct(rep.F(i), rep.Khalf(i), rep.Khalf(i, -1), n)
-
-
-def coproduct_K(rep: SpinRep, i: int, n: int, power: int = 1) -> SparseMatrix:
-    return kron_all([rep.K(i, power)] * n)
 
 
 def coproduct_generators(N: int, n: int, v0=None, p: int = None):

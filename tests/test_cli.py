@@ -236,3 +236,42 @@ def test_table_spectrum_bad_config_exit_2(capsys, N, msg):
     assert time.perf_counter() - t0 < 1
     out, err = capsys.readouterr()
     assert out == "" and msg in err and "Traceback" not in err
+
+
+def test_verify_cubic_q_one_label(capsys):
+    # the q = 1 check is labelled q=1, not symbolic
+    code, out = run(capsys, "verify", "cubic", "--N", "4", "--q", "one")
+    assert code == 0
+    assert "PASS  cubic relation N=4 q=1" in out and "symbolic" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--N", "4", "--q", "spec", "--seed", "3"],
+    ["commutation", "--q", "one"], ["commutation", "--q", "spec"],
+    ["relations", "--q", "one"], ["integrality", "--q", "spec"],
+    ["duality", "--q", "one"], ["fft", "--N", "3", "--n", "4", "--q", "sym"]])
+def test_verify_mode_the_suite_lacks_exit_2(capsys, argv):
+    # a suite refuses a --q mode it has no check for, before it runs any:
+    # it never prints a PASS from a check in another mode
+    assert main(["verify"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"does not run with --q {argv[argv.index('--q') + 1]}" \
+        in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q,want", [
+    ("one", {"cubic relation": "q=1", "classical spectrum": "q=1",
+             "defining relations": "symbolic", "fft counts": "at v0"}),
+    ("spec", {"cubic relation": "at v0", "quantum spectrum": "symbolic",
+              "[coproduct(g), C]": "symbolic", "fft counts": "at v0"})])
+def test_verify_all_labels_each_mode(capsys, q, want):
+    # verify all runs each suite in the asked mode where it has one and in
+    # its own default elsewhere, and each line says which
+    code, out = run(capsys, "verify", "all", "--N", "4", "--n", "3",
+                    "--q", q, "--seed", "11")
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith("PASS")]
+    assert len(lines) == 11
+    for head, mode in want.items():
+        line, = [ln for ln in lines if ln[6:].startswith(head)]
+        assert line.split("  ")[1].endswith(f" {mode}"), line

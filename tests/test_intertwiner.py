@@ -3,9 +3,9 @@ import random
 import pytest
 
 from spindual.ring import (GaussRat, ONE, TWO, HALF, QQ, qint, sc, Scalar, Q,
-                           GR_ONE, GR_I, PoleError)
+                           GR_ONE, GR_I, P, PoleError)
 from spindual.linalg import SparseMatrix, random_point, residuals_zero
-from spindual.qgroup import dominant_columns
+from spindual.qgroup import column_weight, dominant_columns
 from spindual import clifford as cl
 from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   build_C_classical, C_embedded,
@@ -174,6 +174,38 @@ def test_cubic_dropped_f_term_fails_equivariance():
     res = _cubic_residuals(5, C, _pair_generators(5), MID)
     assert len(res) == 3 * 2 + 2
     assert [g for g, m in res.items() if not m.is_zero()] == ["E2", "F2"]
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_builders_at_a_point_match_specialized_symbolic(N):
+    # C and the Delta(g) on S (x) S, specialized on S and then tensored
+    # (over Q(i) and mod P), against the symbolic operators specialized
+    # entry by entry
+    C, pairs = build_C_quantum(N), _pair_generators(N)
+    for seed in (11, 23):
+        v0 = random_point(random.Random(seed))
+        assert build_C_quantum(N, v0) == C.specialize(v0), seed
+        vp = v0.mod_p(P)
+        assert build_C_quantum(N, vp, P) == C.specialize(vp, P), seed
+        assert _pair_generators(N, v0) == [(g, m.specialize(v0))
+                                          for g, m in pairs], seed
+
+
+def test_cubic_block_rejects_an_entry_between_weights():
+    # negative control for the D x D block: C with one more entry, joining
+    # two basis vectors of S (x) S of different weights, no longer keeps
+    # the weight spaces, and a K_i^{1/2} commutator says so
+    N = 5
+    v0 = random_point(random.Random(11))
+    C = build_C_quantum(N, v0)
+    r, c = 0, 1
+    assert column_weight(N, 2, r) != column_weight(N, 2, c)
+    assert (r, c) not in C.data
+    bad = C + SparseMatrix(C.nrows, C.ncols, {(r, c): GR_ONE})
+    res = _cubic_residuals(N, bad, _pair_generators(N, v0),
+                           MID.specialize(v0))
+    assert not residuals_zero(res)
+    assert any(not res[f"K{i}^1/2"].is_zero() for i in range(1, N // 2 + 1))
 
 
 @pytest.mark.parametrize("v0", [GR_ONE, -GR_ONE, GR_I, -GR_I])

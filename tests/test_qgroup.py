@@ -6,8 +6,7 @@ from spindual.ring import ONE, TWO, QQ, q_power
 from spindual.linalg import SparseMatrix, kron_all
 from spindual.combinat import is_dominant
 from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
-                             cartan_entry, verify_relations, coproduct_E,
-                             coproduct_F, coproduct_K, dominant_columns,
+                             cartan_entry, verify_relations, dominant_columns,
                              relation_residuals)
 from spindual import qgroup
 from spindual.cli import main
@@ -75,11 +74,11 @@ def test_qi_values():
 def test_coproduct_preserves_EF_commutator(N, n):
     # [delta(E_i), delta(F_i)] = (delta(K_i) - delta(K_i^-1)) / (q_i - q_i^-1)
     rep = SpinRep(N)
+    gens = qgroup.coproduct_generators(N, n)
     for i in range(1, rep.k + 1):
-        dE, dF = coproduct_E(rep, i, n), coproduct_F(rep, i, n)
+        dK, dE, dF = gens[3 * i - 3:3 * i]
         qi = rep.qi(i)
-        tgt = (coproduct_K(rep, i, n) - coproduct_K(rep, i, n, -1)
-               ).scale((qi - qi.inv()).inv())
+        tgt = (dK - kron_all([rep.K(i, -1)] * n)).scale((qi - qi.inv()).inv())
         assert dE * dF - dF * dE == tgt
 
 
