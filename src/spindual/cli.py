@@ -340,7 +340,19 @@ def run_table(args) -> int:
     mode = {"sym": "symbolic", "one": "classical", "spec": "specialized"}[args.q]
     doc = {"N": N, "n": n, "mode": mode, "entries": []}
     if args.kind in ("multiplicities", "complements"):
+        # each tensor step adds the 2^k weights of S, k = N // 2, the rows
+        # of the largest operator `verify relations` builds
+        if N // 2 > MAX_OPERATOR_BITS:
+            raise ValueError(f"table at N={N} tensors with the 2^{N // 2} "
+                             f"weights of S, above the limit "
+                             f"2^{MAX_OPERATOR_BITS}")
         table = combinat.spinor_table(N, n, args.level)
+        if not table:
+            # S has weight (1/2, ..., 1/2), admissible exactly from N - 1 on;
+            # at such a level S (x) S keeps the trivial weight, so no
+            # table is empty there
+            raise ValueError(f"no weight of S^(x){n} is admissible at level "
+                             f"{args.level}: S itself needs level >= {N - 1}")
         for w in sorted(table, reverse=True):
             comp = combinat.complement(w, N, n)
             doc["entries"].append({

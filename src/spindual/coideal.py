@@ -10,8 +10,9 @@ F with F^2 = 1, F B_1 = -B_1 F, F B_i = B_i F for i > 1.
 
 from __future__ import annotations
 
-from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
-from .linalg import SparseMatrix, embed, nullspace, kron_all, vstack, _one
+from .ring import Scalar, LP_ONE, ONE, I, V, QQ, qint, qint_plus, q_power
+from .linalg import (SparseMatrix, commutator, embed, nullspace, kron_all,
+                     vstack, _one)
 from .linalg import residuals_zero  # noqa: F401  (re-exported)
 from . import clifford as cl
 from .qgroup import rank_of, _balanced_coproduct
@@ -32,26 +33,46 @@ class CoidealRep:
 
 def check_coideal_relations(rep: CoidealRep) -> dict:
     """{relation: residual} for every defining relation, over Q(i)(v) or
-    at a GaussRat point."""
+    at a GaussRat point.
+
+    Over Q(i)(v) the products run on B'_i = d B_i, for d the lcm of the
+    entry denominators of the B_i (1 + v^4 for the duality representation
+    at N odd), whose entries are Laurent polynomials.  A far residual is
+    homogeneous of degree 2 in the B's, so it equals d^-2 times the one of
+    the B'_i; a cubic one is d^-3 times that of the B'_i with -d^2 B'_j
+    for -B_j.  d is nonzero and the entries are canonical, so the dict is
+    the same, entry for entry, as the one of the B_i.  Entries that are no
+    Scalars, or Laurent ones, give d = 1 and the B_i themselves."""
     out = {}
     B = rep.B
+    d = LP_ONE
+    for den in {x.den for m in B for x in m.data.values()
+                if isinstance(x, Scalar) and x.den is not LP_ONE}:
+        d = d * Scalar(d, den).den      # d/den in lowest terms: lcm(d, den)
+    cleared = d is not LP_ONE
+    if cleared:
+        d = Scalar(d)
+        B = [m.scale(d) for m in B]
+        inv2 = (d * d).inv()
+        inv3 = inv2 * d.inv()
     mid = rep.param + rep.param.inv()
     for i in range(len(B)):
         for j in range(len(B)):
             if abs(i - j) > 1:
-                out[f"far {i+1},{j+1}"] = B[i] * B[j] - B[j] * B[i]
+                r = commutator(B[i], B[j])
+                out[f"far {i+1},{j+1}"] = r.scale(inv2) if cleared else r
             elif abs(i - j) == 1:
-                out[f"cubic {i+1},{j+1}"] = (
-                    B[i] * B[i] * B[j] - (B[i] * B[j] * B[i]).scale(mid)
-                    + B[j] * B[i] * B[i] - B[j])
-    if rep.F is not None:
-        d = rep.F.nrows
-        out["F^2"] = rep.F * rep.F - SparseMatrix.identity(
-            d, _one([rep.F], None))
+                r = (B[i] * B[i] * B[j] - (B[i] * B[j] * B[i]).scale(mid)
+                     + B[j] * B[i] * B[i]
+                     - (B[j].scale(d * d) if cleared else B[j]))
+                out[f"cubic {i+1},{j+1}"] = r.scale(inv3) if cleared else r
+    F, B = rep.F, rep.B
+    if F is not None:
+        out["F^2"] = F * F - SparseMatrix.identity(F.nrows, _one([F], None))
         if B:
-            out["FB1"] = rep.F * B[0] + B[0] * rep.F
+            out["FB1"] = F * B[0] + B[0] * F
         for i in range(1, len(B)):
-            out[f"FB{i+1}"] = rep.F * B[i] - B[i] * rep.F
+            out[f"FB{i+1}"] = commutator(F, B[i])
     return out
 
 

@@ -61,15 +61,6 @@ def spinor_table(N: int, n: int, level: int = None) -> dict:
     return table
 
 
-def old_new_split(table: dict, n: int):
-    """Partition by whether lambda_1 = n/2 (the weights seen for the first
-    time at step n) or lambda_1 < n/2."""
-    old, new = {}, {}
-    for w, m in table.items():
-        (new if w[0] == n else old)[w] = m
-    return old, new
-
-
 # -- Weyl dimension ---------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -125,22 +116,6 @@ def complement(w, N: int, n: int):
         rows.append(r)
         i += 1
     return tuple(rows)
-
-
-def complement_inverse(label, N: int, n: int):
-    """Recover the spinor-side weight from its complement label."""
-    k = N // 2
-    if N % 2:
-        out = []
-        for i in range(1, k + 1):
-            cnt = sum(1 for d in label if d >= N + 2 - 2 * i)
-            out.append(n - 2 * cnt)
-        return tuple(out)
-    cols = []
-    for j in range(1, k + 1):
-        cols.append(sum(1 for r in label if r >= j))
-    # cols of the diagram, longest first; undo col_j = (n - w_{k+1-j})/2
-    return tuple(n - 2 * cols[k - 1 - i] for i in range(k))
 
 
 # -- branching chains on the dual side --------------------------------------

@@ -8,9 +8,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .ring import (Scalar, GaussRat, Q, ONE, HALF, QQ, qint,
+from .ring import (Scalar, GaussRat, Q, HALF, QQ, qint,
                    q_power, require_generic)
-from .linalg import SparseMatrix, embed, verify_spectrum, SpectrumReport, _mod
+from .linalg import (SparseMatrix, commutator, embed, verify_spectrum,
+                     SpectrumReport, _mod)
 from . import clifford as cl
 from .qgroup import spin_rep, rank_of, dominant_columns, _balanced_coproduct
 
@@ -92,13 +93,6 @@ def build_C_classical(N: int, eps: int = 1) -> SparseMatrix:
     return acc.scale(HALF)
 
 
-def C_embedded(N: int, i: int, n: int, classical=False, eps: int = 1) -> SparseMatrix:
-    """C_i = 1 (x) ... (x) C (x) ... (x) 1 acting on slots (i, i+1) of S^(x)n."""
-    C = build_C_classical(N, eps) if classical else build_C_quantum(N)
-    d = 1 << rank_of(N)
-    return embed(C, d ** (i - 1), d ** (n - i - 1))
-
-
 # -- commutation and cubic relations ---------------------------------------
 
 def _pair_generators(N: int, v0=None) -> list:
@@ -126,7 +120,7 @@ def check_commutation(N: int, drop_f_term=False) -> dict:
         if N % 2 == 0:
             raise ValueError("no f-term to drop for N even")
         C = C - _f_term(N)
-    return {label: g * C - C * g for label, g in _pair_generators(N)}
+    return {label: commutator(g, C) for label, g in _pair_generators(N)}
 
 
 def check_cubic(N: int, classical=False, eps: int = 1) -> dict:
@@ -203,40 +197,13 @@ def _cubic_residuals(N: int, C: SparseMatrix, pairs: list, mid) -> dict:
     With a = C1 and b = C2 on the block, the residuals are evaluated as
     a (ab + mid ba) + b aa - b and b (ba + mid ab) + a bb - a: eight block
     products."""
-    out = {label: g * C - C * g for label, g in pairs}
+    out = {label: commutator(g, C) for label, g in pairs}
     d = 1 << rank_of(N)
     cols = dominant_columns(N, 3)
     a, b = embed(C, 1, d, cols), embed(C, d, 1, cols)
     aa, ab, ba, bb = a * a, a * b, b * a, b * b
     out["cubic C1;C2"] = a * (ab + ba.scale(mid)) + b * aa - b
     out["cubic C2;C1"] = b * (ba + ab.scale(mid)) + a * bb - a
-    return out
-
-
-def check_cd_relations(N: int) -> dict:
-    """All cases of the d c = -q^{...} c d exchange rule and of the
-    three-term relation that follows from it, including the extended
-    index k+1 for N odd.  Returns {case-label: residual matrix}."""
-    k = rank_of(N)
-    top = k + 1 if N % 2 else k
-    coef = QQ ** 2 + QQ ** (-2)
-    out = {}
-    for i in range(1, top + 1):
-        for j in range(1, top + 1):
-            if i == j:
-                continue
-            for e in (+1, -1):
-                for kap in (+1, -1):
-                    d, c = d_op(i, e, N), c_op(j, kap, N)
-                    pw = 2 * e if i < j else 2 * kap
-                    out[f"dc i={i} j={j} e={e} k={kap}"] = \
-                        d * c + (c * d).scale(QQ ** pw)
-                    # d_{i,e} d_{i,-e} c + (q^2+q^-2) d_{i,e} c d_{i,-e} + c d_{i,e} d_{i,-e}
-                    dm = d_op(i, -e, N)
-                    lhs = (d * dm * c + (d * c * dm).scale(coef) + c * d * dm)
-                    if i < j:
-                        lhs = lhs - (d * dm * c).scale(ONE - QQ ** (4 * e))
-                    out[f"ii i={i} j={j} e={e} k={kap}"] = lhs
     return out
 
 
@@ -289,19 +256,6 @@ def spectrum_of_C(N: int, classical=False, eps: int = 1) -> SpectrumReport:
         return SpectrumReport(ok, rep.multiplicities, rep.dim)
     C = build_C_quantum(N)
     return verify_spectrum(C, quantum_spectrum_candidates(N))
-
-
-def principal_eigenvector(N: int):
-    """The vector sum_m (-1)^(m, rho) x(m) (x) x(mbar) with eigenvalue
-    (-1)^(k-1) k for the classical C (N even)."""
-    k = rank_of(N)
-    d = 1 << k
-    vec = {}
-    for m in range(d):
-        mbar = (d - 1) ^ m
-        sign = sum((k - i - 1) for i in range(k) if (m >> (k - 1 - i)) & 1)
-        vec[m * d + mbar] = ONE if sign % 2 == 0 else -ONE
-    return vec, Scalar.from_gauss(GaussRat((-1) ** (k - 1) * k))
 
 
 # -- integrality ------------------------------------------------------------

@@ -135,13 +135,6 @@ class SparseMatrix:
                 out[(r1 * n2 + r2, c1 * m2 + c2)] = a * b
         return SparseMatrix(self.nrows * n2, self.ncols * m2, out)
 
-    def restrict_columns(self, cols) -> "SparseMatrix":
-        """The same matrix with every column outside `cols` set to zero."""
-        keep = set(cols)
-        return SparseMatrix(self.nrows, self.ncols,
-                            {rc: v for rc, v in self.data.items()
-                             if rc[1] in keep})
-
     def is_diagonal(self):
         return all(r == c for r, c in self.data)
 
@@ -160,6 +153,31 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, {len(self.data)} nz)"
+
+
+def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """ab - ba for square a and b of one size.  For a diagonal a, entry
+    (r, c) is a_r b_rc - b_rc a_c = (a_r - a_c) b_rc: one product per
+    stored b_rc, and none where a_r = a_c.  That identity holds in any
+    commutative ring, and Scalar and GaussRat values are canonical, so
+    every entry is the same value, field for field, as a * b - b * a
+    gives (for ints, the same int); a product of nonzero factors in these
+    domains is nonzero, so the same entries are stored."""
+    if not a.is_diagonal():
+        return a * b - b * a
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols) or a.nrows != a.ncols:
+        raise ValueError("shape mismatch")
+    diag = a.data
+    out = {}
+    for (r, c), x in b.data.items():
+        ar, ac = diag.get((r, r)), diag.get((c, c))
+        if ar == ac:
+            continue
+        if ar is None:
+            out[(r, c)] = -(ac * x)
+        else:
+            out[(r, c)] = ar * x if ac is None else (ar - ac) * x
+    return SparseMatrix(a.nrows, a.ncols, out)
 
 
 def kron_all(mats) -> SparseMatrix:

@@ -43,6 +43,8 @@ def _gr(a: int, b: int, d: int) -> "GaussRat":
 
 def _canon(a: int, b: int, d: int) -> "GaussRat":
     """(a + b*i)/d for any d > 0, reduced by gcd(a, b, d)."""
+    if d == 1:          # gcd(a, b, 1) = 1
+        return _gr(a, b, 1)
     g = gcd(a, b, d)
     if g != 1:
         a //= g
@@ -55,6 +57,8 @@ def _add(x: "GaussRat", a2: int, b2: int, d2: int) -> "GaussRat":
     """x + (a2 + b2*i)/d2."""
     d1 = x.d
     if d1 == d2:
+        if d1 == 1:
+            return _gr(x.a + a2, x.b + b2, 1)
         return _canon(x.a + a2, x.b + b2, d1)
     g = gcd(d1, d2)
     m1, m2 = d2 // g, d1 // g
@@ -162,8 +166,10 @@ class GaussRat:
 
     def __mul__(self, other):
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                      self.d * other.d)
+        d = self.d * other.d
+        if d == 1:
+            return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     def conj(self):
         return _gr(self.a, -self.b, self.d)
@@ -222,9 +228,6 @@ GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
 GR_I = GaussRat(0, 1)
 
-# i^e for e mod 4
-_I_POW = (GR_ONE, GR_I, -GR_ONE, -GR_I)
-
 
 def require_generic(v0: GaussRat) -> None:
     """Raise PoleError if v0 is a root of unity: +-1 and +-i are the only
@@ -233,6 +236,13 @@ def require_generic(v0: GaussRat) -> None:
     if v0 ** 4 == 1:
         raise PoleError(f"v0 = {v0!r} is a root of unity, where S^(x)n is "
                         f"not semisimple")
+
+
+def _lp(coeffs: dict) -> "LaurentPoly":
+    """The LaurentPoly on `coeffs`, which holds no zero coefficient."""
+    p = _new(LaurentPoly)
+    p.coeffs = coeffs
+    return p
 
 
 class LaurentPoly:
@@ -284,20 +294,28 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly(out)
+        return _lp(out)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _lp({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
+        x, y = self.coeffs, other.coeffs
+        if not x or not y:
             return LP_ZERO
+        if len(x) == 1:
+            x, y = y, x
+        if len(y) == 1:
+            # times c*v^e: one shift-and-scale pass, as the exponents stay
+            # distinct and a product of nonzero Gaussian rationals is nonzero
+            (e2, c2), = y.items()
+            return _lp({e + e2: c * c2 for e, c in x.items()})
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
                 e = e1 + e2
                 p = c1 * c2
                 s = out.get(e)
@@ -309,7 +327,7 @@ class LaurentPoly:
                         out[e] = s
                     else:
                         del out[e]
-        return LaurentPoly(out)
+        return _lp(out)
 
     def scale(self, c: GaussRat):
         if not c:
@@ -354,13 +372,6 @@ class LaurentPoly:
             if c is not None:
                 out = out + c
         return out * v0 ** lo if lo else out
-
-    def subst_iv2(self):
-        """The substitution v -> i*v^2 (i.e. q -> -q^2) on a bare polynomial."""
-        out = {}
-        for e, c in self.coeffs.items():
-            out[2 * e] = c * _I_POW[e % 4]
-        return LaurentPoly(out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -414,6 +425,13 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not a:
         return LP_ZERO
     return a.scale(a.leading().inv())
+
+
+def _sc(num: LaurentPoly, den: LaurentPoly = LP_ONE) -> "Scalar":
+    """num/den, already canonical (a zero num stores LP_ZERO over LP_ONE)."""
+    s = _new(Scalar)
+    s.num, s.den = (num, den) if num.coeffs else (LP_ZERO, LP_ONE)
+    return s
 
 
 class Scalar:
@@ -490,25 +508,25 @@ class Scalar:
         return hash((self.num, self.den))
 
     # -- arithmetic --------------------------------------------------------
-    # Both operands are reduced, so two cases need no gcd (Knuth, TAOCP
-    # vol. 2, 4.5.1): a Laurent c plus a/b is (a + c*b)/b, as
-    # gcd(a + c*b, b) = gcd(a, b) = 1; a unit c*v^e times a/b is
-    # (c*v^e*a)/b.  b is already normalized, so the result is the one the
-    # reduce path gives, field for field.
+    # Both operands are reduced, so these cases need no gcd (Knuth, TAOCP
+    # vol. 2, 4.5.1): Laurent plus or times Laurent is Laurent; a Laurent c
+    # plus a/b is (a + c*b)/b, as gcd(a + c*b, b) = gcd(a, b) = 1; a unit
+    # c*v^e times a/b is (c*v^e*a)/b.  b is already normalized, so `_sc`
+    # stores what the reduce path gives, field for field.
     def __add__(self, other):
         sd, od = self.den, other.den
         if sd is LP_ONE:
             if od is LP_ONE:
-                return Scalar(self.num + other.num, LP_ONE, reduce=False)
-            return Scalar(self.num * od + other.num, od, reduce=False)
+                return _sc(self.num + other.num)
+            return _sc(self.num * od + other.num, od)
         if od is LP_ONE:
-            return Scalar(self.num + other.num * sd, sd, reduce=False)
+            return _sc(self.num + other.num * sd, sd)
         if sd == od:
             return Scalar(self.num + other.num, sd)
         return Scalar(self.num * od + other.num * sd, sd * od)
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, reduce=False)
+        return _sc(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -517,11 +535,16 @@ class Scalar:
         sd, od = self.den, other.den
         if sd is LP_ONE:
             if od is LP_ONE:
-                return Scalar(self.num * other.num, LP_ONE, reduce=False)
+                x, y = self.num.coeffs, other.num.coeffs
+                if len(x) == 1 == len(y):       # c1 v^e1 times c2 v^e2
+                    (e1, c1), = x.items()
+                    (e2, c2), = y.items()
+                    return _sc(_lp({e1 + e2: c1 * c2}))
+                return _sc(self.num * other.num)
             if self.num.is_monomial():
-                return Scalar(self.num * other.num, od, reduce=False)
+                return _sc(self.num * other.num, od)
         elif od is LP_ONE and other.num.is_monomial():
-            return Scalar(self.num * other.num, sd, reduce=False)
+            return _sc(self.num * other.num, sd)
         return Scalar(self.num * other.num, sd * od)
 
     def inv(self):
@@ -543,11 +566,6 @@ class Scalar:
             base = base * base
             n >>= 1
         return out
-
-    # -- the paper-level operations ---------------------------------------
-    def substitute_neg_qsq(self) -> "Scalar":
-        """Ring homomorphism v -> i*v^2, i.e. q -> -q^2 with (-q^2)^(1/2) = i*q."""
-        return Scalar(self.num.subst_iv2(), self.den.subst_iv2())
 
     def specialize(self, v0, p: int = None):
         """Exact evaluation at v = v0, a GaussRat; or, with a prime p, at the

@@ -2,10 +2,11 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spindual import cli, qgroup
+from spindual import cli, combinat, qgroup
 from spindual.cli import main
-from spindual.combinat import fmt_weight
+from spindual.combinat import fmt_weight, is_admissible
 from spindual.qgroup import SpinRep
 from spindual.ring import GR_I, GaussRat, P, Q
 
@@ -275,3 +276,95 @@ def test_verify_all_labels_each_mode(capsys, q, want):
     for head, mode in want.items():
         line, = [ln for ln in lines if ln[6:].startswith(head)]
         assert line.split("  ")[1].endswith(f" {mode}"), line
+
+
+@pytest.mark.parametrize("kind", ["multiplicities", "complements"])
+@pytest.mark.parametrize("N", ["26", "32", "40"])
+def test_table_size_guard_exit_2(monkeypatch, capsys, kind, N):
+    # k = N // 2 above MAX_OPERATOR_BITS: refused before any tensor step
+    # (at N = 32, n = 6 the table ran for 98 s)
+    def never(*args):
+        raise AssertionError("spinor_table called")
+    monkeypatch.setattr(combinat, "spinor_table", never)
+    assert main(["table", kind, "--N", N, "--n", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"2^{int(N) // 2} weights of S" in err
+    assert "Traceback" not in err
+
+
+def test_table_at_the_size_limit_runs(capsys):
+    # k = 12 = MAX_OPERATOR_BITS is still allowed
+    code, out = run(capsys, "table", "multiplicities", "--N", "24", "--n",
+                    "2", "--format", "json")
+    entries = json.loads(out)["entries"]
+    assert code == 0
+    assert sum(e["multiplicity"] * e["dimension"] for e in entries) == 4 ** 12
+
+
+@pytest.mark.parametrize("N,n,level", [(5, 3, -3), (3, 2, 0), (4, 3, 2),
+                                       (6, 1, 4)])
+def test_empty_table_exit_2(capsys, N, n, level):
+    # below level N - 1 not even S is admissible, so every table is empty:
+    # refused, naming the least level
+    assert main(["table", "multiplicities", "--N", str(N), "--n", str(n),
+                 "--level", str(level)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"S itself needs level >= {N - 1}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_least_level_of_S_is_N_minus_1(capsys, N):
+    # the level the empty-table error names is the least one at which the
+    # weight (1/2, ..., 1/2) of S is admissible, and there tables are
+    # nonempty
+    k = N // 2
+    assert is_admissible((1,) * k, N, N - 1)
+    assert not is_admissible((1,) * k, N, N - 2)
+    for n in (1, 2, 3):
+        assert main(["table", "multiplicities", "--N", str(N), "--n", str(n),
+                     "--level", str(N - 1)]) == 0
+        assert "  x" in capsys.readouterr().out
+
+
+# -- the exit-code contract on small inputs -------------------------------------
+
+@st.composite
+def cli_argv(draw):
+    N, n = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    command = draw(st.sampled_from(["verify", "table", "fft"]))
+    q = draw(st.sampled_from([None, "sym", "one", "spec"]))
+    if command == "table":
+        argv = ["table", draw(st.sampled_from(["multiplicities", "spectrum",
+                                               "complements"]))]
+        q = q or "sym"
+        if draw(st.booleans()):
+            argv += ["--level", str(draw(st.integers(-2, 8)))]
+    elif command == "verify":
+        argv = ["verify", draw(st.sampled_from(cli.SUITES))]
+    else:
+        argv, q = ["fft"], None
+    if argv[-1] in ("fft", "all") and N == 6 and n > 2:
+        N = 5           # (6, 3) and (6, 4) take seconds per certificate
+    if command != "table":
+        argv += ["--seed", str(draw(st.integers(0, 20)))]
+    if q is not None:
+        argv += ["--q", q]
+    return argv + ["--N", str(N), "--n", str(n)]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_argv())
+def test_exit_code_contract(capsys, argv):
+    # 0 passed, 1 a counterexample, 2 a bad configuration, 3 a crash with
+    # its traceback: every claim is true, so a small input gives 0 or 2,
+    # and a traceback never appears without exit 3
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert ("Traceback" in err) == (code == 3), (argv, code, err)
+    assert code in (0, 2), (argv, code, err)
+    if code == 0:
+        assert "FAIL" not in out and "MISMATCH" not in out, argv
+    else:
+        assert "error" in err or "invalid N/n" in err, (argv, err)

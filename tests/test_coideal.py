@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from spindual.ring import GaussRat, ONE, QQ, qint, Q
-from spindual.linalg import (SparseMatrix, algebra_closure_dim,
+from spindual.ring import GaussRat, LP_ONE, ONE, QQ, qint, Q
+from spindual.linalg import (SparseMatrix, algebra_closure_dim, _one,
                              commutant_dimension, random_point,
                              verify_spectrum)
 from spindual.coideal import (CoidealRep, check_coideal_relations,
@@ -127,3 +127,72 @@ def test_f_conjugation_flips_C():
 def test_n2_relations_vacuous():
     rep = CoidealRep(2, QQ, [SparseMatrix.identity(2)])
     assert residuals_zero(check_coideal_relations(rep))
+
+
+# -- the cleared denominators give the plain residuals ---------------------------
+
+def plain_relations(rep: CoidealRep) -> dict:
+    """The residual dict by plain products of the B_i themselves."""
+    out = {}
+    B = rep.B
+    mid = rep.param + rep.param.inv()
+    for i in range(len(B)):
+        for j in range(len(B)):
+            if abs(i - j) > 1:
+                out[f"far {i+1},{j+1}"] = B[i] * B[j] - B[j] * B[i]
+            elif abs(i - j) == 1:
+                out[f"cubic {i+1},{j+1}"] = (
+                    B[i] * B[i] * B[j] - (B[i] * B[j] * B[i]).scale(mid)
+                    + B[j] * B[i] * B[i] - B[j])
+    if rep.F is not None:
+        d = rep.F.nrows
+        out["F^2"] = rep.F * rep.F - SparseMatrix.identity(
+            d, _one([rep.F], None))
+        if B:
+            out["FB1"] = rep.F * B[0] + B[0] * rep.F
+        for i in range(1, len(B)):
+            out[f"FB{i+1}"] = rep.F * B[i] - B[i] * rep.F
+    return out
+
+
+def plus_identity(rep: CoidealRep, i: int) -> CoidealRep:
+    B = list(rep.B)
+    B[i] = B[i] + SparseMatrix.identity(B[i].nrows, _one(B, None))
+    return CoidealRep(rep.n, rep.param, B, rep.F)
+
+
+CLEARED_REPS = {
+    "duality (3,4)": lambda: duality_rep(3, 4),
+    "duality (4,3)": lambda: duality_rep(4, 3),
+    "duality (3,4) at a point": lambda: duality_rep(
+        3, 4, random_point(random.Random(11))),
+    "TL n=4": lambda: tl_braid_rep(4),
+    "so3 Nparam=5": lambda: so3_classical_rep(5),
+    "so3 nonclassical Nparam=5": lambda: so3_nonclassical_rep(5, -1),
+    "classical duality (4,4)": lambda: classical_duality_rep(4, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(CLEARED_REPS))
+@pytest.mark.parametrize("perturb", [None, 0, 1])
+def test_cleared_relations_match_plain_products(name, perturb):
+    # the B_i scaled by the lcm d of their denominators, the residuals by
+    # d^-2 or d^-3: keys, order and entries as from the B_i themselves,
+    # also where B_1 + I or B_2 + I makes them nonzero
+    rep = CLEARED_REPS[name]()
+    if perturb is not None:
+        rep = plus_identity(rep, perturb)
+    got, want = check_coideal_relations(rep), plain_relations(rep)
+    assert list(got) == list(want)
+    assert got == want
+    assert residuals_zero(got) == (perturb is None)
+    assert all((x.den is LP_ONE) == (x.den == LP_ONE)
+               for m in got.values() for x in m.entries()
+               if hasattr(x, "den"))
+
+
+def test_duality_rep_denominators_are_cleared():
+    # the case the clearing is for: N odd has 1/[2] = v^2/(1 + v^4)
+    B = duality_rep(3, 4).B
+    assert {x.den for m in B for x in m.entries()} == {
+        LP_ONE, (ONE + QQ ** 2).num}

@@ -2,13 +2,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spindual.combinat import (is_dominant, is_admissible, tensor_with_spinor,
-                               spinor_table, old_new_split, weyl_dim,
-                               complement, complement_inverse, branch_halfint,
+                               spinor_table, weyl_dim,
+                               complement, branch_halfint,
                                gz_dimension, branch_diagram, diagram_dimension,
                                valid_o_label, dual_dimension, duality_residuals,
                                sum_mult_squared, conjugate)
 from spindual.linalg import residuals_zero
 from spindual import combinat
+
+
+def old_new_split(table: dict, n: int):
+    """Partition by whether lambda_1 = n/2 (the weights seen for the first
+    time at step n) or lambda_1 < n/2."""
+    old, new = {}, {}
+    for w, m in table.items():
+        (new if w[0] == n else old)[w] = m
+    return old, new
+
+
+def complement_inverse(label, N: int, n: int):
+    """Recover the spinor-side weight from its complement label."""
+    k = N // 2
+    if N % 2:
+        return tuple(n - 2 * sum(1 for d in label if d >= N + 2 - 2 * i)
+                     for i in range(1, k + 1))
+    # cols of the diagram, longest first; undo col_j = (n - w_{k+1-j})/2
+    cols = [sum(1 for r in label if r >= j) for j in range(1, k + 1)]
+    return tuple(n - 2 * cols[k - 1 - i] for i in range(k))
 
 
 def test_tensor_steps_N5():

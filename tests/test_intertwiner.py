@@ -2,19 +2,74 @@ import random
 
 import pytest
 
-from spindual.ring import (GaussRat, ONE, TWO, HALF, QQ, qint, sc, Scalar, Q,
-                           GR_ONE, GR_I, P, PoleError)
-from spindual.linalg import SparseMatrix, random_point, residuals_zero
-from spindual.qgroup import column_weight, dominant_columns
+from spindual.ring import (GaussRat, ONE, TWO, HALF, V, QQ, qint, sc, Scalar,
+                           Q, GR_ONE, GR_I, P, PoleError)
+from spindual.linalg import (SparseMatrix, embed, first_nonzero, random_point,
+                             residuals_zero)
+from spindual.qgroup import column_weight, dominant_columns, rank_of
 from spindual import clifford as cl
 from spindual.intertwiner import (c_op, d_op, build_C_quantum,
-                                  build_C_classical, C_embedded,
+                                  build_C_classical,
                                   check_commutation, check_cubic,
-                                  check_cubic_specialized, check_cd_relations,
+                                  check_cubic_specialized,
                                   classical_spectrum_candidates,
                                   quantum_spectrum_candidates, spectrum_of_C,
-                                  principal_eigenvector, integrality_check,
+                                  integrality_check,
                                   _cubic_residuals, _f_term, _pair_generators)
+
+
+def C_embedded(N: int, i: int, n: int) -> SparseMatrix:
+    """C_i = 1 (x) ... (x) C (x) ... (x) 1 acting on slots (i, i+1) of S^(x)n."""
+    d = 1 << rank_of(N)
+    return embed(build_C_quantum(N), d ** (i - 1), d ** (n - i - 1))
+
+
+def restrict_columns(m: SparseMatrix, cols) -> SparseMatrix:
+    """m with every column outside `cols` set to zero."""
+    keep = set(cols)
+    return SparseMatrix(m.nrows, m.ncols,
+                        {rc: v for rc, v in m.data.items() if rc[1] in keep})
+
+
+def check_cd_relations(N: int) -> dict:
+    """All cases of the d c = -q^{...} c d exchange rule and of the
+    three-term relation that follows from it, including the extended
+    index k+1 for N odd.  Returns {case-label: residual matrix}."""
+    k = rank_of(N)
+    top = k + 1 if N % 2 else k
+    coef = QQ ** 2 + QQ ** (-2)
+    out = {}
+    for i in range(1, top + 1):
+        for j in range(1, top + 1):
+            if i == j:
+                continue
+            for e in (+1, -1):
+                for kap in (+1, -1):
+                    d, c = d_op(i, e, N), c_op(j, kap, N)
+                    pw = 2 * e if i < j else 2 * kap
+                    out[f"dc i={i} j={j} e={e} k={kap}"] = \
+                        d * c + (c * d).scale(QQ ** pw)
+                    # d_{i,e} d_{i,-e} c + (q^2+q^-2) d_{i,e} c d_{i,-e}
+                    # + c d_{i,e} d_{i,-e}
+                    dm = d_op(i, -e, N)
+                    lhs = (d * dm * c + (d * c * dm).scale(coef) + c * d * dm)
+                    if i < j:
+                        lhs = lhs - (d * dm * c).scale(ONE - QQ ** (4 * e))
+                    out[f"ii i={i} j={j} e={e} k={kap}"] = lhs
+    return out
+
+
+def principal_eigenvector(N: int):
+    """The vector sum_m (-1)^(m, rho) x(m) (x) x(mbar) with eigenvalue
+    (-1)^(k-1) k for the classical C (N even)."""
+    k = rank_of(N)
+    d = 1 << k
+    vec = {}
+    for m in range(d):
+        mbar = (d - 1) ^ m
+        sign = sum((k - i - 1) for i in range(k) if (m >> (k - 1 - i)) & 1)
+        vec[m * d + mbar] = ONE if sign % 2 == 0 else -ONE
+    return vec, Scalar.from_gauss(GaussRat((-1) ** (k - 1) * k))
 
 
 def test_pair_action_coefficient():
@@ -95,6 +150,25 @@ def test_commutation_negative_control():
     assert res["E1"].is_zero()
 
 
+def test_commutation_negative_control_names_the_same_entry():
+    # the diagonal K^{1/2} commutators take one product per entry: the
+    # dict is the plain g C - C g one, and its first nonzero entry is the
+    # one named before that change
+    C = build_C_quantum(5) - _f_term(5)
+    res = check_commutation(5, drop_f_term=True)
+    assert res == {g: m * C - C * m for g, m in _pair_generators(5)}
+    assert first_nonzero(res) == ("E2", (0, 1))
+    assert res["E2"].data[(0, 1)] == -V.inv()
+    assert [g for g, m in res.items() if not m.is_zero()] == ["E2", "F2"]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_commutation_matches_plain_products(N):
+    C = build_C_quantum(N)
+    assert check_commutation(N) == {g: m * C - C * m
+                                    for g, m in _pair_generators(N)}
+
+
 def test_far_commutation_of_embeddings():
     C1 = C_embedded(3, 1, 4)
     C3 = C_embedded(3, 3, 4)
@@ -156,7 +230,7 @@ def test_cubic_restriction_matches_full_space(N):
                     for a, b in ((C1, C2), (C2, C1))]
             res = _cubic_residuals(N, C, pairs, mid)
             got = [res["cubic C1;C2"], res["cubic C2;C1"]]
-            assert got == [m.restrict_columns(cols) for m in full], (seed, mid)
+            assert got == [restrict_columns(m, cols) for m in full], (seed, mid)
 
 
 def test_cubic_wrong_coefficient_fails():

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from spindual.ring import GaussRat, ONE, TWO, V, QQ, P, sc
-from spindual.linalg import (SparseMatrix, EchelonBasis, matrix_rank,
+from spindual.ring import GaussRat, ONE, TWO, I, V, QQ, P, LP_ONE, Q, sc
+from spindual.linalg import (SparseMatrix, EchelonBasis, commutator,
+                             matrix_rank,
                              nullspace, algebra_closure_dim,
                              commutant_dimension, verify_spectrum, kron_all,
                              embed, vstack, random_point, residuals_zero,
@@ -316,3 +317,52 @@ def test_rank_mod_p_matches_gaussian_rank(rows):
     nr, nc = len(rows), len(rows[0])
     exact = SparseMatrix(nr, nc, {rc: GaussRat(x) for rc, x in ints.items()})
     assert matrix_rank(SparseMatrix(nr, nc, ints), P) == matrix_rank(exact)
+
+
+# -- the commutator, one product per entry for a diagonal a ---------------------
+
+ENTRIES = {
+    "Scalar": st.sampled_from([ONE, -ONE, TWO, V, QQ, I * V ** -3, V + TWO,
+                               ONE / (QQ + ONE), QQ / (ONE + QQ ** 2)]),
+    "GaussRat": st.builds(GaussRat, st.integers(-2, 2),
+                          st.sampled_from([0, 1, Q(1, 3)])),
+    "int mod P": st.sampled_from([1, 2, P - 1]) | st.integers(0, P - 1),
+}
+
+
+@st.composite
+def commutator_operands(draw):
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    n = draw(st.integers(1, 4))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if draw(st.booleans()):
+        # few distinct values, so that a_r = a_c happens
+        diag = draw(st.lists(st.none() | entry, min_size=n, max_size=n))
+        a = {(r, r): x for r, x in enumerate(diag) if x}
+    else:
+        a = draw(st.dictionaries(cells, entry, max_size=6))
+    b = draw(st.dictionaries(cells, entry, max_size=8))
+    return (SparseMatrix(n, n, {rc: x for rc, x in a.items() if x}),
+            SparseMatrix(n, n, {rc: x for rc, x in b.items() if x}))
+
+
+@given(commutator_operands())
+@example((SparseMatrix.diagonal([V, V, QQ]),
+          SparseMatrix(3, 3, {(0, 1): ONE / (QQ + ONE), (1, 2): V,
+                              (2, 0): TWO})))
+@example((SparseMatrix(2, 2, {(1, 1): P - 1}),
+          SparseMatrix(2, 2, {(0, 1): 2, (1, 0): P - 1})))
+def test_commutator_is_ab_minus_ba(ab):
+    a, b = ab
+    got = commutator(a, b)
+    assert got == a * b - b * a
+    assert all(x for x in got.entries())
+    assert all((x.den is LP_ONE) == (x.den == LP_ONE)
+               for x in got.entries() if hasattr(x, "den"))
+
+
+def test_commutator_shapes():
+    a = SparseMatrix.diagonal([V, QQ])
+    assert commutator(a, SparseMatrix.identity(2)).is_zero()
+    with pytest.raises(ValueError):
+        commutator(a, SparseMatrix.identity(3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from spindual.ring import (GaussRat, LaurentPoly, Scalar, PoleError, Q,
-                           LP_ONE,
+                           LP_ONE, LP_ZERO,
                            ZERO, ONE, TWO, I, V, QQ, HALF, GR_I,
                            P, is_prime, prime_1_mod, root_of_unity,
                            qint, qint_plus, qbinom, q_power, sc)
@@ -51,12 +51,21 @@ def test_qbinom_specializes_to_binomial():
     assert qbinom(5, 2, QQ ** 2).specialize(one) == GaussRat(10)
 
 
+def substitute_neg_qsq(s):
+    """The ring homomorphism v -> i*v^2, i.e. q -> -q^2 with
+    (-q^2)^(1/2) = i*q, through the reducing constructor."""
+    def subst(p):
+        return LaurentPoly({2 * e: c * GR_I ** (e % 4)
+                            for e, c in p.coeffs.items()})
+    return Scalar(subst(s.num), subst(s.den))
+
+
 def test_substitution_q_to_minus_qsq():
     # v -> i v^2, so q -> -q^2 and q^(1/2) -> i q
-    assert QQ.substitute_neg_qsq() == -(QQ ** 2)
-    assert V.substitute_neg_qsq() == I * QQ
+    assert substitute_neg_qsq(QQ) == -(QQ ** 2)
+    assert substitute_neg_qsq(V) == I * QQ
     s = qint(2, QQ)
-    assert s.substitute_neg_qsq() == -(QQ ** 2) - (QQ ** 2).inv()
+    assert substitute_neg_qsq(s) == -(QQ ** 2) - (QQ ** 2).inv()
 
 
 def test_specialize_and_pole():
@@ -320,8 +329,12 @@ any_scalar = units | laurents | reduced
 
 
 def same_fields(got, want):
+    """Field for field, with the shared LP_ONE one-denominator and the
+    shared LP_ZERO numerator of zero."""
     return (got.num.coeffs == want.num.coeffs
-            and got.den.coeffs == want.den.coeffs)
+            and got.den.coeffs == want.den.coeffs
+            and (got.den is LP_ONE) == (want.den is LP_ONE)
+            and (got.num is LP_ZERO) == (want.num is LP_ZERO))
 
 
 @given(any_scalar, any_scalar)
@@ -332,15 +345,53 @@ def same_fields(got, want):
 @example(Scalar(V.num, DENS[2]), -Scalar(LP_ONE, DENS[2]))  # (v-1)/(v-1)(v-2)
 @example(QQ, -QQ)                                         # zero sums
 @example(Scalar(V.num, DENS[3]), -Scalar(V.num, DENS[3]))
+@example(I * V ** 3, QQ ** -2)                    # monomial * monomial
+@example(ZERO, V)
+@example(ZERO, Scalar(LP_ONE, DENS[2]))
 def test_scalar_fast_paths_match_reduce_path(x, y):
-    # unit * reduced, reduced * unit, Laurent + reduced and reduced +
-    # Laurent skip the gcd; each result must be the one Scalar(num, den)
-    # reduces to
+    # Laurent * Laurent, unit * reduced, reduced * unit, Laurent + Laurent,
+    # Laurent + reduced, reduced + Laurent and negation skip the gcd; each
+    # result must be the one Scalar(num, den) reduces to
     assert same_fields(x * y, Scalar(x.num * y.num, x.den * y.den))
     assert same_fields(y * x, Scalar(y.num * x.num, y.den * x.den))
     want = Scalar(x.num * y.den + y.num * x.den, x.den * y.den)
     assert same_fields(x + y, want) and same_fields(y + x, want)
+    assert same_fields(-x, Scalar(-x.num, x.den))
     assert same_fields(x - x, ZERO)
+
+
+def schoolbook(p, q):
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, GaussRat(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+terms = st.builds(LaurentPoly.monomial, small, gauss_small.filter(bool))
+
+
+@given(laurent_polys, terms)
+@example(LP_ZERO, LaurentPoly.monomial(2, GaussRat(3)))
+def test_laurent_times_one_term_is_the_schoolbook_product(p, t):
+    # a one-term factor is a single shift-and-scale pass
+    want = schoolbook(p, t)
+    assert (p * t).coeffs == want and (t * p).coeffs == want
+    assert (p * p).coeffs == schoolbook(p, p)
+
+
+gauss_ints = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).map(
+    lambda p: (Fraction(p[0]), Fraction(p[1])))
+
+
+@given(gauss_ints, gauss_ints)
+@example((Fraction(2), Fraction(3)), (Fraction(-2), Fraction(-3)))
+def test_gauss_integer_fast_paths_are_canonical(x, y):
+    # two Gaussian integers (d = 1) skip the gcd, as gcd(a, b, 1) = 1
+    gx, gy = gr(x), gr(y)
+    assert matches(gx * gy, ref_mul(x, y))
+    assert matches(gx + gy, (x[0] + y[0], x[1] + y[1]))
+    assert matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
 
 
 @given(laurent_polys, pairs.filter(any))
@@ -367,7 +418,7 @@ def test_laurent_eq_foreign_operand():
 def test_one_valued_denominator_is_lp_one(x, y):
     # every way of making a Scalar stores LP_ONE itself for a denominator
     # equal to one, so `den is LP_ONE` tests for it; repr is as by value
-    made = [x + y, x - y, x * y, -x, x.substitute_neg_qsq(),
+    made = [x + y, x - y, x * y, -x, substitute_neg_qsq(x),
             Scalar(x.num, LaurentPoly({0: GaussRat(1)}), reduce=False)]
     if x:
         made += [x.inv(), y / x]
