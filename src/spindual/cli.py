@@ -15,6 +15,7 @@ import json
 import random
 import sys
 import time
+from math import comb
 
 from .ring import GaussRat, P, PoleError, require_generic
 from .linalg import (random_point, commutant_dimension, certify_blocks,
@@ -46,6 +47,10 @@ MAX_OPERATOR_BITS = 12
 # (2-core Xeon, Python 3.11).  Size alone does not fix the time: dense
 # blocks are slower, and the 28 of (3, 8) took 124 s.
 MAX_FFT_BLOCK = 35
+# A table takes n tensor steps, each adding the 2^k weights of S to at most
+# C(n//2 + k, k) dominant weights.  At n 2^k C(n//2 + k, k) = 1.1e7, (24, 6)
+# takes 3.7 s; at 1.4e7, (5, 300) takes 16 s (2-core Xeon, Python 3.11).
+MAX_TABLE_WORK = 12_000_000
 
 
 class Reporter:
@@ -169,9 +174,13 @@ def run_verify(args) -> int:
                           N, classical=mode == "one"))
         elif suite == "spectrum":
             cls = mode == "one"
+            reps = []
             check(f"{'classical' if cls else 'quantum'} spectrum N={N}",
-                  lambda: intertwiner.spectrum_of_C(
-                      N, classical=cls, eps=args.sign).complete)
+                  lambda: reps.append(intertwiner.spectrum_of_C(
+                      N, classical=cls, eps=args.sign)) or reps[0].complete)
+            if reps:
+                print(f"# C splits into {len(reps[0].blocks)} blocks, the "
+                      f"largest of size {max(reps[0].blocks)}")
         elif suite == "duality":
             check(f"duality N={N} n={n}",
                   lambda: combinat.duality_residuals(N, n))
@@ -346,6 +355,11 @@ def run_table(args) -> int:
             raise ValueError(f"table at N={N} tensors with the 2^{N // 2} "
                              f"weights of S, above the limit "
                              f"2^{MAX_OPERATOR_BITS}")
+        work = n * (1 << N // 2) * comb(n // 2 + N // 2, N // 2)
+        if work > MAX_TABLE_WORK:
+            raise ValueError(f"table at N={N} n={n} would try n 2^k "
+                             f"C(n//2 + k, k) = {work:.2g} weights, above "
+                             f"the limit {MAX_TABLE_WORK:.2g}")
         table = combinat.spinor_table(N, n, args.level)
         if not table:
             # S has weight (1/2, ..., 1/2), admissible exactly from N - 1 on;

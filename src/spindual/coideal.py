@@ -10,13 +10,17 @@ F with F^2 = 1, F B_1 = -B_1 F, F B_i = B_i F for i > 1.
 
 from __future__ import annotations
 
-from .ring import Scalar, LP_ONE, ONE, I, V, QQ, qint, qint_plus, q_power
+from functools import reduce
+from operator import add
+
+from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
 from .linalg import (SparseMatrix, commutator, embed, nullspace, kron_all,
                      vstack, _one)
 from .linalg import residuals_zero  # noqa: F401  (re-exported)
 from . import clifford as cl
 from .qgroup import rank_of, _balanced_coproduct
-from .intertwiner import build_C_classical, build_C_quantum
+from .intertwiner import (build_C_classical, build_C_quantum,
+                          clear_denominators, cubic_residuals)
 
 
 class CoidealRep:
@@ -37,35 +41,26 @@ def check_coideal_relations(rep: CoidealRep) -> dict:
 
     Over Q(i)(v) the products run on B'_i = d B_i, for d the lcm of the
     entry denominators of the B_i (1 + v^4 for the duality representation
-    at N odd), whose entries are Laurent polynomials.  A far residual is
-    homogeneous of degree 2 in the B's, so it equals d^-2 times the one of
-    the B'_i; a cubic one is d^-3 times that of the B'_i with -d^2 B'_j
-    for -B_j.  d is nonzero and the entries are canonical, so the dict is
-    the same, entry for entry, as the one of the B_i.  Entries that are no
-    Scalars, or Laurent ones, give d = 1 and the B_i themselves."""
-    out = {}
-    B = rep.B
-    d = LP_ONE
-    for den in {x.den for m in B for x in m.data.values()
-                if isinstance(x, Scalar) and x.den is not LP_ONE}:
-        d = d * Scalar(d, den).den      # d/den in lowest terms: lcm(d, den)
-    cleared = d is not LP_ONE
-    if cleared:
-        d = Scalar(d)
-        B = [m.scale(d) for m in B]
-        inv2 = (d * d).inv()
-        inv3 = inv2 * d.inv()
-    mid = rep.param + rep.param.inv()
+    at N odd; `intertwiner.clear_denominators`), whose entries are Laurent
+    polynomials.  A far residual is homogeneous of degree 2 in the B's,
+    so it equals d^-2 times the one of the B'_i; a cubic one comes from
+    `intertwiner.cubic_residuals` with middle coefficient -(p + p^-1).
+    d is nonzero and the entries are canonical, so the dict is the same,
+    entry for entry, as the one of the B_i; the residual of (j, i) is
+    computed with the one of (i, j), as -[B_i, B_j] for a far pair."""
+    d, B = clear_denominators(rep.B)
+    mid = -(rep.param + rep.param.inv())
+    res = {}
     for i in range(len(B)):
-        for j in range(len(B)):
-            if abs(i - j) > 1:
+        for j in range(i + 1, len(B)):
+            if j - i > 1:
                 r = commutator(B[i], B[j])
-                out[f"far {i+1},{j+1}"] = r.scale(inv2) if cleared else r
-            elif abs(i - j) == 1:
-                r = (B[i] * B[i] * B[j] - (B[i] * B[j] * B[i]).scale(mid)
-                     + B[j] * B[i] * B[i]
-                     - (B[j].scale(d * d) if cleared else B[j]))
-                out[f"cubic {i+1},{j+1}"] = r.scale(inv3) if cleared else r
+                r = r if d is None else r.scale((d * d).inv())
+                res[i, j], res[j, i] = r, -r
+            else:
+                res[i, j], res[j, i] = cubic_residuals(B[i], B[j], mid, d)
+    out = {f"{'far' if abs(i - j) > 1 else 'cubic'} {i+1},{j+1}": r
+           for (i, j), r in sorted(res.items())}
     F, B = rep.F, rep.B
     if F is not None:
         out["F^2"] = F * F - SparseMatrix.identity(F.nrows, _one([F], None))
@@ -86,16 +81,23 @@ def so3_classical_rep(Nparam: int) -> CoidealRep:
     d = N + 1
     B1 = SparseMatrix(d, d, {(j, j): qint((N - 2 * j, 2)) for j in range(d)
                              if N != 2 * j})
+    return CoidealRep(3, QQ, [B1, _so3_B2(N, d, 1)])
+
+
+def _so3_B2(N: int, d: int, sign: int) -> SparseMatrix:
+    """B_2 v_j = v_{j+1} + a_{j-1,j} v_{j-1} on d basis vectors, a_{j-1,j}
+    = [N+1-j][j] / ((q^{N/2-j} +- q^{j-N/2})(q^{N/2-j+1} +- q^{j-N/2-1}))
+    with the sign `sign`."""
     B2 = SparseMatrix(d, d)
     for j in range(d):
         if j + 1 < d:
             B2[(j + 1, j)] = ONE
         if j >= 1:
-            num = qint(N + 1 - j) * qint(j)
-            den = ((q_power(N - 2 * j) + q_power(2 * j - N))
-                   * (q_power(N - 2 * j + 2) + q_power(2 * j - N - 2)))
-            B2[(j - 1, j)] = num / den
-    return CoidealRep(3, QQ, [B1, B2])
+            a, b = q_power(N - 2 * j), q_power(2 * j - N)
+            c, e = q_power(N - 2 * j + 2), q_power(2 * j - N - 2)
+            den = (a + b) * (c + e) if sign > 0 else (a - b) * (c - e)
+            B2[(j - 1, j)] = qint(N + 1 - j) * qint(j) / den
+    return B2
 
 
 def so3_nonclassical_rep(Nparam: int, sign: int = 1) -> CoidealRep:
@@ -108,15 +110,7 @@ def so3_nonclassical_rep(Nparam: int, sign: int = 1) -> CoidealRep:
         raise ValueError("nonclassical three-strand modules need odd Nparam")
     d = (N + 1) // 2
     B1 = SparseMatrix(d, d, {(j, j): qint_plus((N - 2 * j, 2)) for j in range(d)})
-    B2 = SparseMatrix(d, d)
-    for j in range(d):
-        if j + 1 < d:
-            B2[(j + 1, j)] = ONE
-        if j >= 1:
-            num = qint(N + 1 - j) * qint(j)
-            den = ((q_power(N - 2 * j) - q_power(2 * j - N))
-                   * (q_power(N - 2 * j + 2) - q_power(2 * j - N - 2)))
-            B2[(j - 1, j)] = num / den
+    B2 = _so3_B2(N, d, -1)
     top = d - 1   # j = (N-1)/2
     diag = qint((N + 1) // 2) / (I * (V - V.inv()))
     B2[(top, top)] = diag if sign > 0 else -diag
@@ -172,13 +166,7 @@ def tl_generators(n: int) -> list:
                 f"{len(vecs)}, expected 1")
         kernels.append(vecs[0])
     s, phi = kernels
-    pairing = None
-    for idx, v in phi.items():
-        x = s.get(idx)
-        if x is not None:
-            t = v * x
-            pairing = t if pairing is None else pairing + t
-    inv = pairing.inv()
+    inv = reduce(add, (v * s[i] for i, v in phi.items() if i in s)).inv()
     e = SparseMatrix(4, 4)
     for r, a in s.items():
         for c, b in phi.items():

@@ -106,16 +106,7 @@ def complement(w, N: int, n: int):
             cnt = sum(1 for d in w if d >= n + 2 - 2 * j)
             out.append(N - 2 * cnt)
         return tuple(out)
-    cols = [(n - w[k - j]) // 2 for j in range(1, k + 1)]
-    rows = []
-    i = 1
-    while True:
-        r = sum(1 for c in cols if c >= i)
-        if r == 0:
-            break
-        rows.append(r)
-        i += 1
-    return tuple(rows)
+    return conjugate([(n - w[k - j]) // 2 for j in range(1, k + 1)])
 
 
 # -- branching chains on the dual side --------------------------------------
@@ -139,10 +130,7 @@ def branch_halfint(mu, n: int):
         bounds = [(mu[i + 1], mu[i]) for i in range(k - 1)]
     else:
         bounds = [(mu[i + 1] if i + 1 < k else 1, mu[i]) for i in range(k)]
-    out = []
-    for choice in product(*[_half_range(lo, hi) for lo, hi in bounds]):
-        out.append(tuple(choice))
-    return out
+    return list(product(*[_half_range(lo, hi) for lo, hi in bounds]))
 
 
 @lru_cache(maxsize=None)
@@ -221,9 +209,3 @@ def duality_residuals(N: int, n: int) -> dict:
         total += m * weyl_dim(w, N)
     out["total"] = total - (1 << k) ** n
     return out
-
-
-def sum_mult_squared(N: int, n: int) -> int:
-    """Sum of squared multiplicities of S^(x)n -- the dimension of the
-    centralizer algebra."""
-    return sum(m * m for m in spinor_table(N, n).values())

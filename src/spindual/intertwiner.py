@@ -6,9 +6,11 @@ for N even and N odd, the cubic relation, spectra and integrality.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import mul
 
-from .ring import (Scalar, GaussRat, Q, HALF, QQ, qint,
+from .ring import (Scalar, GaussRat, Q, HALF, QQ, LP_ONE, qint,
                    q_power, require_generic)
 from .linalg import (SparseMatrix, commutator, embed, verify_spectrum,
                      SpectrumReport, _mod)
@@ -18,26 +20,21 @@ from .qgroup import spin_rep, rank_of, dominant_columns, _balanced_coproduct
 
 # -- the c/d building blocks ------------------------------------------------
 
-def c_op(i: int, eps: int, N: int) -> SparseMatrix:
+def c_op(i: int, eps: int, N: int, power: int = -1) -> SparseMatrix:
     """c_{i,+} = Omega_{i-1}^{-1} psi_i, c_{i,-} = Omega_{i-1}^{-1} psi^dag_i;
-    the extended index i = k+1 (N odd) gives Omega_k^{-1} f_N for either sign."""
+    the extended index i = k+1 (N odd) gives Omega_k^{-1} f_N for either
+    sign.  With power = 1, Omega_{i-1} in place of its inverse: d_{i,+-}."""
     k = rank_of(N)
     if i == k + 1:
         if N % 2 == 0:
             raise ValueError("extended index only exists for N odd")
-        return cl.Omega(k, k, -1) * cl.parity(k, k)
+        return cl.Omega(k, k, power) * cl.parity(k, k)
     psi = cl.annih(i, k) if eps > 0 else cl.creat(i, k)
-    return cl.Omega(i - 1, k, -1) * psi
+    return cl.Omega(i - 1, k, power) * psi
 
 
 def d_op(i: int, eps: int, N: int) -> SparseMatrix:
-    k = rank_of(N)
-    if i == k + 1:
-        if N % 2 == 0:
-            raise ValueError("extended index only exists for N odd")
-        return cl.Omega(k, k, 1) * cl.parity(k, k)
-    psi = cl.annih(i, k) if eps > 0 else cl.creat(i, k)
-    return cl.Omega(i - 1, k, 1) * psi
+    return c_op(i, eps, N, 1)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +117,21 @@ def check_commutation(N: int, drop_f_term=False) -> dict:
         if N % 2 == 0:
             raise ValueError("no f-term to drop for N even")
         C = C - _f_term(N)
-    return {label: commutator(g, C) for label, g in _pair_generators(N)}
+    return _commutators(_pair_generators(N), C)
+
+
+def _commutators(pairs: list, C: SparseMatrix) -> dict:
+    """{label: [g, C]} for each (label, g) in `pairs`.  If C = C^T and g =
+    h^T for the h of the pair before (F_i after E_i), [g, C] = (Ch - hC)^T
+    = -[h, C]^T takes no product; both equality tests are exact."""
+    sym, out, last = C.transpose() == C, {}, None
+    for label, g in pairs:
+        if sym and last and g == last[1].transpose():
+            out[label] = -out[last[0]].transpose()
+        else:
+            out[label] = commutator(g, C)
+        last = label, g
+    return out
 
 
 def check_cubic(N: int, classical=False, eps: int = 1) -> dict:
@@ -175,6 +186,35 @@ def check_cubic_specialized(N: int, v0: GaussRat) -> dict:
                             mid)
 
 
+def clear_denominators(mats):
+    """(d, [d m for m in mats]) for d the lcm of the denominators of the
+    Scalar entries of `mats`, whose d m then hold Laurent polynomials;
+    (None, mats) if that lcm is 1."""
+    d = LP_ONE
+    for den in {x.den for m in mats for x in m.data.values()
+                if isinstance(x, Scalar) and x.den is not LP_ONE}:
+        d = d * Scalar(d, den).den      # d/den in lowest terms: lcm(d, den)
+    if d is LP_ONE:
+        return None, mats
+    d = Scalar(d)
+    return d, [m.scale(d) for m in mats]
+
+
+def cubic_residuals(a: SparseMatrix, b: SparseMatrix, mid, d=None):
+    """(r(a, b), r(b, a)) for r(a, b) = a^2 b + mid aba + b a^2 - b, as
+    a (ab + mid ba) + b aa - b in eight products.  For a and b given as d
+    times the operators (`clear_denominators`), r is d^-3 times that sum
+    with d^2 b for b, each term being of degree 3 in them: the same value,
+    entry for entry, as on the operators."""
+    aa, ab, ba, bb = a * a, a * b, b * a, b * b
+    ra = a * (ab + ba.scale(mid)) + b * aa
+    rb = b * (ba + ab.scale(mid)) + a * bb
+    if d is None:
+        return ra - b, rb - a
+    d2, inv3 = d * d, (d * d * d).inv()
+    return (ra - b.scale(d2)).scale(inv3), (rb - a.scale(d2)).scale(inv3)
+
+
 def _cubic_residuals(N: int, C: SparseMatrix, pairs: list, mid) -> dict:
     """[g, C] for each (label, g) in `pairs`, then the two cubic residuals
     with middle coefficient `mid` on the columns D = `dominant_columns(N,
@@ -194,16 +234,14 @@ def _cubic_residuals(N: int, C: SparseMatrix, pairs: list, mid) -> dict:
     - A nonzero commutator already fails the check, whatever the blocks
       give.
 
-    With a = C1 and b = C2 on the block, the residuals are evaluated as
-    a (ab + mid ba) + b aa - b and b (ba + mid ab) + a bb - a: eight block
-    products."""
-    out = {label: commutator(g, C) for label, g in pairs}
-    d = 1 << rank_of(N)
-    cols = dominant_columns(N, 3)
-    a, b = embed(C, 1, d, cols), embed(C, d, 1, cols)
-    aa, ab, ba, bb = a * a, a * b, b * a, b * b
-    out["cubic C1;C2"] = a * (ab + ba.scale(mid)) + b * aa - b
-    out["cubic C2;C1"] = b * (ba + ab.scale(mid)) + a * bb - a
+    With a = C1 and b = C2 on the block, `cubic_residuals` takes eight
+    block products, on d C1 and d C2 for d the lcm of C's entry
+    denominators (`clear_denominators`)."""
+    out = _commutators(pairs, C)
+    d, (dC,) = clear_denominators([C])
+    s, cols = 1 << rank_of(N), dominant_columns(N, 3)
+    out["cubic C1;C2"], out["cubic C2;C1"] = cubic_residuals(
+        embed(dC, 1, s, cols), embed(dC, s, 1, cols), mid, d)
     return out
 
 
@@ -253,7 +291,7 @@ def spectrum_of_C(N: int, classical=False, eps: int = 1) -> SpectrumReport:
         pairs = classical_spectrum_candidates(N, eps)
         rep = verify_spectrum(C, [v for v, _ in pairs])
         ok = rep.annihilates and all(rep.multiplicities[v] == m for v, m in pairs)
-        return SpectrumReport(ok, rep.multiplicities, rep.dim)
+        return SpectrumReport(ok, rep.multiplicities, rep.dim, rep.blocks)
     C = build_C_quantum(N)
     return verify_spectrum(C, quantum_spectrum_candidates(N))
 
@@ -266,14 +304,6 @@ def integrality_check(C: SparseMatrix, N: int) -> bool:
     if N % 2 == 0:
         return all(s.has_gaussian_integer_coeffs() for s in C.entries())
     two = qint(2, QQ)
-    for s in C.entries():
-        ok = False
-        t = s
-        for _ in range(3):
-            if t.has_gaussian_integer_coeffs():
-                ok = True
-                break
-            t = t * two
-        if not ok:
-            return False
-    return True
+    return all(any(t.has_gaussian_integer_coeffs()
+                   for t in accumulate((s, two, two), mul))
+               for s in C.entries())

@@ -38,9 +38,6 @@ class SparseMatrix:
         elif rc in self.data:
             del self.data[rc]
 
-    def __getitem__(self, rc):
-        return self.data.get(rc)
-
     def is_zero(self):
         return not self.data
 
@@ -106,25 +103,6 @@ class SparseMatrix:
     def transpose(self):
         return SparseMatrix(self.ncols, self.nrows,
                             {(c, r): v for (r, c), v in self.data.items()})
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector {index: elem}."""
-        out = {}
-        for (r, c), a in self.data.items():
-            x = vec.get(c)
-            if x is None:
-                continue
-            p = a * x
-            s = out.get(r)
-            if s is None:
-                out[r] = p
-            else:
-                s = s + p
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
-        return {k: v for k, v in out.items() if v}
 
     def kron(self, other: "SparseMatrix") -> "SparseMatrix":
         """Kronecker product; self is the leftmost (slowest-varying) factor."""
@@ -579,10 +557,12 @@ def commutant_dimension(gens, dim: int, p: int = None) -> int:
 
 
 class SpectrumReport:
-    def __init__(self, annihilates: bool, multiplicities: dict, dim: int):
+    def __init__(self, annihilates: bool, multiplicities: dict, dim: int,
+                 blocks=()):
         self.annihilates = annihilates
         self.multiplicities = multiplicities
         self.dim = dim
+        self.blocks = blocks    # the sizes of the blocks it was checked on
 
     @property
     def complete(self):
@@ -601,31 +581,32 @@ SPECTRUM_POINT = 2
 
 def verify_spectrum(m: SparseMatrix, candidates) -> SpectrumReport:
     """Check that prod(m - c) vanishes over the candidate eigenvalues, in
-    exact arithmetic, and read off each multiplicity as dim - rank(m - c)
-    with m and c reduced at v = SPECTRUM_POINT over F_P.  The
-    multiplicities are keyed on the given candidates.  Why these counts
-    are the multiplicities over Q(i)(v) whenever the product vanishes:
+    exact arithmetic, and read off each multiplicity, keyed on the
+    candidates, as dim - rank(m - c) with m and c reduced at v =
+    SPECTRUM_POINT over F_P.  Both run on each block m_B of m, a connected
+    component of the graph with an edge r - c per stored entry: m, its
+    reduction and every polynomial in m are block diagonal over them.
+    Why the counts are the multiplicities over Q(i)(v) if the product
+    vanishes:
 
     - The candidates have distinct images at the point, so they are
-      distinct.  A matrix annihilated by a product of distinct linear
-      factors is diagonalizable, so its multiplicities m_j = dim -
-      rank(m - c_j) over Q(i)(v) add up to dim.
+      distinct; annihilated by distinct linear factors, m is
+      diagonalizable, and its m_j = dim - rank(m - c_j) add up to dim.
     - No entry has a pole at the point, so reduction there is a ring map
-      from the local ring at the point onto F_P.  Rank can only drop under
-      it, so each count m_j' >= m_j.
-    - Eigenspaces for distinct eigenvalues are independent, and the images
-      of the c_j are distinct, so the sum of the m_j' is at most dim.
-    - Together: sum m_j <= sum m_j' <= dim = sum m_j, so m_j' = m_j for
-      every j.
+      from the local ring onto F_P, and rank can only drop: m_j' >= m_j.
+    - Eigenspaces for the distinct images are independent, so sum m_j'
+      <= dim (on m_B, <= its size, where the count stops).  So sum m_j
+      <= sum m_j' <= dim = sum m_j forces m_j' = m_j.
+
+    On m_B only the factors with a nonzero nullity mod P are multiplied,
+    and the product vanishes iff each such subproduct does: if the full
+    one kills m_B, m_B is diagonalizable with eigenvalues among the c_j,
+    each of nullity >= 1 over Q(i)(v) and so mod P, so their factors are
+    all multiplied; a zero subproduct makes the full one zero.
 
     Raises ArithmeticError, naming the point, if two candidates have the
     same image there or an entry of m or a candidate has a pole there.
     """
-    n = m.nrows
-    ident = SparseMatrix.identity(n)
-    prod = ident
-    for c in candidates:
-        prod = prod * (m - ident.scale(c))
     pt = f"{SPECTRUM_POINT} mod {P}"
     try:
         mp = m.specialize(SPECTRUM_POINT, P)
@@ -638,9 +619,42 @@ def verify_spectrum(m: SparseMatrix, candidates) -> SpectrumReport:
             raise ArithmeticError(f"spectrum candidates {seen[x]!r} and "
                                   f"{c!r} have the same image at v = {pt}")
         seen[x] = c
-    mults = {c: n - matrix_rank(mp - SparseMatrix.identity(n, x), P)
-             for c, x in zip(candidates, images)}
-    return SpectrumReport(prod.is_zero(), mults, n)
+    up = list(range(m.nrows))       # union-find of the blocks' indices
+
+    def root(i):
+        while up[i] != i:
+            up[i] = i = up[up[i]]
+        return i
+
+    for r, c in m.data:
+        r, c = root(r), root(c)
+        up[max(r, c)] = min(r, c)
+    blocks = {}
+    for i in range(m.nrows):
+        blocks.setdefault(root(i), []).append(i)
+    where = {i: (b, t) for b, idx in enumerate(blocks.values())
+             for t, i in enumerate(idx)}
+    parts = [({}, {}) for _ in blocks]
+    for half, mat in enumerate((m, mp)):
+        for (r, c), x in mat.data.items():
+            (b, t), u = where[r], where[c][1]
+            parts[b][half][(t, u)] = x
+    sizes = [len(idx) for idx in blocks.values()]
+    mults, ok = dict.fromkeys(candidates, 0), True
+    for size, (sym, red) in zip(sizes, parts):
+        ident = prod = SparseMatrix.identity(size)
+        left = size
+        for c, x in zip(candidates, images):
+            null = left and size - matrix_rank(SparseMatrix(
+                size, size, red) - SparseMatrix.identity(size, x), P)
+            if null:
+                mults[c] += null
+                left -= null
+                if ok:
+                    prod = prod * (SparseMatrix(size, size, sym)
+                                   - ident.scale(c))
+        ok = ok and prod.is_zero()
+    return SpectrumReport(ok, mults, m.nrows, sizes)
 
 
 def random_point(rng) -> GaussRat:

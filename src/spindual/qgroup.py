@@ -99,12 +99,8 @@ class SpinRep:
 
     @lru_cache(maxsize=None)
     def F(self, i: int) -> SparseMatrix:
-        k, N = self.k, self.N
-        if i < k:
-            return cl.annih(i + 1, k) * cl.creat(i, k)
-        if N % 2:
-            return cl.parity(k, k) * cl.creat(k, k)
-        return cl.creat(k, k) * cl.creat(k - 1, k)
+        """F_i = E_i^T: psi^dag_j = psi_j^T, and the parity is diagonal."""
+        return self.E(i).transpose()
 
 
 @lru_cache(maxsize=None)

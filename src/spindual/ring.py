@@ -53,6 +53,19 @@ def _canon(a: int, b: int, d: int) -> "GaussRat":
     return _gr(a, b, d)
 
 
+def _power(x, n: int, one):
+    """x^n by repeated squaring; x^-1 is raised to -n for n < 0."""
+    if n < 0:
+        x, n = x.inv(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
+
+
 def _add(x: "GaussRat", a2: int, b2: int, d2: int) -> "GaussRat":
     """x + (a2 + b2*i)/d2."""
     d1 = x.d
@@ -171,9 +184,6 @@ class GaussRat:
             return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
         return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
-    def conj(self):
-        return _gr(self.a, -self.b, self.d)
-
     def mod_p(self, p: int) -> int:
         """The image in F_p, an int in [0, p), under i -> root_of_unity(4, p);
         a ring homomorphism on the Gaussian rationals whose denominator p
@@ -201,16 +211,7 @@ class GaussRat:
         return self * other.inv()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, GR_ONE)
 
     def is_integer(self):
         return self.d == 1
@@ -374,18 +375,9 @@ class LaurentPoly:
         return out * v0 ** lo if lo else out
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(f"{c!r}")
-            elif e == 1:
-                parts.append(f"{c!r}*v")
-            else:
-                parts.append(f"{c!r}*v^{e}")
-        return " + ".join(parts)
+        return " + ".join(f"{c!r}" + ("" if e == 0 else "*v" if e == 1
+                                      else f"*v^{e}")
+                          for e, c in sorted(self.coeffs.items())) or "0"
 
 
 LP_ZERO = LaurentPoly({})
@@ -454,23 +446,16 @@ class Scalar:
         if den is not LP_ONE and den.is_one():
             den = LP_ONE          # shared, so `den is LP_ONE` tests for one
         elif reduce and den is not LP_ONE:
-            if den.is_monomial():
-                e = den.valuation()
-                c = den.trailing().inv()
-                num = num.shift(-e).scale(c)
-                den = LP_ONE
-            else:
+            if not den.is_monomial():
                 g = poly_gcd(num, den)
                 if not g.is_one():
                     num = _poly_divmod(num.shift(-num.valuation()), g)[0].shift(num.valuation())
                     den = _poly_divmod(den.shift(-den.valuation()), g)[0].shift(den.valuation())
-                # normalize: den valuation 0, trailing coefficient 1
-                e = den.valuation()
-                c = den.trailing().inv()
-                num = num.shift(-e).scale(c)
-                den = den.shift(-e).scale(c)
-                if den.is_monomial():
-                    den = LP_ONE
+            # normalize: den valuation 0, trailing coefficient 1
+            e = den.valuation()
+            c = den.trailing().inv()
+            num = num.shift(-e).scale(c)
+            den = LP_ONE if den.is_monomial() else den.shift(-e).scale(c)
         self.num = num
         self.den = den
 
@@ -556,16 +541,7 @@ class Scalar:
         return self * other.inv()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, ONE)
 
     def specialize(self, v0, p: int = None):
         """Exact evaluation at v = v0, a GaussRat; or, with a prime p, at the

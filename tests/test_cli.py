@@ -301,6 +301,40 @@ def test_table_at_the_size_limit_runs(capsys):
     assert sum(e["multiplicity"] * e["dimension"] for e in entries) == 4 ** 12
 
 
+@pytest.mark.parametrize("N,n", [(24, 12), (9, 60), (5, 300), (24, 7)])
+def test_table_work_guard_exit_2(monkeypatch, capsys, N, n):
+    # n 2^k C(n//2 + k, k) above MAX_TABLE_WORK: refused before any tensor
+    # step ((24, 12) ran past 100 s, (9, 60) for 30 s, (5, 300) for 16 s)
+    def never(*args):
+        raise AssertionError("spinor_table called")
+    monkeypatch.setattr(combinat, "spinor_table", never)
+    assert main(["table", "multiplicities", "--N", str(N), "--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "above the limit" in err and "Traceback" not in err
+
+
+def test_table_below_the_work_limit_runs(monkeypatch, capsys):
+    # (24, 6) (3.7 s on its own, here on a one-weight table) and (12, 8)
+    # pass the guard
+    monkeypatch.setattr(combinat, "spinor_table",
+                        lambda N, n, level: {(0,) * (N // 2): 1})
+    code, out = run(capsys, "table", "multiplicities", "--N", "24", "--n", "6")
+    assert code == 0 and "x1" in out
+    monkeypatch.undo()
+    code, out = run(capsys, "table", "multiplicities", "--N", "12", "--n", "8",
+                    "--format", "json")
+    entries = json.loads(out)["entries"]
+    assert code == 0
+    assert sum(e["multiplicity"] * e["dimension"] for e in entries) == 64 ** 8
+
+
+def test_verify_spectrum_prints_its_blocks(capsys):
+    code, out = run(capsys, "verify", "spectrum", "--N", "6")
+    assert code == 0
+    assert out.splitlines()[1] == ("# C splits into 27 blocks, the largest "
+                                   "of size 8")
+
+
 @pytest.mark.parametrize("N,n,level", [(5, 3, -3), (3, 2, 0), (4, 3, 2),
                                        (6, 1, 4)])
 def test_empty_table_exit_2(capsys, N, n, level):

@@ -164,6 +164,7 @@ def plus_identity(rep: CoidealRep, i: int) -> CoidealRep:
 CLEARED_REPS = {
     "duality (3,4)": lambda: duality_rep(3, 4),
     "duality (4,3)": lambda: duality_rep(4, 3),
+    "duality (5,3)": lambda: duality_rep(5, 3),
     "duality (3,4) at a point": lambda: duality_rep(
         3, 4, random_point(random.Random(11))),
     "TL n=4": lambda: tl_braid_rep(4),

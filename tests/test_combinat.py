@@ -6,7 +6,7 @@ from spindual.combinat import (is_dominant, is_admissible, tensor_with_spinor,
                                complement, branch_halfint,
                                gz_dimension, branch_diagram, diagram_dimension,
                                valid_o_label, dual_dimension, duality_residuals,
-                               sum_mult_squared, conjugate)
+                               conjugate)
 from spindual.linalg import residuals_zero
 from spindual import combinat
 
@@ -29,6 +29,12 @@ def complement_inverse(label, N: int, n: int):
     # cols of the diagram, longest first; undo col_j = (n - w_{k+1-j})/2
     cols = [sum(1 for r in label if r >= j) for j in range(1, k + 1)]
     return tuple(n - 2 * cols[k - 1 - i] for i in range(k))
+
+
+def sum_mult_squared(N: int, n: int) -> int:
+    """Sum of squared multiplicities of S^(x)n: the dimension of the
+    centralizer algebra."""
+    return sum(m * m for m in spinor_table(N, n).values())
 
 
 def test_tensor_steps_N5():

@@ -7,7 +7,7 @@ from spindual.ring import (GaussRat, ONE, TWO, HALF, V, QQ, qint, sc, Scalar,
 from spindual.linalg import (SparseMatrix, embed, first_nonzero, random_point,
                              residuals_zero)
 from spindual.qgroup import column_weight, dominant_columns, rank_of
-from spindual import clifford as cl
+from spindual import clifford as cl, intertwiner, linalg
 from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   build_C_classical,
                                   check_commutation, check_cubic,
@@ -15,13 +15,20 @@ from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   classical_spectrum_candidates,
                                   quantum_spectrum_candidates, spectrum_of_C,
                                   integrality_check,
-                                  _cubic_residuals, _f_term, _pair_generators)
+                                  _commutators, _cubic_residuals, _f_term,
+                                  _pair_generators)
 
 
 def C_embedded(N: int, i: int, n: int) -> SparseMatrix:
     """C_i = 1 (x) ... (x) C (x) ... (x) 1 acting on slots (i, i+1) of S^(x)n."""
     d = 1 << rank_of(N)
     return embed(build_C_quantum(N), d ** (i - 1), d ** (n - i - 1))
+
+
+def apply(m: SparseMatrix, vec: dict) -> dict:
+    """m times the sparse column vector {index: entry}."""
+    col = SparseMatrix(m.ncols, 1, {(i, 0): x for i, x in vec.items()})
+    return {r: x for (r, _), x in (m * col).data.items()}
 
 
 def restrict_columns(m: SparseMatrix, cols) -> SparseMatrix:
@@ -319,7 +326,7 @@ def test_principal_eigenvector():
     for N in (4, 6):
         vec, lam = principal_eigenvector(N)
         C = build_C_classical(N)
-        assert C.apply(vec) == {i: lam * v for i, v in vec.items()}
+        assert apply(C, vec) == {i: lam * v for i, v in vec.items()}
 
 
 def test_integrality():
@@ -331,3 +338,72 @@ def test_integrality():
     # for N odd only the f-term rows carry the [2] denominator
     C5 = build_C_quantum(5)
     assert not all(s.is_laurent() for s in C5.entries())
+
+
+# -- [Delta(F_i), C] by transposition, and the cubic on cleared C ----------------
+
+def plain_commutators(pairs, C):
+    return {g: m * C - C * m for g, m in pairs}
+
+
+def count_commutator_calls(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return linalg.commutator(a, b)
+    monkeypatch.setattr(intertwiner, "commutator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_transposed_commutators_for_symmetric_C(monkeypatch, N):
+    # C = C^T and Delta(F_i) = Delta(E_i)^T: each [Delta(F_i), C] comes
+    # from [Delta(E_i), C] with no product, equal to the plain one
+    C, pairs = build_C_quantum(N), _pair_generators(N)
+    assert C.transpose() == C
+    calls = count_commutator_calls(monkeypatch)
+    got = _commutators(pairs, C)
+    assert len(calls) == 2 * rank_of(N)
+    assert list(got) == [g for g, _ in pairs]
+    assert got == plain_commutators(pairs, C)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_commutators_general_path(monkeypatch, N):
+    # C with an entry (r, c) whose (c, r) is absent is not symmetric, and
+    # a Delta(F_1) that is not Delta(E_1)^T has no transposed partner:
+    # both take the plain commutator, and the dicts equal the plain ones
+    C, pairs = build_C_quantum(N), _pair_generators(N)
+    r, c = 0, 1
+    assert (r, c) not in C.data and (c, r) not in C.data
+    bad_C = C + SparseMatrix(C.nrows, C.ncols, {(r, c): ONE})
+    calls = count_commutator_calls(monkeypatch)
+    assert _commutators(pairs, bad_C) == plain_commutators(pairs, bad_C)
+    assert len(calls) == len(pairs)
+    f1 = [g for g, _ in pairs].index("F1")
+    bad_pairs = list(pairs)
+    bad_pairs[f1] = ("F1", pairs[f1][1].scale(TWO))
+    calls.clear()
+    got = _commutators(bad_pairs, C)
+    assert got == plain_commutators(bad_pairs, C)
+    assert len(calls) == 2 * rank_of(N) + 1
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_symbolic_cubic_matches_full_space(N):
+    # over Q(i)(v), with C's denominator 1 + v^4 cleared before the block
+    # products: the residuals are the full-space ones on the dominant
+    # columns, with the right and a wrong middle coefficient
+    d = 1 << (N // 2)
+    ident = SparseMatrix.identity(d)
+    C, pairs = build_C_quantum(N), _pair_generators(N)
+    C1, C2 = C.kron(ident), ident.kron(C)
+    cols = dominant_columns(N, 3)
+    for mid in (MID, TWO):
+        full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
+                for a, b in ((C1, C2), (C2, C1))]
+        res = _cubic_residuals(N, C, pairs, mid)
+        got = [res["cubic C1;C2"], res["cubic C2;C1"]]
+        assert got == [restrict_columns(m, cols) for m in full], mid
+        assert residuals_zero(res) == (mid is MID)

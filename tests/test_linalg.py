@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from spindual.ring import GaussRat, ONE, TWO, I, V, QQ, P, LP_ONE, Q, sc
+from spindual.ring import (GaussRat, ONE, TWO, I, V, QQ, P, LP_ONE, Q, sc,
+                           PoleError)
 from spindual.linalg import (SparseMatrix, EchelonBasis, commutator,
                              matrix_rank,
                              nullspace, algebra_closure_dim,
@@ -15,6 +16,12 @@ from spindual.intertwiner import (build_C_quantum, build_C_classical,
                                   quantum_spectrum_candidates,
                                   classical_spectrum_candidates)
 from spindual import cli, coideal, linalg, qgroup
+
+
+def apply(m: SparseMatrix, vec: dict) -> dict:
+    """m times the sparse column vector {index: entry}."""
+    col = SparseMatrix(m.ncols, 1, {(i, 0): x for i, x in vec.items()})
+    return {r: x for (r, _), x in (m * col).data.items()}
 
 
 def swap2():
@@ -30,7 +37,7 @@ def test_mul_and_kron_shapes():
     # leftmost factor is the slow index: (a (x) I) swaps the high bit
     ai = a.kron(ident)
     v = {0: ONE}   # |00>
-    assert ai.apply(v) == {2: ONE}
+    assert apply(ai, v) == {2: ONE}
 
 
 def test_rank_and_nullspace():
@@ -38,7 +45,7 @@ def test_rank_and_nullspace():
     assert matrix_rank(m) == 2
     ns = nullspace(m)
     assert len(ns) == 1
-    assert m.apply(ns[0]) == {}
+    assert apply(m, ns[0]) == {}
 
 
 def test_echelon_detects_dependence():
@@ -366,3 +373,87 @@ def test_commutator_shapes():
     assert commutator(a, SparseMatrix.identity(2)).is_zero()
     with pytest.raises(ValueError):
         commutator(a, SparseMatrix.identity(3))
+
+
+# -- the spectrum block by block against the whole matrix -----------------------
+
+def whole_spectrum(m, candidates):
+    """`verify_spectrum` on the whole matrix: the full product over every
+    candidate, and each count as dim - rank(m - c) mod P."""
+    n = m.nrows
+    ident = SparseMatrix.identity(n)
+    prod = ident
+    for c in candidates:
+        prod = prod * (m - ident.scale(c))
+    pt = f"{SPECTRUM_POINT} mod {P}"
+    try:
+        mp = m.specialize(SPECTRUM_POINT, P)
+        images = [c.specialize(SPECTRUM_POINT, P) for c in candidates]
+    except PoleError as exc:
+        raise ArithmeticError(f"spectrum counts at v = {pt}: {exc}") from exc
+    seen = {}
+    for c, x in zip(candidates, images):
+        if x in seen:
+            raise ArithmeticError(f"spectrum candidates {seen[x]!r} and "
+                                  f"{c!r} have the same image at v = {pt}")
+        seen[x] = c
+    mults = {c: n - matrix_rank(mp - SparseMatrix.identity(n, x), P)
+             for c, x in zip(candidates, images)}
+    return prod.is_zero(), mults, n
+
+
+def assert_same_spectrum(m, candidates):
+    rep = verify_spectrum(m, candidates)
+    annihilates, mults, dim = whole_spectrum(m, candidates)
+    assert rep.annihilates == annihilates
+    assert list(rep.multiplicities.items()) == list(mults.items())
+    assert rep.dim == dim == sum(rep.blocks)
+    return rep
+
+
+@pytest.mark.parametrize("N", range(3, 8))
+def test_block_spectrum_matches_whole_matrix(N):
+    for C, cands in ((build_C_quantum(N), quantum_spectrum_candidates(N)),
+                     (build_C_classical(N),
+                      [v for v, _ in classical_spectrum_candidates(N)])):
+        rep = assert_same_spectrum(C, cands)
+        assert rep.annihilates and rep.complete
+        assert max(rep.blocks) < C.nrows
+
+
+def test_block_spectrum_quantum_N6_blocks():
+    rep = verify_spectrum(build_C_quantum(6), quantum_spectrum_candidates(6))
+    assert len(rep.blocks) == 27 and max(rep.blocks) == 8
+
+
+def test_block_spectrum_matches_whole_matrix_on_duality_generators():
+    r = coideal.duality_rep(5, 3)
+    for B in r.B:
+        rep = assert_same_spectrum(B, quantum_spectrum_candidates(5))
+        assert rep.complete
+
+
+def test_block_spectrum_negative_controls_match_whole_matrix():
+    C, cands = build_C_quantum(5), quantum_spectrum_candidates(5)
+    # a dropped candidate, a sign-flipped one, and an entry joining the
+    # blocks of the highest and the lowest weight vector into one on which
+    # no product of the candidates vanishes
+    blocks = verify_spectrum(C, cands).blocks
+    r, c = 0, C.nrows - 1
+    assert (r, c) not in C.data and (c, r) not in C.data
+    joined = C + SparseMatrix(C.nrows, C.ncols, {(r, c): ONE})
+    assert len(verify_spectrum(joined, cands).blocks) == len(blocks) - 1
+    for m, cs in ((C, cands[:-1]), (C, cands[:-1] + [-cands[-1]]),
+                  (joined, cands)):
+        rep = assert_same_spectrum(m, cs)
+        assert not rep.annihilates and not rep.complete
+
+
+@pytest.mark.parametrize("cands", [[ONE, sc(P + 1)], [ONE, ONE / (V - TWO)],
+                                   [ONE / (V - TWO), ONE, ONE]])
+def test_block_spectrum_errors_match_whole_matrix(cands):
+    with pytest.raises(ArithmeticError) as want:
+        whole_spectrum(swap2(), cands)
+    with pytest.raises(ArithmeticError) as got:
+        verify_spectrum(swap2(), cands)
+    assert str(got.value) == str(want.value)

@@ -11,9 +11,13 @@ from spindual.ring import (GaussRat, LaurentPoly, Scalar, PoleError, Q,
                            qint, qint_plus, qbinom, q_power, sc)
 
 
+def conj(g: GaussRat) -> GaussRat:
+    return GaussRat(g.re, -g.im)
+
+
 def test_gauss_basics():
     a = GaussRat(Q(1, 2), Q(3, 4))
-    assert a + a.conj() == GaussRat(1)
+    assert a + conj(a) == GaussRat(1)
     assert a * a.inv() == GaussRat(1)
     assert (GaussRat(0, 1) ** 2) == GaussRat(-1)
     assert GaussRat(3) ** -2 == GaussRat(Q(1, 9))
@@ -165,7 +169,7 @@ def test_gauss_matches_fraction_reference(x, y, e):
     assert matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
     assert matches(-gx, (-x[0], -x[1]))
     assert matches(gx * gy, ref_mul(x, y))
-    assert matches(gx.conj(), (x[0], -x[1]))
+    assert matches(conj(gx), (x[0], -x[1]))
     assert gx.norm() == x[0] * x[0] + x[1] * x[1]
     assert bool(gx) == any(x)
     if any(y):
