@@ -38,8 +38,8 @@ MODES = {"relations": ("sym",), "commutation": ("sym",),
          "so3": ("sym",), "integrality": ("sym",)}
 MODE_LABELS = {"sym": "symbolic", "one": "q=1", "spec": "at v0"}
 # The largest operator a command may build has at most 2^12 = 4096 rows:
-# the cubic check up to N = 9, fft up to (2^k)^n = 4096, e.g. (4, 6)
-# (which the block limit below refuses).
+# the cubic check up to N = 13 (N = 9 at q = 1), fft up to (2^k)^n = 4096,
+# e.g. (4, 6) (which the block limit below refuses).
 MAX_OPERATOR_BITS = 12
 # fft certifies each highest-weight block M_lambda by a closure of up to
 # m_lambda^2 matrices.  The largest block measured to finish in under
@@ -83,29 +83,43 @@ class Reporter:
             self.failures += 1
 
 
-def _operator_bits(suite: str, N: int, n: int) -> int:
-    """log2 of the rows of the largest operator `suite` builds, rounded up:
-    S has 2^k rows, C acts on S^(x)2, the cubic relation on S^(x)3, the
+def _dominant_block_size(N: int) -> int:
+    """len(qgroup.dominant_columns(N, 3)), the side of the block the
+    quantum cubic check works on, without enumerating S^(x)3: 3^(k+1) - 1
+    for N = 2k and half that for N = 2k + 1 (checked against the
+    enumeration for N = 3..11 in the tests)."""
+    k = N // 2
+    return (3 ** (k + 1) - 1) // (2 if N % 2 else 1)
+
+
+def _operator_bits(suite: str, mode: str, N: int, n: int) -> int:
+    """log2 of the rows of the largest operator `suite` builds in `mode`,
+    rounded up: S has 2^k rows, C acts on S^(x)2, the cubic relation on
+    S^(x)3 at q = 1 but on the dominant block of S^(x)3 otherwise, the
     duality representation on S^(x)n and Temperley-Lieb on (C^2)^(x)n."""
     k = N // 2
+    if suite == "cubic" and mode != "one":
+        return max(2 * k, (_dominant_block_size(N) - 1).bit_length())
     return {"relations": k, "commutation": 2 * k, "spectrum": 2 * k,
             "integrality": 2 * k, "cubic": 3 * k, "fft": k * n, "tl": n,
             "so3": N.bit_length(), "duality": 0}[suite]
 
 
-def _check_config(suites, N: int, n: int) -> None:
-    """Refuse, before anything is built, a configuration some suite cannot
-    run: a spin suite with N < 3, Temperley-Lieb with n < 2, a largest
-    operator with more than 2^MAX_OPERATOR_BITS rows, or for fft a
-    highest-weight block larger than MAX_FFT_BLOCK (read off
-    `combinat.spinor_table`)."""
+def _check_config(modes: dict, N: int, n: int) -> None:
+    """Refuse, before anything is built, a configuration some suite of
+    `modes` ({suite: --q mode}) cannot run: a spin suite with N < 3,
+    Temperley-Lieb with n < 2, a largest operator with more than
+    2^MAX_OPERATOR_BITS rows, or for fft a highest-weight block larger
+    than MAX_FFT_BLOCK (read off `combinat.spinor_table`)."""
+    suites = list(modes)
     spin = [s for s in suites if s in SPIN_SUITES]
     if N < 3 and spin:
         raise ValueError(f"suite {spin[0]!r} needs N >= 3, got N={N}")
     if n < 2 and "tl" in suites:
         raise ValueError(f"suite 'tl' needs n >= 2 for Temperley-Lieb, "
                          f"got n={n}")
-    bits, suite = max((_operator_bits(s, N, n), s) for s in suites)
+    bits, suite = max((_operator_bits(s, m, N, n), s)
+                      for s, m in modes.items())
     if bits > MAX_OPERATOR_BITS:
         raise ValueError(f"suite {suite!r} at N={N} n={n} would build "
                          f"operators with 2^{bits} rows, above the limit "
@@ -147,7 +161,7 @@ def run_verify(args) -> int:
     n = args.n
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     modes = _suite_modes(suites, args.q)
-    _check_config(suites, N, n)
+    _check_config(modes, N, n)
     if "spec" in modes.values():
         print(f"# specialization point v = {_point(args.seed)!r} "
               f"(seed {args.seed})")
@@ -314,7 +328,7 @@ def _signed(x: int) -> int:
 
 def run_fft(args) -> int:
     N, n = args.N, args.n
-    _check_config(("fft",), N, n)
+    _check_config({"fft": "spec"}, N, n)
     print(f"N={N} n={n} seed={args.seed}")
     try:
         (closure, sm, com, ok), blocks, seps = fft_certificate(N, n, args.seed)
@@ -379,7 +393,7 @@ def run_table(args) -> int:
         if args.q == "spec":
             raise ValueError("table spectrum has no specialized mode: use "
                              "--q sym or --q one")
-        _check_config(("spectrum",), N, n)
+        _check_config({"spectrum": args.q}, N, n)
         rep = intertwiner.spectrum_of_C(N, classical=args.q == "one",
                                         eps=args.sign)
         if not rep.complete:

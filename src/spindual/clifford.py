@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ring import Scalar, ONE, I, q_power, sc
+from .ring import Scalar, I, q_power, sc, unit
 from .linalg import SparseMatrix
 
 
@@ -26,7 +26,8 @@ def prefix(m: int, r: int, k: int) -> int:
 
 
 def _sign(s: int) -> Scalar:
-    return ONE if s % 2 == 0 else -ONE
+    """(-1)^s, as a unit."""
+    return unit(0, 2 * (s & 1))
 
 
 @lru_cache(maxsize=None)

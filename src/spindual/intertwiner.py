@@ -94,17 +94,20 @@ def build_C_classical(N: int, eps: int = 1) -> SparseMatrix:
 
 def _pair_generators(N: int, v0=None) -> list:
     """(label, Delta(g)) on S (x) S for g = K_i^{1/2}, E_i, F_i; at a
-    GaussRat point v0, K_i^{+-1/2}, E_i and F_i are specialized on S first,
-    as in `qgroup.coproduct_generators`."""
+    GaussRat point v0, K_i^{+-1/2} and E_i are specialized on S first, as
+    in `qgroup.coproduct_generators`.  Delta(F_i) is Delta(E_i)^T, as
+    there: F_i = E_i^T on S, K^{+-1/2} is diagonal and (A (x) B)^T = A^T
+    (x) B^T, so kh (x) F_i + F_i (x) khi is the transpose of kh (x) E_i +
+    E_i (x) khi, entry for entry, symbolically and at a point alike."""
     rep = spin_rep(N)
     out = []
     for i in range(1, rep.k + 1):
-        kh, khi, E, F = rep.Khalf(i), rep.Khalf(i, -1), rep.E(i), rep.F(i)
+        kh, khi, E = rep.Khalf(i), rep.Khalf(i, -1), rep.E(i)
         if v0 is not None:
-            kh, khi, E, F = (m.specialize(v0) for m in (kh, khi, E, F))
-        out += [(f"K{i}^1/2", kh.kron(kh)),
-                (f"E{i}", _balanced_coproduct(E, kh, khi, 2)),
-                (f"F{i}", _balanced_coproduct(F, kh, khi, 2))]
+            kh, khi, E = (m.specialize(v0) for m in (kh, khi, E))
+        dE = _balanced_coproduct(E, kh, khi, 2)
+        out += [(f"K{i}^1/2", kh.kron(kh)), (f"E{i}", dE),
+                (f"F{i}", dE.transpose())]
     return out
 
 

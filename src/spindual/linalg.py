@@ -140,9 +140,14 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     commutative ring, and Scalar and GaussRat values are canonical, so
     every entry is the same value, field for field, as a * b - b * a
     gives (for ints, the same int); a product of nonzero factors in these
-    domains is nonzero, so the same entries are stored."""
+    domains is nonzero, so the same entries are stored.  Otherwise ab and
+    ba are compared before ab - ba is formed: equal dicts give the empty
+    matrix, which is what the subtraction gives."""
     if not a.is_diagonal():
-        return a * b - b * a
+        ab, ba = a * b, b * a
+        if ab.data == ba.data:
+            return SparseMatrix(ab.nrows, ab.ncols)
+        return ab - ba
     if (a.nrows, a.ncols) != (b.nrows, b.ncols) or a.nrows != a.ncols:
         raise ValueError("shape mismatch")
     diag = a.data

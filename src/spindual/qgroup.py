@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 from .ring import Scalar, QQ, q_power, qbinom
-from .linalg import SparseMatrix, residuals_zero, _mod
+from .linalg import SparseMatrix, commutator, residuals_zero, _mod
 from . import clifford as cl
 
 
@@ -165,14 +165,15 @@ def relation_residuals(N: int) -> dict:
         out[f"K{i} K{i}^-1"] = K * Ki - ident
         out[f"K{i}^1/2 K{i}^1/2"] = rep.Khalf(i) * rep.Khalf(i) - K
         for j in range(1, k + 1):
-            out[f"[K{i}, K{j}]"] = K * rep.K(j) - rep.K(j) * K
+            out[f"[K{i}, K{j}]"] = commutator(K, rep.K(j))
             pw = 2 * root_pairing(N, i, j)
             for name, X, e in (("E", rep.E(j), pw), ("F", rep.F(j), -pw)):
-                out[f"K{i} {name}{j} K{i}^-1"] = K * X * Ki - X.scale(q_power(e))
-            comm = rep.E(i) * rep.F(j) - rep.F(j) * rep.E(i)
+                out[f"K{i} {name}{j} K{i}^-1"] = _conjugation_residual(
+                    K, Ki, X, q_power(e))
+            comm = commutator(rep.E(i), rep.F(j))
             if i == j:
                 qi = rep.qi(i)
-                comm = comm - (K - Ki).scale((qi - qi.inv()).inv())
+                comm = comm - _divide(K - Ki, qi - qi.inv())
             out[f"[E{i}, F{j}]"] = comm
     for i in range(1, k + 1):
         for j in range(1, k + 1):
@@ -191,6 +192,36 @@ def relation_residuals(N: int) -> dict:
                     acc = acc + (piece if s % 2 == 0 else -piece)
                 out[f"Serre {name} {i},{j}"] = acc
     return out
+
+
+def _conjugation_residual(K: SparseMatrix, Ki: SparseMatrix, X: SparseMatrix,
+                          c: Scalar) -> SparseMatrix:
+    """K X Ki - c X.  For diagonal K and Ki, entry (r, s) is (K_r Ki_s - c)
+    X_rs: one product per stored X_rs, and none where K_r Ki_s = c.  As in
+    `linalg.commutator`, that is the value K X Ki - c X gives, canonical so
+    field for field, and the same entries are stored."""
+    if not (K.is_diagonal() and Ki.is_diagonal()):
+        return K * X * Ki - X.scale(c)
+    kd, kid, out = K.data, Ki.data, {}
+    for (r, s), x in X.data.items():
+        a, b = kd.get((r, r)), kid.get((s, s))
+        f = -c if a is None or b is None else a * b - c
+        if f:
+            out[(r, s)] = f * x
+    return SparseMatrix(X.nrows, X.ncols, out)
+
+
+def _divide(m: SparseMatrix, c: Scalar) -> SparseMatrix:
+    """m scaled by c^-1, each distinct entry multiplied once: the entries of
+    K_i - K_i^-1 take a few values many times."""
+    ci, quot = c.inv(), {}
+    out = {}
+    for rc, x in m.data.items():
+        y = quot.get(x)
+        if y is None:
+            y = quot[x] = x * ci
+        out[rc] = y
+    return SparseMatrix(m.nrows, m.ncols, out)
 
 
 def verify_relations(N: int) -> bool:
@@ -216,22 +247,26 @@ def _balanced_coproduct(x: SparseMatrix, kh: SparseMatrix, khi: SparseMatrix,
 def coproduct_generators(N: int, n: int, v0=None, p: int = None):
     """Delta(K_i), Delta(E_i), Delta(F_i) on the n-fold tensor power for
     every i, for commutant work.  At a point v0 (a GaussRat, or an int mod
-    a prime p) K_i, K_i^{+-1/2}, E_i and F_i are specialized once on S and
+    a prime p) K_i, K_i^{+-1/2} and E_i are specialized once on S and
     then tensored, each step reduced mod p, so no operator on S^(x)n is
     specialized.  Specialization is a ring map on entries with no pole at
     the point (they are powers of v and integers), so every operator
-    equals the symbolic one specialized entry by entry."""
+    equals the symbolic one specialized entry by entry.
+
+    Delta(F_i) is Delta(E_i)^T: F_i = E_i^T on S (`SpinRep.F`), K^{+-1/2}
+    is diagonal, and (A (x) B)^T = A^T (x) B^T, so every term kh^(x)j (x)
+    F_i (x) khi^(x)(n-1-j) of the balanced coproduct is the transpose of
+    the E_i term; the entries are the same products, so this holds over
+    Q(i)(v), at a point and mod p alike."""
     rep = spin_rep(N)
     out = []
     for i in range(1, rep.k + 1):
-        K, kh, khi, E, F = (rep.K(i), rep.Khalf(i), rep.Khalf(i, -1),
-                            rep.E(i), rep.F(i))
+        K, kh, khi, E = rep.K(i), rep.Khalf(i), rep.Khalf(i, -1), rep.E(i)
         if v0 is not None:
-            K, kh, khi, E, F = (m.specialize(v0, p)
-                                for m in (K, kh, khi, E, F))
+            K, kh, khi, E = (m.specialize(v0, p) for m in (K, kh, khi, E))
         dK = K
         for _ in range(n - 1):
             dK = _mod(dK.kron(K), p)
-        out += [dK, _balanced_coproduct(E, kh, khi, n, p),
-                _balanced_coproduct(F, kh, khi, n, p)]
+        dE = _balanced_coproduct(E, kh, khi, n, p)
+        out += [dK, dE, dE.transpose()]
     return out

@@ -10,6 +10,15 @@ A Gaussian rational is stored as three Python ints (a, b, d) meaning
 values have equal triples.  `Q` (= fractions.Fraction) is only the type
 of rational inputs and of the `re`/`im`/`norm` views.
 
+Most entries of the operators are units i^k v^e: the +-1 of the fermion
+operators and the parity, the powers of v of K_i and Omega_r, and their
+products.  `unit(e, k)` is the one shared Scalar of each, and it carries
+its (e, k), so a product, negation or inverse of units adds or negates
+exponents and looks the result up, with no Gaussian-rational arithmetic.
+Equality and hashing stay structural: a Scalar equal to a unit but built
+otherwise (or pickled before units existed) is a plain Scalar and takes
+the general path, to the same result.
+
 F_p is ints in [0, p) with the prime p passed explicitly: i maps to
 `root_of_unity(4, p)` (p = 1 mod 4) in `GaussRat.mod_p(p)` and
 `Scalar.specialize(v0, p)`.  The centralizer and spectrum counts run
@@ -262,10 +271,6 @@ class LaurentPoly:
     def const(c: GaussRat) -> "LaurentPoly":
         return LaurentPoly({0: c} if c else {})
 
-    @staticmethod
-    def monomial(exp: int, coeff=GR_ONE) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff} if coeff else {})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -470,7 +475,7 @@ class Scalar:
 
     @staticmethod
     def v_power(e: int) -> "Scalar":
-        return Scalar(LaurentPoly.monomial(e), LP_ONE, reduce=False)
+        return unit(e, 0)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self):
@@ -511,12 +516,16 @@ class Scalar:
         return Scalar(self.num * od + other.num * sd, sd * od)
 
     def __neg__(self):
+        if type(self) is _Unit:
+            return unit(self.e, (self.k + 2) & 3)
         return _sc(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        if type(self) is _Unit and type(other) is _Unit:
+            return unit(self.e + other.e, (self.k + other.k) & 3)
         sd, od = self.den, other.den
         if sd is LP_ONE:
             if od is LP_ONE:
@@ -533,6 +542,8 @@ class Scalar:
         return Scalar(self.num * other.num, sd * od)
 
     def inv(self):
+        if type(self) is _Unit:
+            return unit(-self.e, -self.k & 3)
         if not self.num:
             raise ZeroDivisionError("inverse of zero Scalar")
         return Scalar(self.den, self.num)
@@ -573,10 +584,36 @@ class Scalar:
         return f"({self.num!r})/({self.den!r})"
 
 
+class _Unit(Scalar):
+    """A Scalar i^k v^e that carries (e, k), 0 <= k < 4; made by `unit`
+    only."""
+
+    __slots__ = ("e", "k")
+
+
+_I_POWERS = (GR_ONE, GR_I, GaussRat(-1), GaussRat(0, -1))
+
+
+@lru_cache(maxsize=None)
+def unit(e: int, k: int) -> Scalar:
+    """The shared Scalar i^k v^e, k taken mod 4.
+
+    i^a v^e * i^b v^f = i^(a+b) v^(e+f), (i^k v^e)^-1 = i^-k v^-e and
+    -(i^k v^e) = i^(k+2) v^e are exactly the canonical Scalars the general
+    path builds (numerator the one term i^k v^e, denominator LP_ONE), field
+    for field, so `Scalar.__mul__`, `__neg__` and `inv` return `unit` of
+    the new exponents when their operands are units."""
+    if not 0 <= k < 4:
+        return unit(e, k & 3)
+    u = _new(_Unit)
+    u.num, u.den, u.e, u.k = _lp({e: _I_POWERS[k]}), LP_ONE, e, k
+    return u
+
+
 ZERO = Scalar.from_int(0)
-ONE = Scalar.from_int(1)
+ONE = unit(0, 0)
 TWO = Scalar.from_int(2)
-I = Scalar.from_gauss(GR_I)
+I = unit(0, 1)
 V = Scalar.v_power(1)
 QQ = Scalar.v_power(2)          # the deformation parameter q = v^2
 HALF = Scalar(LaurentPoly.const(GaussRat(Q(1, 2))), LP_ONE, reduce=False)
@@ -637,5 +674,8 @@ def qfactorial(n: int, base: Scalar) -> Scalar:
     return out
 
 
+@lru_cache(maxsize=None)
 def qbinom(n: int, k: int, base: Scalar) -> Scalar:
+    """The q-binomial [n choose k] in `base`; cached, as the Serre relations
+    of every (i, j) and N ask for the same few."""
     return qfactorial(n, base) / (qfactorial(k, base) * qfactorial(n - k, base))

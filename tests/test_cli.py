@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spindual import cli, combinat, qgroup
+from spindual import cli, combinat, intertwiner, qgroup
 from spindual.cli import main
 from spindual.combinat import fmt_weight, is_admissible
 from spindual.qgroup import SpinRep
@@ -244,6 +244,40 @@ def test_verify_cubic_q_one_label(capsys):
     code, out = run(capsys, "verify", "cubic", "--N", "4", "--q", "one")
     assert code == 0
     assert "PASS  cubic relation N=4 q=1" in out and "symbolic" not in out
+
+
+@pytest.mark.parametrize("N", range(3, 12))
+def test_dominant_block_size_counts_the_columns(N):
+    assert cli._dominant_block_size(N) == len(qgroup.dominant_columns(N, 3))
+
+
+@pytest.mark.parametrize("q", ["sym", "spec"])
+def test_verify_cubic_past_N9(capsys, q):
+    # the quantum cubic works on the dominant block of S^(x)3, 728 columns
+    # at N = 10, so the size bound is max(2k, log2 |D|), not 3k
+    code, out = run(capsys, "verify", "cubic", "--N", "10", "--q", q,
+                    "--seed", "11")
+    assert code == 0 and "PASS  cubic relation N=10" in out
+
+
+@pytest.mark.parametrize("q", ["sym", "spec"])
+def test_cubic_size_bound_per_mode(monkeypatch, capsys, q):
+    # N = 11..13 pass the guard (their checks take 0.6-14 s, so a stub
+    # stands in for them here); N = 14 has |D| = 6560 > 2^12 and exits 2,
+    # as does --q one at N = 10, which builds the whole S^(x)3
+    ran = []
+    for name in ("check_cubic", "check_cubic_specialized"):
+        monkeypatch.setattr(intertwiner, name,
+                            lambda N, *a, **kw: ran.append(N) or {})
+    for N in (11, 12, 13):
+        assert main(["verify", "cubic", "--N", str(N), "--q", q]) == 0
+    assert ran == [11, 12, 13]
+    capsys.readouterr()
+    for N, mode in ((14, q), (10, "one")):
+        assert main(["verify", "cubic", "--N", str(N), "--q", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out.count("PASS") == 0 and "above the limit 2^12" in err
+    assert ran == [11, 12, 13]
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,8 @@ from spindual.ring import (GaussRat, ONE, TWO, HALF, V, QQ, qint, sc, Scalar,
                            Q, GR_ONE, GR_I, P, PoleError)
 from spindual.linalg import (SparseMatrix, embed, first_nonzero, random_point,
                              residuals_zero)
-from spindual.qgroup import column_weight, dominant_columns, rank_of
+from spindual.qgroup import (column_weight, dominant_columns, rank_of,
+                             spin_rep, _balanced_coproduct)
 from spindual import clifford as cl, intertwiner, linalg
 from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   build_C_classical,
@@ -407,3 +408,30 @@ def test_symbolic_cubic_matches_full_space(N):
         got = [res["cubic C1;C2"], res["cubic C2;C1"]]
         assert got == [restrict_columns(m, cols) for m in full], mid
         assert residuals_zero(res) == (mid is MID)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_pair_generators_F_is_the_built_coproduct(N):
+    # Delta(F_i) = Delta(E_i)^T against kh (x) F_i + F_i (x) khi, over
+    # Q(i)(v) and at two points
+    rep = spin_rep(N)
+    for v0 in (None, *(random_point(random.Random(s)) for s in (11, 23))):
+        pairs = dict(_pair_generators(N, v0))
+        for i in range(1, rep.k + 1):
+            kh, khi, F = rep.Khalf(i), rep.Khalf(i, -1), rep.F(i)
+            if v0 is not None:
+                kh, khi, F = (m.specialize(v0) for m in (kh, khi, F))
+            assert pairs[f"F{i}"] == _balanced_coproduct(F, kh, khi, 2), v0
+
+
+def test_commutator_compares_before_it_subtracts():
+    # the non-diagonal path returns the empty matrix when ab = ba and
+    # ab - ba otherwise: both are the plain a*b - b*a
+    for drop in (False, True):
+        C = build_C_quantum(5) - _f_term(5) if drop else build_C_quantum(5)
+        for g, m in _pair_generators(5):
+            if m.is_diagonal():
+                continue
+            got = linalg.commutator(m, C)
+            assert got == m * C - C * m, (drop, g)
+            assert got.is_zero() == (not drop or g not in ("E2", "F2"))

@@ -1,13 +1,15 @@
 from itertools import product
 
+import random
+
 import pytest
 
-from spindual.ring import ONE, TWO, QQ, q_power
-from spindual.linalg import SparseMatrix, kron_all
+from spindual.ring import ONE, TWO, V, QQ, P, q_power, qbinom
+from spindual.linalg import SparseMatrix, kron_all, random_point
 from spindual.combinat import is_dominant
 from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
                              cartan_entry, verify_relations, dominant_columns,
-                             relation_residuals)
+                             relation_residuals, spin_rep)
 from spindual import qgroup
 from spindual.cli import main
 
@@ -54,6 +56,144 @@ def test_relations_name_the_broken_one(monkeypatch, capsys):
     fail = [ln for ln in capsys.readouterr().out.splitlines()
             if ln.startswith("FAIL")]
     assert len(fail) == 1 and "[nonzero: [E1, F1] at (" in fail[0]
+
+
+def product_relation_residuals(N: int) -> dict:
+    """`relation_residuals` by matrix products throughout, with every
+    q-binomial computed afresh: the reference for the entrywise K X K^-1,
+    the diagonal commutators and the cached q-binomials."""
+    rep = qgroup.spin_rep(N)
+    k, d = rep.k, rep.dim
+    ident = SparseMatrix.identity(d)
+    out = {}
+    for i in range(1, k + 1):
+        K, Ki = rep.K(i), rep.K(i, -1)
+        out[f"K{i} K{i}^-1"] = K * Ki - ident
+        out[f"K{i}^1/2 K{i}^1/2"] = rep.Khalf(i) * rep.Khalf(i) - K
+        for j in range(1, k + 1):
+            out[f"[K{i}, K{j}]"] = K * rep.K(j) - rep.K(j) * K
+            pw = 2 * root_pairing(N, i, j)
+            for name, X, e in (("E", rep.E(j), pw), ("F", rep.F(j), -pw)):
+                out[f"K{i} {name}{j} K{i}^-1"] = (K * X * Ki
+                                                  - X.scale(q_power(e)))
+            comm = rep.E(i) * rep.F(j) - rep.F(j) * rep.E(i)
+            if i == j:
+                qi = rep.qi(i)
+                comm = comm - (K - Ki).scale((qi - qi.inv()).inv())
+            out[f"[E{i}, F{j}]"] = comm
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            if i == j:
+                continue
+            m = 1 - cartan_entry(N, i, j)
+            coefs = [qbinom.__wrapped__(m, s, rep.qi(i)) for s in range(m + 1)]
+            for name, X in (("E", rep.E), ("F", rep.F)):
+                pows = [ident]
+                for _ in range(m):
+                    pows.append(pows[-1] * X(i))
+                acc = SparseMatrix(d, d)
+                for s, coef in enumerate(coefs):
+                    piece = (pows[m - s] * X(j) * pows[s]).scale(coef)
+                    acc = acc + (piece if s % 2 == 0 else -piece)
+                out[f"Serre {name} {i},{j}"] = acc
+    return out
+
+
+def same_residuals(got: dict, want: dict) -> bool:
+    return got == want and list(got) == list(want)
+
+
+@pytest.mark.parametrize("N", range(3, 11))
+def test_relation_residuals_match_matrix_products(N):
+    assert same_residuals(relation_residuals(N),
+                          product_relation_residuals(N))
+
+
+class MovedE1(SpinRep):
+    """A wrong spin representation: E_1 has one more entry, on the
+    diagonal, where K_1 E_1 K_1^-1 = q^(a_1, a_1) E_1 cannot hold."""
+
+    def E(self, i):
+        e = super().E(i)
+        if i != 1:
+            return e
+        assert (0, 0) not in e.data
+        return e + SparseMatrix(e.nrows, e.ncols, {(0, 0): ONE})
+
+
+class ScaledE1(SpinRep):
+    """E_1 with one entry scaled by v: every weight is unchanged."""
+
+    def E(self, i):
+        e = super().E(i)
+        if i != 1:
+            return e
+        rc = min(e.data)
+        return e + SparseMatrix(e.nrows, e.ncols,
+                                {rc: e.data[rc] * V - e.data[rc]})
+
+
+def test_weight_relation_negative_controls(monkeypatch):
+    # an entry of E_1 at the wrong weight breaks K1 E1 K1^-1 there and
+    # only there; one scaled by v keeps every weight, so that relation
+    # holds and [E1, F1] fails instead; both dicts are the products' ones
+    monkeypatch.setattr(qgroup, "spin_rep", MovedE1)
+    res = relation_residuals(4)
+    assert list(res["K1 E1 K1^-1"].data) == [(0, 0)]
+    assert res["K1 E1 K1^-1"].data[(0, 0)] == (
+        ONE - q_power(2 * root_pairing(4, 1, 1)))
+    assert same_residuals(res, product_relation_residuals(4))
+    monkeypatch.setattr(qgroup, "spin_rep", ScaledE1)
+    res = relation_residuals(4)
+    assert res["K1 E1 K1^-1"].is_zero() and res["K1 F1 K1^-1"].is_zero()
+    assert not res["[E1, F1]"].is_zero()
+    assert same_residuals(res, product_relation_residuals(4))
+
+
+class OffDiagonalK1(SpinRep):
+    """K_1^{+-1} with one more entry, off the diagonal, where the per-entry
+    K X K^-1 does not apply."""
+
+    def K(self, i, power=1):
+        k = super().K(i, power)
+        if i != 1:
+            return k
+        return k + SparseMatrix(k.nrows, k.ncols, {(0, 1): ONE})
+
+
+def test_conjugation_residual_off_the_diagonal(monkeypatch):
+    # a K that is not diagonal takes the products, and a diagonal K with
+    # an entry missing (zero) the per-entry path: both as the products
+    rep = SpinRep(4)
+    K, Ki, X = rep.K(1), rep.K(1, -1), rep.E(1)
+    K0 = SparseMatrix(K.nrows, K.ncols,
+                      {rc: x for rc, x in K.data.items() if rc != (1, 1)})
+    assert any(r == 1 for r, _ in X.data)
+    assert qgroup._conjugation_residual(K0, Ki, X, QQ) == (
+        K0 * X * Ki - X.scale(QQ))
+    monkeypatch.setattr(qgroup, "spin_rep", OffDiagonalK1)
+    res = relation_residuals(4)
+    assert not res["K1 E1 K1^-1"].is_zero()
+    assert same_residuals(res, product_relation_residuals(4))
+
+
+@pytest.mark.parametrize("N,n", [(3, 3), (4, 2), (5, 2), (6, 2)])
+def test_coproduct_of_F_is_the_transpose(N, n):
+    # Delta(F_i) = Delta(E_i)^T against the balanced coproduct of F_i, over
+    # Q(i)(v), at two points and mod P
+    rep = spin_rep(N)
+    points = [(None, None)]
+    for seed in (11, 23):
+        v0 = random_point(random.Random(seed))
+        points += [(v0, None), (v0.mod_p(P), P)]
+    for v0, p in points:
+        gens = qgroup.coproduct_generators(N, n, v0, p)
+        for i in range(1, rep.k + 1):
+            kh, khi, F = rep.Khalf(i), rep.Khalf(i, -1), rep.F(i)
+            if v0 is not None:
+                kh, khi, F = (m.specialize(v0, p) for m in (kh, khi, F))
+            want = qgroup._balanced_coproduct(F, kh, khi, n, p)
+            assert gens[3 * i - 1] == want, (v0, i)
 
 
 def test_khalf_squares_to_K():

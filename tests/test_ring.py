@@ -1,4 +1,6 @@
+import pickle
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -8,7 +10,8 @@ from spindual.ring import (GaussRat, LaurentPoly, Scalar, PoleError, Q,
                            LP_ONE, LP_ZERO,
                            ZERO, ONE, TWO, I, V, QQ, HALF, GR_I,
                            P, is_prime, prime_1_mod, root_of_unity,
-                           qint, qint_plus, qbinom, q_power, sc)
+                           qint, qint_plus, qbinom, q_power, sc, unit)
+from spindual import ring
 
 
 def conj(g: GaussRat) -> GaussRat:
@@ -320,7 +323,7 @@ def test_root_of_unity_has_exact_order(m):
 gauss_small = st.builds(GaussRat, small, small)
 laurent_polys = st.dictionaries(small, gauss_small, max_size=3).map(
     lambda d: LaurentPoly({e: c for e, c in d.items() if c}))
-units = st.builds(lambda e, c: Scalar(LaurentPoly.monomial(e, c)), small,
+units = st.builds(lambda e, c: Scalar(LaurentPoly({e: c})), small,
                   gauss_small.filter(bool))
 laurents = laurent_polys.map(Scalar)
 DENS = [LaurentPoly({0: GaussRat(1), 1: GaussRat(1)}),               # 1 + v
@@ -372,11 +375,12 @@ def schoolbook(p, q):
     return {e: c for e, c in out.items() if c}
 
 
-terms = st.builds(LaurentPoly.monomial, small, gauss_small.filter(bool))
+terms = st.builds(lambda e, c: LaurentPoly({e: c}), small,
+                  gauss_small.filter(bool))
 
 
 @given(laurent_polys, terms)
-@example(LP_ZERO, LaurentPoly.monomial(2, GaussRat(3)))
+@example(LP_ZERO, LaurentPoly({2: GaussRat(3)}))
 def test_laurent_times_one_term_is_the_schoolbook_product(p, t):
     # a one-term factor is a single shift-and-scale pass
     want = schoolbook(p, t)
@@ -430,3 +434,68 @@ def test_one_valued_denominator_is_lp_one(x, y):
         one = s.den == LaurentPoly({0: GaussRat(1)})
         assert (s.den is LP_ONE) == one
         assert repr(s) == (repr(s.num) if one else f"({s.num!r})/({s.den!r})")
+
+
+# -- shared units i^k v^e --------------------------------------------------------
+
+def plain(e: int, k: int) -> Scalar:
+    """i^k v^e through the reducing constructor: a Scalar with no unit
+    marker, as one unpickled from before units existed."""
+    return Scalar(LaurentPoly({e: GR_I ** k}))
+
+
+def is_unit(s: Scalar, e: int, k: int) -> bool:
+    return type(s) is ring._Unit and (s.e, s.k) == (e, k % 4)
+
+
+UNIT_EXPONENTS = list(product(range(-6, 7), range(4)))
+
+
+def test_unit_arithmetic_matches_the_general_path():
+    # a product, negation or inverse of units is the unit of the new
+    # exponents, and field for field (hash included) the Scalar the general
+    # path builds from the same values without the marker
+    for e, k in UNIT_EXPONENTS:
+        x, px = unit(e, k), plain(e, k)
+        assert same_fields(x, px) and x == px and hash(x) == hash(px)
+        assert type(px) is Scalar
+        for got, want, ek in ((-x, -px, (e, k + 2)),
+                              (x.inv(), px.inv(), (-e, -k))):
+            assert is_unit(got, *ek) and got is unit(*ek)
+            assert same_fields(got, want) and hash(got) == hash(want)
+        for f, j in UNIT_EXPONENTS:
+            got, want = x * unit(f, j), px * plain(f, j)
+            assert is_unit(got, e + f, k + j)
+            assert same_fields(got, want) and hash(got) == hash(want)
+            assert same_fields(got, Scalar(px.num * plain(f, j).num))
+
+
+def test_named_constants_are_units():
+    assert is_unit(ONE, 0, 0) and is_unit(I, 0, 1) and is_unit(-ONE, 0, 2)
+    assert is_unit(V, 1, 0) and is_unit(QQ, 2, 0)
+    for e in range(-6, 7):
+        assert Scalar.v_power(e) is unit(e, 0) is q_power(e)
+    assert unit(3, 5) is unit(3, 1) and unit(3, -1) is unit(3, 3)
+
+
+def test_units_pickle_and_marker_free_scalars_multiply():
+    for e, k in ((0, 0), (3, 1), (-2, 3)):
+        u = pickle.loads(pickle.dumps(unit(e, k)))
+        assert is_unit(u, e, k) and u == unit(e, k)
+        assert is_unit(u * u, 2 * e, 2 * k) and -u == -unit(e, k)
+        # a marker-free Scalar of the same value takes the general path
+        p = pickle.loads(pickle.dumps(plain(e, k)))
+        assert type(p) is Scalar
+        for y in (unit(1, 1), plain(1, 1), Scalar(LP_ONE, DENS[0])):
+            assert p * y == unit(e, k) * y == y * p
+        assert p.inv() == unit(e, k).inv() and -p == -unit(e, k)
+
+
+def test_units_stay_correct_after_the_cache_is_cleared():
+    before = unit(4, 3)
+    unit.cache_clear()
+    after = unit(4, 3)
+    assert after is not before and after == before
+    assert is_unit(after * before, 8, 6) and after * before == plain(8, 2)
+    assert ONE * after == after and (I * I) == -ONE
+    assert qbinom(4, 2, QQ) == qbinom.__wrapped__(4, 2, QQ)
