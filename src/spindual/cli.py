@@ -191,7 +191,7 @@ def run_verify(args) -> int:
             reps = []
             check(f"{'classical' if cls else 'quantum'} spectrum N={N}",
                   lambda: reps.append(intertwiner.spectrum_of_C(
-                      N, classical=cls, eps=args.sign)) or reps[0].complete)
+                      N, classical=cls)) or reps[0].complete)
             if reps:
                 print(f"# C splits into {len(reps[0].blocks)} blocks, the "
                       f"largest of size {max(reps[0].blocks)}")
@@ -394,8 +394,7 @@ def run_table(args) -> int:
             raise ValueError("table spectrum has no specialized mode: use "
                              "--q sym or --q one")
         _check_config({"spectrum": args.q}, N, n)
-        rep = intertwiner.spectrum_of_C(N, classical=args.q == "one",
-                                        eps=args.sign)
+        rep = intertwiner.spectrum_of_C(N, classical=args.q == "one")
         if not rep.complete:
             print("spectrum verification failed", file=sys.stderr)
             return 1
@@ -466,7 +465,7 @@ def build_parser():
     verify = command("verify", run_verify, "--q", "--seed", "--sign")
     verify.add_argument("suite", choices=SUITES)
     verify.set_defaults(q=None)     # each suite's own default mode
-    command("table", run_table, "--level", "--q", "--sign", "--format",
+    command("table", run_table, "--level", "--q", "--format",
             "--out").add_argument("kind", choices=("multiplicities",
                                                    "spectrum", "complements"))
     command("fft", run_fft, "--seed")

@@ -14,11 +14,11 @@ from functools import reduce
 from operator import add
 
 from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
-from .linalg import (SparseMatrix, commutator, embed, nullspace, kron_all,
-                     vstack, _one)
+from .linalg import (SparseMatrix, commutator, embed, nullspace, vstack,
+                     _one)
 from .linalg import residuals_zero  # noqa: F401  (re-exported)
 from . import clifford as cl
-from .qgroup import rank_of, _balanced_coproduct
+from .qgroup import rank_of, coproduct_generators
 from .intertwiner import (build_C_classical, build_C_quantum,
                           clear_denominators, cubic_residuals)
 
@@ -128,34 +128,19 @@ def twist_so3(rep: CoidealRep) -> CoidealRep:
 
 # -- Temperley-Lieb from the rank-one quantum group -------------------------
 
-def _sl2_generators():
-    """The rank-one quantum group on C^2 in the convention K E K^-1 = q^2 E,
-    i.e. K = diag(q, q^-1) and [E, F] = (K - K^-1)/(q - q^-1).
-
-    This is the convention the three-strand homomorphism forces: a direct
-    expansion shows B = a - b*e can satisfy the cubic relation with middle
-    coefficient q^2 + q^-2 only if e_1 e_2 e_1 = e_1 / (q + q^-1)^2, the
-    constant realized by the trivial-summand projection below."""
-    K = SparseMatrix.diagonal([QQ, QQ.inv()])
-    Kh = SparseMatrix.diagonal([V, V.inv()])
-    E = SparseMatrix(2, 2, {(0, 1): ONE})
-    F = SparseMatrix(2, 2, {(1, 0): ONE})
-    return K, Kh, E, F
-
-
-def _sl2_coproduct(n: int):
-    """Images of E, F, K under the n-fold balanced coproduct on (C^2)^(x)n."""
-    K, Kh, E, F = _sl2_generators()
-    Khi = SparseMatrix.diagonal([V.inv(), V])
-    return (_balanced_coproduct(E, Kh, Khi, n),
-            _balanced_coproduct(F, Kh, Khi, n), kron_all([K] * n))
-
-
 def tl_generators(n: int) -> list:
     """e_i projecting tensor slots (i, i+1) onto the trivial isotypic
     component of C^2 (x) C^2, found as the joint kernel of the coproduct
-    action -- nothing about the singlet is hardcoded."""
-    dE, dF, dK = _sl2_coproduct(2)
+    action -- nothing about the singlet is hardcoded.
+
+    C^2 is the spin representation of N = 3, the rank-one quantum group
+    with K = diag(q, q^-1), K E K^-1 = q^2 E and [E, F] = (K - K^-1)/(q -
+    q^-1).  This is the convention the three-strand homomorphism forces:
+    a direct expansion shows B = a - b*e can satisfy the cubic relation
+    with middle coefficient q^2 + q^-2 only if e_1 e_2 e_1 = e_1 / (q +
+    q^-1)^2, the constant realized by the trivial-summand projection
+    below."""
+    dK, dE, dF = coproduct_generators(3, 2)
     ops = [dE, dF, dK - SparseMatrix.identity(4)]
     kernels = []
     for side, ms in (("", ops), ("transposed ", [m.transpose() for m in ops])):
@@ -212,8 +197,8 @@ def duality_rep(N: int, n: int, v0=None, p: int = None) -> CoidealRep:
     return _embedded_rep(N, n, C, -(QQ ** 2), v0, p)
 
 
-def classical_duality_rep(N: int, n: int, eps: int = 1) -> CoidealRep:
-    return _embedded_rep(N, n, build_C_classical(N, eps), -ONE)
+def classical_duality_rep(N: int, n: int) -> CoidealRep:
+    return _embedded_rep(N, n, build_C_classical(N), -ONE)
 
 
 def _embedded_rep(N: int, n: int, C: SparseMatrix, param: Scalar, v0=None,

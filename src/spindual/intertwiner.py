@@ -15,7 +15,7 @@ from .ring import (Scalar, GaussRat, Q, HALF, QQ, LP_ONE, qint,
 from .linalg import (SparseMatrix, commutator, embed, verify_spectrum,
                      SpectrumReport, _mod)
 from . import clifford as cl
-from .qgroup import spin_rep, rank_of, dominant_columns, _balanced_coproduct
+from .qgroup import rank_of, dominant_columns, coproduct_generators
 
 
 # -- the c/d building blocks ------------------------------------------------
@@ -79,12 +79,14 @@ def _f_term(N: int, v0=None, p: int = None) -> SparseMatrix:
 
 
 @lru_cache(maxsize=None)
-def build_C_classical(N: int, eps: int = 1) -> SparseMatrix:
-    """C = (1/2) sum_{i=1}^N e_i (x) e_i at q = 1."""
+def build_C_classical(N: int) -> SparseMatrix:
+    """C = (1/2) sum_{i=1}^N e_i (x) e_i at q = 1.  The sign choice in e_N
+    (`clifford.clifford_generator`) does not enter: e_N (x) e_N = f (x) f
+    for either sign."""
     k = rank_of(N)
     acc = None
     for j in range(1, N + 1):
-        e = cl.clifford_generator(j, k, eps)
+        e = cl.clifford_generator(j, k)
         t = e.kron(e)
         acc = t if acc is None else acc + t
     return acc.scale(HALF)
@@ -92,27 +94,8 @@ def build_C_classical(N: int, eps: int = 1) -> SparseMatrix:
 
 # -- commutation and cubic relations ---------------------------------------
 
-def _pair_generators(N: int, v0=None) -> list:
-    """(label, Delta(g)) on S (x) S for g = K_i^{1/2}, E_i, F_i; at a
-    GaussRat point v0, K_i^{+-1/2} and E_i are specialized on S first, as
-    in `qgroup.coproduct_generators`.  Delta(F_i) is Delta(E_i)^T, as
-    there: F_i = E_i^T on S, K^{+-1/2} is diagonal and (A (x) B)^T = A^T
-    (x) B^T, so kh (x) F_i + F_i (x) khi is the transpose of kh (x) E_i +
-    E_i (x) khi, entry for entry, symbolically and at a point alike."""
-    rep = spin_rep(N)
-    out = []
-    for i in range(1, rep.k + 1):
-        kh, khi, E = rep.Khalf(i), rep.Khalf(i, -1), rep.E(i)
-        if v0 is not None:
-            kh, khi, E = (m.specialize(v0) for m in (kh, khi, E))
-        dE = _balanced_coproduct(E, kh, khi, 2)
-        out += [(f"K{i}^1/2", kh.kron(kh)), (f"E{i}", dE),
-                (f"F{i}", dE.transpose())]
-    return out
-
-
 def check_commutation(N: int, drop_f_term=False) -> dict:
-    """[Delta(g), C] for every generator image g; returns {label: residual}.
+    """[Delta(g), C] for g = K_i, E_i, F_i; returns {label: residual}.
     `drop_f_term` is a negative control for N odd: without the f-term the
     last generator must fail to commute."""
     C = build_C_quantum(N)
@@ -120,15 +103,17 @@ def check_commutation(N: int, drop_f_term=False) -> dict:
         if N % 2 == 0:
             raise ValueError("no f-term to drop for N even")
         C = C - _f_term(N)
-    return _commutators(_pair_generators(N), C)
+    return _commutators(coproduct_generators(N, 2), C)
 
 
-def _commutators(pairs: list, C: SparseMatrix) -> dict:
-    """{label: [g, C]} for each (label, g) in `pairs`.  If C = C^T and g =
-    h^T for the h of the pair before (F_i after E_i), [g, C] = (Ch - hC)^T
+def _commutators(gens: list, C: SparseMatrix) -> dict:
+    """{label: [g, C]} for the Delta(K_i), Delta(E_i), Delta(F_i) of
+    `qgroup.coproduct_generators`, labelled K{i}, E{i}, F{i}.  If C = C^T
+    and g = h^T for the h before it (F_i after E_i), [g, C] = (Ch - hC)^T
     = -[h, C]^T takes no product; both equality tests are exact."""
     sym, out, last = C.transpose() == C, {}, None
-    for label, g in pairs:
+    for j, g in enumerate(gens):
+        label = f"{'KEF'[j % 3]}{j // 3 + 1}"
         if sym and last and g == last[1].transpose():
             out[label] = -out[last[0]].transpose()
         else:
@@ -137,7 +122,7 @@ def _commutators(pairs: list, C: SparseMatrix) -> dict:
     return out
 
 
-def check_cubic(N: int, classical=False, eps: int = 1) -> dict:
+def check_cubic(N: int, classical=False) -> dict:
     """{relation: residual} for the cubic relation on S^(x)3: lhs(C1; C2)
     - C2 and lhs(C2; C1) - C1, where lhs(a; b) = a^2 b + (q^2 + q^-2) a b a
     + b a^2 (the middle coefficient degenerates to 2 at q = 1).
@@ -150,7 +135,8 @@ def check_cubic(N: int, classical=False, eps: int = 1) -> dict:
     that block as `_cubic_residuals` says.  Why all of them zero
     certifies the cubic relation on the whole space:
 
-    - C commutes with the Delta(g), so C1 = C (x) 1 and C2 = 1 (x) C commute
+    - C commutes with the Delta(g), and so with Delta(K_i^{1/2})
+      (`_cubic_residuals`); so C1 = C (x) 1 and C2 = 1 (x) C commute
       with the threefold coproduct, since Delta3(x) = Delta(x) (x) K^{-1/2}
       + Delta(K^{1/2}) (x) x = x (x) Delta(K^{-1/2}) + K^{1/2} (x) Delta(x).
       So both cubic residuals are module maps.
@@ -171,8 +157,8 @@ def check_cubic(N: int, classical=False, eps: int = 1) -> dict:
     """
     if classical:
         from .coideal import check_coideal_relations, classical_duality_rep
-        return check_coideal_relations(classical_duality_rep(N, 3, eps))
-    return _cubic_residuals(N, build_C_quantum(N), _pair_generators(N),
+        return check_coideal_relations(classical_duality_rep(N, 3))
+    return _cubic_residuals(N, build_C_quantum(N), coproduct_generators(N, 2),
                             QQ ** 2 + QQ ** (-2))
 
 
@@ -185,8 +171,8 @@ def check_cubic_specialized(N: int, v0: GaussRat) -> dict:
     v0 raises PoleError."""
     require_generic(v0)
     mid = (QQ ** 2 + QQ ** (-2)).specialize(v0)
-    return _cubic_residuals(N, build_C_quantum(N, v0), _pair_generators(N, v0),
-                            mid)
+    return _cubic_residuals(N, build_C_quantum(N, v0),
+                            coproduct_generators(N, 2, v0), mid)
 
 
 def clear_denominators(mats):
@@ -218,18 +204,22 @@ def cubic_residuals(a: SparseMatrix, b: SparseMatrix, mid, d=None):
     return (ra - b.scale(d2)).scale(inv3), (rb - a.scale(d2)).scale(inv3)
 
 
-def _cubic_residuals(N: int, C: SparseMatrix, pairs: list, mid) -> dict:
-    """[g, C] for each (label, g) in `pairs`, then the two cubic residuals
-    with middle coefficient `mid` on the columns D = `dominant_columns(N,
-    3)` of S^(x)3, as d^3 x d^3 matrices.
+def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid) -> dict:
+    """[g, C] for the generator images `gens` (`_commutators`), then the
+    two cubic residuals with middle coefficient `mid` on the columns D =
+    `dominant_columns(N, 3)` of S^(x)3, as d^3 x d^3 matrices.
 
     C1 = C (x) 1 and C2 = 1 (x) C are built only on their D x D blocks
     (242 x 242 for N = 8, not 4096 x 4096).  Why that gives the residuals
     of the full operators on the columns D:
 
-    - If the commutators [Delta(K_i^{1/2}), C] in the dict vanish, C keeps
+    - If the commutators [Delta(K_i), C] in the dict vanish, C keeps
       every weight space of S (x) S, so C1 and C2 keep every weight space
-      of S^(x)3.
+      of S^(x)3.  They vanish exactly when the [Delta(K_i^{1/2}), C] do:
+      both are diagonal, with entries v^e and v^{e/2} in the same places;
+      a diagonal t commutes with C iff C_rs = 0 wherever t_r != t_s, and
+      v^e != v^f iff v^{e/2} != v^{f/2}, symbolically and at any v0 that
+      is not a root of unity.
     - span(D) is a sum of weight spaces: the Delta(K_i) are diagonal, and
       whether a basis vector is in D depends only on its weight.
     - So C1 and C2 map span(D) into itself, and every product of them
@@ -240,7 +230,7 @@ def _cubic_residuals(N: int, C: SparseMatrix, pairs: list, mid) -> dict:
     With a = C1 and b = C2 on the block, `cubic_residuals` takes eight
     block products, on d C1 and d C2 for d the lcm of C's entry
     denominators (`clear_denominators`)."""
-    out = _commutators(pairs, C)
+    out = _commutators(gens, C)
     d, (dC,) = clear_denominators([C])
     s, cols = 1 << rank_of(N), dominant_columns(N, 3)
     out["cubic C1;C2"], out["cubic C2;C1"] = cubic_residuals(
@@ -250,14 +240,13 @@ def _cubic_residuals(N: int, C: SparseMatrix, pairs: list, mid) -> dict:
 
 # -- spectra ----------------------------------------------------------------
 
-def classical_spectrum_candidates(N: int, eps: int = 1):
+def classical_spectrum_candidates(N: int):
     """(eigenvalue, multiplicity) pairs for C at q = 1: the exterior-power
     ladder.  N even: j with -k <= j <= k, multiplicity binom(N, k-j);
-    N odd: eps*(-1)^(k+j) (k + 1/2 - j) for 0 <= j <= k, multiplicity
+    N odd: (-1)^(k+j) (k + 1/2 - j) for 0 <= j <= k, multiplicity
     binom(N, j).  The overall (-1)^k is an empirical fact about this
     concrete Clifford module (the 1/2 f (x) f term is blind to the sign
-    choice in e_N, so only one global sign is realized; eps = 1 is the
-    realized one)."""
+    choice in e_N, so only this one global sign is realized)."""
     k = rank_of(N)
     out = []
     if N % 2 == 0:
@@ -267,7 +256,7 @@ def classical_spectrum_candidates(N: int, eps: int = 1):
     else:
         for j in range(k + 1):
             half = GaussRat(Q(N - 2 * j, 2))
-            s = eps * (-1) ** (k + j)
+            s = (-1) ** (k + j)
             out.append((Scalar.from_gauss(half if s > 0 else -half), comb(N, j)))
     return out
 
@@ -288,10 +277,10 @@ def quantum_spectrum_candidates(N: int):
     return out
 
 
-def spectrum_of_C(N: int, classical=False, eps: int = 1) -> SpectrumReport:
+def spectrum_of_C(N: int, classical=False) -> SpectrumReport:
     if classical:
-        C = build_C_classical(N, eps)
-        pairs = classical_spectrum_candidates(N, eps)
+        C = build_C_classical(N)
+        pairs = classical_spectrum_candidates(N)
         rep = verify_spectrum(C, [v for v, _ in pairs])
         ok = rep.annihilates and all(rep.multiplicities[v] == m for v, m in pairs)
         return SpectrumReport(ok, rep.multiplicities, rep.dim, rep.blocks)

@@ -163,13 +163,6 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.nrows, a.ncols, out)
 
 
-def kron_all(mats) -> SparseMatrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.kron(m)
-    return out
-
-
 def embed(m: SparseMatrix, left: int, right: int,
           block=None) -> SparseMatrix:
     """id_left (x) m (x) id_right, for identities of sizes `left` and

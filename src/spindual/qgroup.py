@@ -246,12 +246,14 @@ def _balanced_coproduct(x: SparseMatrix, kh: SparseMatrix, khi: SparseMatrix,
 
 def coproduct_generators(N: int, n: int, v0=None, p: int = None):
     """Delta(K_i), Delta(E_i), Delta(F_i) on the n-fold tensor power for
-    every i, for commutant work.  At a point v0 (a GaussRat, or an int mod
-    a prime p) K_i, K_i^{+-1/2} and E_i are specialized once on S and
-    then tensored, each step reduced mod p, so no operator on S^(x)n is
-    specialized.  Specialization is a ring map on entries with no pole at
-    the point (they are powers of v and integers), so every operator
-    equals the symbolic one specialized entry by entry.
+    every i, the one builder of them.  At a point v0 (a GaussRat, or an
+    int mod a prime p) K_i^{+-1/2} and E_i are specialized once on S, K_i
+    is (K_i^{1/2})^2 there, and all are then tensored, each step reduced
+    mod p, so no operator on S^(x)n is specialized.  Specialization is a
+    ring map on entries with no pole at the point (they are powers of v
+    and integers) and K_i^{1/2} is K_i's entrywise square root
+    (`SpinRep.Khalf`), so every operator equals the symbolic one
+    specialized entry by entry.
 
     Delta(F_i) is Delta(E_i)^T: F_i = E_i^T on S (`SpinRep.F`), K^{+-1/2}
     is diagonal, and (A (x) B)^T = A^T (x) B^T, so every term kh^(x)j (x)
@@ -263,7 +265,8 @@ def coproduct_generators(N: int, n: int, v0=None, p: int = None):
     for i in range(1, rep.k + 1):
         K, kh, khi, E = rep.K(i), rep.Khalf(i), rep.Khalf(i, -1), rep.E(i)
         if v0 is not None:
-            K, kh, khi, E = (m.specialize(v0, p) for m in (K, kh, khi, E))
+            kh, khi, E = (m.specialize(v0, p) for m in (kh, khi, E))
+            K = _mod(kh * kh, p)
         dK = K
         for _ in range(n - 1):
             dK = _mod(dK.kron(K), p)

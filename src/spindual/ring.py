@@ -441,7 +441,7 @@ class Scalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = LP_ONE, reduce=True):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = LP_ONE):
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -450,7 +450,7 @@ class Scalar:
             return
         if den is not LP_ONE and den.is_one():
             den = LP_ONE          # shared, so `den is LP_ONE` tests for one
-        elif reduce and den is not LP_ONE:
+        elif den is not LP_ONE:
             if not den.is_monomial():
                 g = poly_gcd(num, den)
                 if not g.is_one():
@@ -467,11 +467,11 @@ class Scalar:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_int(n: int) -> "Scalar":
-        return Scalar(LaurentPoly.const(GaussRat(n)), LP_ONE, reduce=False)
+        return _sc(LaurentPoly.const(GaussRat(n)))
 
     @staticmethod
     def from_gauss(c: GaussRat) -> "Scalar":
-        return Scalar(LaurentPoly.const(c), LP_ONE, reduce=False)
+        return _sc(LaurentPoly.const(c))
 
     @staticmethod
     def v_power(e: int) -> "Scalar":
@@ -583,12 +583,20 @@ class Scalar:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
+    def __reduce__(self):
+        # through __init__, so that a reloaded denominator equal to one is
+        # the shared LP_ONE again
+        return Scalar, (self.num, self.den)
+
 
 class _Unit(Scalar):
     """A Scalar i^k v^e that carries (e, k), 0 <= k < 4; made by `unit`
     only."""
 
     __slots__ = ("e", "k")
+
+    def __reduce__(self):
+        return unit, (self.e, self.k)
 
 
 _I_POWERS = (GR_ONE, GR_I, GaussRat(-1), GaussRat(0, -1))
@@ -616,7 +624,7 @@ TWO = Scalar.from_int(2)
 I = unit(0, 1)
 V = Scalar.v_power(1)
 QQ = Scalar.v_power(2)          # the deformation parameter q = v^2
-HALF = Scalar(LaurentPoly.const(GaussRat(Q(1, 2))), LP_ONE, reduce=False)
+HALF = Scalar.from_gauss(GaussRat(Q(1, 2)))
 
 
 def sc(n: int) -> Scalar:

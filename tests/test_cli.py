@@ -202,7 +202,8 @@ def test_bad_config_exit_2(capsys):
     ["fft", "--sign", "-"], ["fft", "--format", "json"],
     ["verify", "duality", "--format", "json"], ["verify", "tl", "--out", "x"],
     ["verify", "duality", "--level", "5"],
-    ["table", "multiplicities", "--seed", "3"]])
+    ["table", "multiplicities", "--seed", "3"],
+    ["table", "spectrum", "--sign", "-"]])
 def test_unread_flag_exit_2(capsys, argv, tmp_path, monkeypatch):
     # each subcommand has only the flags it reads: argparse refuses the rest
     monkeypatch.chdir(tmp_path)
@@ -210,6 +211,16 @@ def test_unread_flag_exit_2(capsys, argv, tmp_path, monkeypatch):
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_classical_spectrum_passes_with_either_sign(capsys, N):
+    # C at q = 1 does not depend on the sign of e_N, so --sign, which only
+    # the so3 suite reads, cannot turn the classical spectrum into a FAIL
+    for sign in ([], ["--sign", "-"]):
+        code, out = run(capsys, "verify", "spectrum", "--N", str(N),
+                        "--q", "one", *sign)
+        assert code == 0 and "PASS" in out and "FAIL" not in out, sign
 
 
 def test_table_spectrum_spec_exit_2(capsys):

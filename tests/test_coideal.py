@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from spindual.ring import GaussRat, LP_ONE, ONE, QQ, qint, Q
+from spindual.ring import GaussRat, LP_ONE, ONE, QQ, V, qint, Q
 from spindual.linalg import (SparseMatrix, algebra_closure_dim, _one,
                              commutant_dimension, random_point,
                              verify_spectrum)
@@ -13,6 +13,7 @@ from spindual.coideal import (CoidealRep, check_coideal_relations,
                               tl_braid_rep, tl_measured_constant, duality_rep,
                               classical_duality_rep)
 from spindual.intertwiner import quantum_spectrum_candidates
+from spindual.qgroup import spin_rep
 
 
 @pytest.mark.parametrize("N", range(1, 8))
@@ -64,6 +65,17 @@ def test_tl_idempotents_and_far_commutation():
     for e in es:
         assert (e * e - e).is_zero()
     assert es[0] * es[2] == es[2] * es[0]
+
+
+def test_n3_spin_rep_is_sl2_with_E_and_F_negated():
+    # Temperley-Lieb takes its coproduct from the spin representation of
+    # N = 3: K = diag(q, q^-1) and E, F the negated matrix units, so the
+    # joint kernels, and with them the e_i, are those of the plain ones
+    rep = spin_rep(3)
+    assert rep.K(1) == SparseMatrix.diagonal([QQ, QQ.inv()])
+    assert rep.Khalf(1) == SparseMatrix.diagonal([V, V.inv()])
+    assert rep.E(1) == -SparseMatrix(2, 2, {(0, 1): ONE})
+    assert rep.F(1) == -SparseMatrix(2, 2, {(1, 0): ONE})
 
 
 def test_tl_measured_constant():

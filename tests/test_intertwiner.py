@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from spindual.ring import (GaussRat, ONE, TWO, HALF, V, QQ, qint, sc, Scalar,
 from spindual.linalg import (SparseMatrix, embed, first_nonzero, random_point,
                              residuals_zero)
 from spindual.qgroup import (column_weight, dominant_columns, rank_of,
-                             spin_rep, _balanced_coproduct)
+                             spin_rep, coproduct_generators,
+                             _balanced_coproduct)
 from spindual import clifford as cl, intertwiner, linalg
 from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   build_C_classical,
@@ -16,8 +18,14 @@ from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   classical_spectrum_candidates,
                                   quantum_spectrum_candidates, spectrum_of_C,
                                   integrality_check,
-                                  _commutators, _cubic_residuals, _f_term,
-                                  _pair_generators)
+                                  _commutators, _cubic_residuals, _f_term)
+
+
+def pair_generators(N: int, v0=None) -> list:
+    """(label, g) for the Delta(K_i), Delta(E_i), Delta(F_i) on S (x) S, in
+    the order and with the labels of `_commutators`."""
+    return [(f"{'KEF'[j % 3]}{j // 3 + 1}", g)
+            for j, g in enumerate(coproduct_generators(N, 2, v0))]
 
 
 def C_embedded(N: int, i: int, n: int) -> SparseMatrix:
@@ -159,12 +167,12 @@ def test_commutation_negative_control():
 
 
 def test_commutation_negative_control_names_the_same_entry():
-    # the diagonal K^{1/2} commutators take one product per entry: the
+    # the diagonal K commutators take one product per entry: the
     # dict is the plain g C - C g one, and its first nonzero entry is the
     # one named before that change
     C = build_C_quantum(5) - _f_term(5)
     res = check_commutation(5, drop_f_term=True)
-    assert res == {g: m * C - C * m for g, m in _pair_generators(5)}
+    assert res == {g: m * C - C * m for g, m in pair_generators(5)}
     assert first_nonzero(res) == ("E2", (0, 1))
     assert res["E2"].data[(0, 1)] == -V.inv()
     assert [g for g, m in res.items() if not m.is_zero()] == ["E2", "F2"]
@@ -174,7 +182,7 @@ def test_commutation_negative_control_names_the_same_entry():
 def test_commutation_matches_plain_products(N):
     C = build_C_quantum(N)
     assert check_commutation(N) == {g: m * C - C * m
-                                    for g, m in _pair_generators(N)}
+                                    for g, m in pair_generators(N)}
 
 
 def test_far_commutation_of_embeddings():
@@ -231,12 +239,12 @@ def test_cubic_restriction_matches_full_space(N):
     for seed in (11, 23):
         v0 = random_point(random.Random(seed))
         C = build_C_quantum(N).specialize(v0)
-        pairs = [(g, m.specialize(v0)) for g, m in _pair_generators(N)]
+        gens = [m.specialize(v0) for m in coproduct_generators(N, 2)]
         C1, C2 = C.kron(ident), ident.kron(C)
         for mid in (MID.specialize(v0), GaussRat(2)):
             full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
                     for a, b in ((C1, C2), (C2, C1))]
-            res = _cubic_residuals(N, C, pairs, mid)
+            res = _cubic_residuals(N, C, gens, mid)
             got = [res["cubic C1;C2"], res["cubic C2;C1"]]
             assert got == [restrict_columns(m, cols) for m in full], (seed, mid)
 
@@ -244,7 +252,8 @@ def test_cubic_restriction_matches_full_space(N):
 def test_cubic_wrong_coefficient_fails():
     # middle coefficient 2 instead of q^2 + q^-2: C still commutes, but the
     # restricted cubic residuals do not vanish
-    res = _cubic_residuals(5, build_C_quantum(5), _pair_generators(5), TWO)
+    res = _cubic_residuals(5, build_C_quantum(5), coproduct_generators(5, 2),
+                           TWO)
     assert [g for g, m in res.items() if not m.is_zero()] == [
         "cubic C1;C2", "cubic C2;C1"]
 
@@ -253,7 +262,7 @@ def test_cubic_dropped_f_term_fails_equivariance():
     # without the f-term C still satisfies the cubic relation, but it is no
     # intertwiner: the check must fail on the commutators with E_2, F_2
     C = build_C_quantum(5) - _f_term(5)
-    res = _cubic_residuals(5, C, _pair_generators(5), MID)
+    res = _cubic_residuals(5, C, coproduct_generators(5, 2), MID)
     assert len(res) == 3 * 2 + 2
     assert [g for g, m in res.items() if not m.is_zero()] == ["E2", "F2"]
 
@@ -263,20 +272,20 @@ def test_builders_at_a_point_match_specialized_symbolic(N):
     # C and the Delta(g) on S (x) S, specialized on S and then tensored
     # (over Q(i) and mod P), against the symbolic operators specialized
     # entry by entry
-    C, pairs = build_C_quantum(N), _pair_generators(N)
+    C, gens = build_C_quantum(N), coproduct_generators(N, 2)
     for seed in (11, 23):
         v0 = random_point(random.Random(seed))
         assert build_C_quantum(N, v0) == C.specialize(v0), seed
         vp = v0.mod_p(P)
         assert build_C_quantum(N, vp, P) == C.specialize(vp, P), seed
-        assert _pair_generators(N, v0) == [(g, m.specialize(v0))
-                                          for g, m in pairs], seed
+        assert coproduct_generators(N, 2, v0) == [m.specialize(v0)
+                                                  for m in gens], seed
 
 
 def test_cubic_block_rejects_an_entry_between_weights():
     # negative control for the D x D block: C with one more entry, joining
     # two basis vectors of S (x) S of different weights, no longer keeps
-    # the weight spaces, and a K_i^{1/2} commutator says so
+    # the weight spaces, and a K_i commutator says so
     N = 5
     v0 = random_point(random.Random(11))
     C = build_C_quantum(N, v0)
@@ -284,10 +293,10 @@ def test_cubic_block_rejects_an_entry_between_weights():
     assert column_weight(N, 2, r) != column_weight(N, 2, c)
     assert (r, c) not in C.data
     bad = C + SparseMatrix(C.nrows, C.ncols, {(r, c): GR_ONE})
-    res = _cubic_residuals(N, bad, _pair_generators(N, v0),
+    res = _cubic_residuals(N, bad, coproduct_generators(N, 2, v0),
                            MID.specialize(v0))
     assert not residuals_zero(res)
-    assert any(not res[f"K{i}^1/2"].is_zero() for i in range(1, N // 2 + 1))
+    assert any(not res[f"K{i}"].is_zero() for i in range(1, N // 2 + 1))
 
 
 @pytest.mark.parametrize("v0", [GR_ONE, -GR_ONE, GR_I, -GR_I])
@@ -308,6 +317,18 @@ def test_extended_index_only_for_odd_N():
         c_op(3, 1, 4)
 
 
+@pytest.mark.parametrize("N", range(3, 8))
+def test_classical_C_is_blind_to_the_sign_of_e_N(N):
+    # e_N enters C only as e_N (x) e_N = f (x) f, so either sign of e_N
+    # gives the same C
+    k = rank_of(N)
+    acc = None
+    for j in range(1, N + 1):
+        e = cl.clifford_generator(j, k, -1)
+        acc = e.kron(e) if acc is None else acc + e.kron(e)
+    assert acc.scale(HALF) == build_C_classical(N)
+
+
 def test_classical_spectra():
     for N in (3, 4, 5, 6):
         rep = spectrum_of_C(N, classical=True)
@@ -321,6 +342,13 @@ def test_quantum_spectra():
     for N in (3, 4, 5):
         rep = spectrum_of_C(N)
         assert rep.annihilates and rep.complete, N
+
+
+def test_integrality_of_a_reloaded_C():
+    # pickling keeps the canonical form the integrality test reads
+    for N in (4, 5):
+        C = pickle.loads(pickle.dumps(build_C_quantum(N)))
+        assert C == build_C_quantum(N) and integrality_check(C, N), N
 
 
 def test_principal_eigenvector():
@@ -361,10 +389,10 @@ def count_commutator_calls(monkeypatch):
 def test_transposed_commutators_for_symmetric_C(monkeypatch, N):
     # C = C^T and Delta(F_i) = Delta(E_i)^T: each [Delta(F_i), C] comes
     # from [Delta(E_i), C] with no product, equal to the plain one
-    C, pairs = build_C_quantum(N), _pair_generators(N)
+    C, pairs = build_C_quantum(N), pair_generators(N)
     assert C.transpose() == C
     calls = count_commutator_calls(monkeypatch)
-    got = _commutators(pairs, C)
+    got = _commutators([m for _, m in pairs], C)
     assert len(calls) == 2 * rank_of(N)
     assert list(got) == [g for g, _ in pairs]
     assert got == plain_commutators(pairs, C)
@@ -375,18 +403,19 @@ def test_commutators_general_path(monkeypatch, N):
     # C with an entry (r, c) whose (c, r) is absent is not symmetric, and
     # a Delta(F_1) that is not Delta(E_1)^T has no transposed partner:
     # both take the plain commutator, and the dicts equal the plain ones
-    C, pairs = build_C_quantum(N), _pair_generators(N)
+    C, pairs = build_C_quantum(N), pair_generators(N)
+    gens = [m for _, m in pairs]
     r, c = 0, 1
     assert (r, c) not in C.data and (c, r) not in C.data
     bad_C = C + SparseMatrix(C.nrows, C.ncols, {(r, c): ONE})
     calls = count_commutator_calls(monkeypatch)
-    assert _commutators(pairs, bad_C) == plain_commutators(pairs, bad_C)
+    assert _commutators(gens, bad_C) == plain_commutators(pairs, bad_C)
     assert len(calls) == len(pairs)
     f1 = [g for g, _ in pairs].index("F1")
     bad_pairs = list(pairs)
     bad_pairs[f1] = ("F1", pairs[f1][1].scale(TWO))
     calls.clear()
-    got = _commutators(bad_pairs, C)
+    got = _commutators([m for _, m in bad_pairs], C)
     assert got == plain_commutators(bad_pairs, C)
     assert len(calls) == 2 * rank_of(N) + 1
 
@@ -398,13 +427,13 @@ def test_symbolic_cubic_matches_full_space(N):
     # columns, with the right and a wrong middle coefficient
     d = 1 << (N // 2)
     ident = SparseMatrix.identity(d)
-    C, pairs = build_C_quantum(N), _pair_generators(N)
+    C, gens = build_C_quantum(N), coproduct_generators(N, 2)
     C1, C2 = C.kron(ident), ident.kron(C)
     cols = dominant_columns(N, 3)
     for mid in (MID, TWO):
         full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
                 for a, b in ((C1, C2), (C2, C1))]
-        res = _cubic_residuals(N, C, pairs, mid)
+        res = _cubic_residuals(N, C, gens, mid)
         got = [res["cubic C1;C2"], res["cubic C2;C1"]]
         assert got == [restrict_columns(m, cols) for m in full], mid
         assert residuals_zero(res) == (mid is MID)
@@ -412,11 +441,11 @@ def test_symbolic_cubic_matches_full_space(N):
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_pair_generators_F_is_the_built_coproduct(N):
-    # Delta(F_i) = Delta(E_i)^T against kh (x) F_i + F_i (x) khi, over
-    # Q(i)(v) and at two points
+    # Delta(F_i) = Delta(E_i)^T on S (x) S against kh (x) F_i + F_i (x)
+    # khi, over Q(i)(v) and at two points
     rep = spin_rep(N)
     for v0 in (None, *(random_point(random.Random(s)) for s in (11, 23))):
-        pairs = dict(_pair_generators(N, v0))
+        pairs = dict(pair_generators(N, v0))
         for i in range(1, rep.k + 1):
             kh, khi, F = rep.Khalf(i), rep.Khalf(i, -1), rep.F(i)
             if v0 is not None:
@@ -429,7 +458,7 @@ def test_commutator_compares_before_it_subtracts():
     # ab - ba otherwise: both are the plain a*b - b*a
     for drop in (False, True):
         C = build_C_quantum(5) - _f_term(5) if drop else build_C_quantum(5)
-        for g, m in _pair_generators(5):
+        for g, m in pair_generators(5):
             if m.is_diagonal():
                 continue
             got = linalg.commutator(m, C)

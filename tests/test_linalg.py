@@ -8,7 +8,7 @@ from spindual.ring import (GaussRat, ONE, TWO, I, V, QQ, P, LP_ONE, Q, sc,
 from spindual.linalg import (SparseMatrix, EchelonBasis, commutator,
                              matrix_rank,
                              nullspace, algebra_closure_dim,
-                             commutant_dimension, verify_spectrum, kron_all,
+                             commutant_dimension, verify_spectrum,
                              embed, vstack, random_point, residuals_zero,
                              first_nonzero, certify_blocks,
                              highest_weight_restriction, SPECTRUM_POINT)

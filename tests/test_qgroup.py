@@ -5,13 +5,20 @@ import random
 import pytest
 
 from spindual.ring import ONE, TWO, V, QQ, P, q_power, qbinom
-from spindual.linalg import SparseMatrix, kron_all, random_point
+from spindual.linalg import SparseMatrix, random_point
 from spindual.combinat import is_dominant
 from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
                              cartan_entry, verify_relations, dominant_columns,
                              relation_residuals, spin_rep)
 from spindual import qgroup
 from spindual.cli import main
+
+
+def kron_all(mats) -> SparseMatrix:
+    out = mats[0]
+    for m in mats[1:]:
+        out = out.kron(m)
+    return out
 
 
 def test_rank_and_roots():
