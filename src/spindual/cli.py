@@ -237,10 +237,13 @@ def fft_counts(N: int, n: int, seed: int):
     The closure is the dimension of the algebra A_P generated by the B_i
     (and F for N even) at the point v0 = _point(seed), reduced mod P and
     restricted to the highest-weight space W (the joint kernel of the
-    Delta(E_i)).  W splits over the joint Delta(K_i)-eigenvalues into the
-    multiplicity spaces M_lambda, which every generator keeps, since it
-    commutes with the Delta(K_i); each block must sit at a weight lambda
-    of S^(x)n with size m_lambda, or this raises ArithmeticError.  The
+    Delta(E_i)).  W splits over the column weights (`qgroup.column_weight`)
+    into the multiplicity spaces M_lambda.  Every generator keeps them: it
+    commutes with the Delta(K_i), which are v^{2 (lambda.alpha_i)} on the
+    columns of weight lambda, and the restriction raises ArithmeticError
+    for a kernel vector that is not a weight vector or a generator entry
+    between two blocks.  Each block must have the size m_lambda of its
+    weight in the table, or this raises ArithmeticError.  The
     closure runs once per block (`linalg.certify_blocks`), never on W as a
     whole.  Why the blocks certify the claim:
 
@@ -294,19 +297,17 @@ def fft_certificate(N: int, n: int, seed: int):
     cop = qgroup.coproduct_generators(N, n, vp, P)
     r = coideal.duality_rep(N, n, vp, P)
     table = combinat.spinor_table(N, n)
+    dim = (1 << qgroup.rank_of(N)) ** n
     found = highest_weight_restriction(
-        r.B + ([r.F] if r.F is not None else []), cop[1::3], cop[0::3], P)
-    blocks = []
-    for cols, gens in found:
-        w = qgroup.column_weight(N, n, cols[0])
+        r.B + ([r.F] if r.F is not None else []), cop[1::3],
+        [qgroup.column_weight(N, n, j) for j in range(dim)], P)
+    for w, cols, _ in found:
         if table.get(w) != len(cols):
             raise ArithmeticError(
                 f"highest-weight block at weight ({combinat.fmt_weight(w)}) "
                 f"has size {len(cols)}, not its multiplicity {table.get(w)}")
-        blocks.append((w, len(cols), gens))
-    blocks = [(combinat.fmt_weight(w), m, gens)
-              for w, m, gens in sorted(blocks, key=lambda b: b[0],
-                                         reverse=True)]
+    blocks = [(combinat.fmt_weight(w), len(cols), gens)
+              for w, cols, gens in found]
     if len(blocks) != len(table):
         raise ArithmeticError(f"{len(blocks)} highest-weight blocks for "
                               f"{len(table)} weights of S^(x){n}")
@@ -315,7 +316,7 @@ def fft_certificate(N: int, n: int, seed: int):
     sm = sum(m * m for _, m, _ in blocks)
     com = None
     if n <= 3:
-        com = commutant_dimension(cop, (1 << qgroup.rank_of(N)) ** n, P)
+        com = commutant_dimension(cop, dim, P)
     ok = closure == sm and (com is None or com == sm)
     return ((closure, sm, com, ok),
             [(w, m, c) for (w, m, _), c in zip(blocks, closures)], seps)
@@ -363,6 +364,9 @@ def run_table(args) -> int:
     mode = {"sym": "symbolic", "one": "classical", "spec": "specialized"}[args.q]
     doc = {"N": N, "n": n, "mode": mode, "entries": []}
     if args.kind in ("multiplicities", "complements"):
+        if args.q != "sym":
+            raise ValueError(f"table {args.kind} is combinatorial and has "
+                             f"no --q mode")
         # each tensor step adds the 2^k weights of S, k = N // 2, the rows
         # of the largest operator `verify relations` builds
         if N // 2 > MAX_OPERATOR_BITS:
@@ -393,6 +397,9 @@ def run_table(args) -> int:
         if args.q == "spec":
             raise ValueError("table spectrum has no specialized mode: use "
                              "--q sym or --q one")
+        if args.level is not None:
+            raise ValueError("table spectrum has no fusion truncation: "
+                             "drop --level")
         _check_config({"spectrum": args.q}, N, n)
         rep = intertwiner.spectrum_of_C(N, classical=args.q == "one")
         if not rep.complete:

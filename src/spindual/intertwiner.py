@@ -143,12 +143,13 @@ def check_cubic(N: int, classical=False) -> dict:
     - q is not a root of unity, so S^(x)3 is completely reducible (Rosso,
       Lusztig): a sum of simple modules, each generated by a
       highest-weight vector w (E_i w = 0 for all i).
-    - The Delta(K_i) are diagonal with entries v^e, and distinct exponents
-      give distinct eigenvalues, so w lies in the span of basis columns of
-      one exponent tuple.  For the U_{q_i}(sl2) of E_i, F_i, K_i, w is a
+    - Delta(K_i) is v^{2 (mu.alpha_i)} at each column of weight mu
+      (`qgroup.column_weight`), and distinct weights give distinct
+      eigenvalue tuples, so w lies in the span of the columns of one
+      weight lambda.  For the U_{q_i}(sl2) of E_i, F_i, K_i, w is a
       highest-weight vector of a finite-dimensional module, so its K_i
-      eigenvalue is q_i^m with m >= 0: every exponent is >= 0 and w lies
-      in the span of the dominant columns.
+      eigenvalue is q_i^m with m >= 0: lambda.alpha_i >= 0 for every i,
+      lambda is dominant, and w lies in the span of the dominant columns.
     - A module map that kills every highest-weight vector kills the
       submodules they generate, i.e. everything.
 
@@ -207,7 +208,8 @@ def cubic_residuals(a: SparseMatrix, b: SparseMatrix, mid, d=None):
 def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid) -> dict:
     """[g, C] for the generator images `gens` (`_commutators`), then the
     two cubic residuals with middle coefficient `mid` on the columns D =
-    `dominant_columns(N, 3)` of S^(x)3, as d^3 x d^3 matrices.
+    `dominant_columns(N, 3)` of S^(x)3, those whose `column_weight` is
+    dominant, as d^3 x d^3 matrices.
 
     C1 = C (x) 1 and C2 = 1 (x) C are built only on their D x D blocks
     (242 x 242 for N = 8, not 4096 x 4096).  Why that gives the residuals
@@ -220,8 +222,10 @@ def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid) -> dict:
       a diagonal t commutes with C iff C_rs = 0 wherever t_r != t_s, and
       v^e != v^f iff v^{e/2} != v^{f/2}, symbolically and at any v0 that
       is not a root of unity.
-    - span(D) is a sum of weight spaces: the Delta(K_i) are diagonal, and
-      whether a basis vector is in D depends only on its weight.
+    - span(D) is a sum of joint Delta(K_i)-eigenspaces: Delta(K_i) is
+      v^{2 (w.alpha_i)} at a column of weight w, so columns of one
+      eigenvalue tuple share their weight, and whether a column is in D
+      depends only on its weight.
     - So C1 and C2 map span(D) into itself, and every product of them
       applied to span(D) equals the same product of their D x D blocks.
     - A nonzero commutator already fails the check, whatever the blocks

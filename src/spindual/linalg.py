@@ -344,36 +344,35 @@ def nullspace(m: SparseMatrix, p: int = None) -> list:
     return out
 
 
-def highest_weight_restriction(gens, raising, cartan, p: int = None):
+def highest_weight_restriction(gens, raising, weights, p: int = None):
     """Restrict `gens` to W, the joint kernel of the `raising` operators
-    (over F_p for a prime p), one block at a time: returns a list of
-    (free columns, restricted generators), one pair per joint value of the
-    diagonal `cartan` operators on W, ordered by their first free column.
+    (over F_p for a prime p), one block per weight: `weights[r]` is the
+    weight of basis column r, and the result is a list of (weight, free
+    columns, restricted generators), from the highest weight down.
 
     W is spanned by the `nullspace` vectors w_f, one per free column f,
     each with 1 at f and zero at every other free column; so a vector of W
     has its coordinates at the free columns, and g on W is read off the rows of
-    g*W at those columns.  Raises ArithmeticError if some g*w_f leaves W
-    (e*(g*w_f) != 0 for a raising e), some w_f is not a joint eigenvector
-    of `cartan`, or a restricted generator has an entry between two
-    blocks: the result would not be a restriction to each block.
+    g*W at those columns.  Raises ArithmeticError if some w_f is not a
+    weight vector (it has an entry at a column of another weight), some
+    g*w_f leaves W (e*(g*w_f) != 0 for a raising e), or a restricted
+    generator has an entry between two blocks: the result would not be a
+    restriction to each block.
     """
     vecs = nullspace(vstack(raising), p)
     free = [max(w) for w in vecs]
     W = SparseMatrix(raising[0].ncols, len(free),
                      {(r, j): x for j, w in enumerate(vecs)
                       for r, x in w.items()})
-
-    def weight(r):
-        return tuple(h.data.get((r, r)) or None for h in cartan)
-
-    blocks = {}     # joint value -> positions in W
+    blocks = {}     # weight -> positions in W
     for j, (f, w) in enumerate(zip(free, vecs)):
-        wt = weight(f)
-        if any(weight(r) != wt for r in w):
+        r = next((r for r in w if weights[r] != weights[f]), None)
+        if r is not None:
             raise ArithmeticError(f"highest-weight vector at column {f} "
-                                  f"is not a weight vector")
-        blocks.setdefault(wt, []).append(j)
+                                  f"is not a weight vector: it has an "
+                                  f"entry at column {r} of another weight")
+        blocks.setdefault(weights[f], []).append(j)
+    blocks = dict(sorted(blocks.items(), reverse=True))
     where = {}      # free column -> (block, position in the block)
     for b, js in enumerate(blocks.values()):
         for t, j in enumerate(js):
@@ -397,8 +396,8 @@ def highest_weight_restriction(gens, raising, cartan, p: int = None):
             parts[b][(t, tc)] = x
         for b, js in enumerate(blocks.values()):
             out[b].append(SparseMatrix(len(js), len(js), parts[b]))
-    return [([free[j] for j in js], ms)
-            for js, ms in zip(blocks.values(), out)]
+    return [(wt, [free[j] for j in js], ms)
+            for (wt, js), ms in zip(blocks.items(), out)]
 
 
 def _flatten(m: SparseMatrix) -> dict:

@@ -11,6 +11,7 @@ from itertools import product
 
 from .ring import Scalar, QQ, q_power, qbinom
 from .linalg import SparseMatrix, commutator, residuals_zero, _mod
+from .combinat import is_dominant
 from . import clifford as cl
 
 
@@ -77,16 +78,16 @@ class SpinRep:
 
     @lru_cache(maxsize=None)
     def Khalf(self, i: int, power: int = 1) -> SparseMatrix:
-        """K_i^{power/2}: the entrywise monomial square root of K_i^power."""
-        out = {}
-        for (r, c), s in self.K(i, power).data.items():
-            e = s.num.valuation()
-            if not s.num.is_monomial() or e % 2:
-                raise ArithmeticError(
-                    f"K_{i}^{power} entry ({r}, {c}) = {s!r} has no monomial "
-                    f"square root")
-            out[(r, c)] = q_power(e // 2)
-        return SparseMatrix(self.dim, self.dim, out)
+        """K_i^{power/2} = diag(v^{power (w.alpha_i)}), w the doubled weight
+        of each basis vector (`column_weight`) and w.alpha_i the plain dot
+        product with the simple root: K_i, built from the omega's, is
+        diag(v^{2 (w.alpha_i)}), which `relation_residuals` checks as
+        (K_i^{1/2})^2 = K_i."""
+        a = simple_roots(self.N)[i - 1]
+        return SparseMatrix.diagonal(
+            [q_power(power * sum(x * y for x, y in
+                                 zip(column_weight(self.N, 1, m), a)))
+             for m in range(self.dim)])
 
     @lru_cache(maxsize=None)
     def E(self, i: int) -> SparseMatrix:
@@ -111,29 +112,13 @@ def spin_rep(N: int) -> SpinRep:
 
 @lru_cache(maxsize=None)
 def dominant_columns(N: int, n: int) -> list:
-    """Indices of the basis vectors of S^(x)n whose weight is dominant: every
-    Delta(K_i) = K_i^(x)n has eigenvalue v^e there with e >= 0.  The K_i are
-    diagonal with monomial entries, so e is the sum of the v-valuations of
-    the factors; E_i raises e (K_i E_i K_i^-1 = q^{(a_i, a_i)} E_i, as
-    `relation_residuals` certifies), so a highest-weight vector has e >= 0
-    for every i.  The list is cached per (N, n) and shared: do not
-    mutate it."""
-    rep = spin_rep(N)
-    ks = range(1, rep.k + 1)
-    exps = []
-    for m in range(rep.dim):
-        row = []
-        for i in ks:
-            s = rep.K(i).data[(m, m)]
-            e = s.num.valuation()
-            if s != q_power(e):
-                raise ArithmeticError(f"K_{i} entry ({m}, {m}) = {s!r} is not "
-                                      f"a power of v")
-            row.append(e)
-        exps.append(row)
+    """Indices of the basis vectors of S^(x)n whose weight (`column_weight`,
+    the sum of its factors' weights) is dominant (`combinat.is_dominant`).
+    The list is cached per (N, n) and shared: do not mutate it."""
+    factors = [column_weight(N, 1, m) for m in range(1 << rank_of(N))]
     # product() varies the last factor fastest, as kron does
-    return [j for j, ws in enumerate(product(exps, repeat=n))
-            if all(sum(e) >= 0 for e in zip(*ws))]
+    return [j for j, ws in enumerate(product(factors, repeat=n))
+            if is_dominant(tuple(map(sum, zip(*ws))), N)]
 
 
 def column_weight(N: int, n: int, j: int) -> tuple:
@@ -251,7 +236,7 @@ def coproduct_generators(N: int, n: int, v0=None, p: int = None):
     is (K_i^{1/2})^2 there, and all are then tensored, each step reduced
     mod p, so no operator on S^(x)n is specialized.  Specialization is a
     ring map on entries with no pole at the point (they are powers of v
-    and integers) and K_i^{1/2} is K_i's entrywise square root
+    and integers) and K_i^{1/2} = diag(v^{w.alpha_i}) squares to K_i
     (`SpinRep.Khalf`), so every operator equals the symbolic one
     specialized entry by entry.
 

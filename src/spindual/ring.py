@@ -639,26 +639,17 @@ def q_power(e2: int) -> Scalar:
 def qint(n, base: Scalar = None) -> Scalar:
     """Quantum integer [n] = (base^n - base^-n)/(base - base^-1).
 
-    `n` may be an int or a half-integer given as an exact ratio p/2 via a
-    2-tuple (p, 2); with the default base q = v^2 half-integer powers are
-    odd powers of v.  [-n] = -[n] and [0] = 0, [1] = 1.
+    `n` may be an int or, with the default base q = v^2, a half-integer
+    given as an exact ratio p/2 via a 2-tuple (p, 2): [p/2] = (v^p -
+    v^-p)/(q - q^-1).  [-n] = -[n] and [0] = 0, [1] = 1.
     """
+    if isinstance(n, tuple):
+        if base is not None or len(n) != 2 or n[1] != 2:
+            raise ValueError("a half-integer quantum integer is (p, 2), "
+                             "in the default base q")
+        return (Scalar.v_power(n[0]) - Scalar.v_power(-n[0])) / (QQ - QQ.inv())
     if base is None:
         base = QQ
-    if isinstance(n, tuple):
-        p, two = n
-        if two != 2:
-            raise ValueError("half-integer arguments must be given as (p, 2)")
-        if not base.num.is_monomial() or not base.is_laurent():
-            raise ValueError("half-integer quantum integers need a monomial base")
-        e = base.num.valuation()
-        if e % 2:
-            raise ValueError("base has no square root in v")
-        c = base.num.trailing()
-        if c != GR_ONE:
-            raise ValueError("base must be a plain power of v")
-        root = Scalar.v_power(e // 2)
-        return (root ** p - root ** (-p)) / (base - base.inv())
     d = base - base.inv()
     if not d:
         raise ZeroDivisionError("quantum integer undefined: base - base^-1 = 0")

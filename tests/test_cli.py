@@ -231,6 +231,25 @@ def test_table_spectrum_spec_exit_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["multiplicities", "--N", "4", "--n", "2", "--q", "spec"], "--q"),
+    (["multiplicities", "--N", "4", "--n", "2", "--q", "one"], "--q"),
+    (["complements", "--N", "5", "--n", "3", "--q", "one"], "--q"),
+    (["spectrum", "--N", "3", "--level", "3"], "--level"),
+])
+def test_table_unread_flag_exit_2(tmp_path, capsys, argv, flag):
+    # a flag the table does not read is refused, not dropped or printed
+    # as a mode it never ran in
+    out = tmp_path / "t.json"
+    assert main(["table"] + argv + ["--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and flag in err and "Traceback" not in err
+    assert not out.exists()
+    assert main(["table"] + argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and flag in err
+
+
 def test_table_to_file(tmp_path, capsys):
     out = tmp_path / "t.json"
     code = main(["table", "multiplicities", "--N", "3", "--n", "2",

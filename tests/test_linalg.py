@@ -100,10 +100,15 @@ def test_specialize_drops_vanishing_entries():
     assert sp.data == {(1, 1): 2} and matrix_rank(sp, P) == 1
 
 
+def _weights(N, n):
+    return [qgroup.column_weight(N, n, j)
+            for j in range((1 << qgroup.rank_of(N)) ** n)]
+
+
 def _reduced_coproduct(N, n, v0):
     vp = v0.mod_p(P)
     cop = qgroup.coproduct_generators(N, n, vp, P)
-    return vp, cop[1::3], cop[0::3], cop[2::3]
+    return vp, cop[1::3], _weights(N, n), cop[2::3]
 
 
 def _generators(r):
@@ -124,13 +129,30 @@ def test_hw_restriction_rejects_non_invariant_generators():
     # Delta(F_1) lowers weights, so it maps highest-weight vectors out of
     # the kernel of Delta(E_1): no count may come back
     N, n = 3, 3
-    vp, raising, cartan, lowering = _reduced_coproduct(N, n, cli._point(11))
+    vp, raising, weights, lowering = _reduced_coproduct(N, n, cli._point(11))
     gens = coideal.duality_rep(N, n, vp, P).B
-    blocks = highest_weight_restriction(gens, raising, cartan, P)
-    assert sorted(len(cols) for cols, _ in blocks) == [1, 2]
-    assert all(len(ms) == len(gens) for _, ms in blocks)
+    blocks = highest_weight_restriction(gens, raising, weights, P)
+    assert [(w, len(cols)) for w, cols, _ in blocks] == [((3,), 1), ((1,), 2)]
+    assert all(len(ms) == len(gens) for _, _, ms in blocks)
     with pytest.raises(ArithmeticError, match="does not preserve"):
-        highest_weight_restriction(gens + lowering[:1], raising, cartan, P)
+        highest_weight_restriction(gens + lowering[:1], raising, weights, P)
+
+
+def test_hw_restriction_rejects_a_vector_that_is_not_a_weight_vector():
+    # relabel one pivot column r in the support of some w_f: w_f then has
+    # entries at two weights, which the restriction must name
+    N, n = 3, 4
+    vp, raising, weights, _ = _reduced_coproduct(N, n, cli._point(11))
+    gens = coideal.duality_rep(N, n, vp, P).B
+    highest_weight_restriction(gens, raising, weights, P)
+    w = next(w for w in nullspace(vstack(raising), P) if len(w) > 1)
+    r = min(w)
+    bad = list(weights)
+    bad[r] = (99,)
+    with pytest.raises(ArithmeticError,
+                       match=rf"column {max(w)} is not a weight vector: .*"
+                             rf"column {r} of another weight"):
+        highest_weight_restriction(gens, raising, bad, P)
 
 
 @pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (5, 3)])
@@ -154,14 +176,14 @@ def _blocks(N, n, seed=11):
     vp = cli._point(seed).mod_p(P)
     gens = _generators(coideal.duality_rep(N, n, vp, P))
     cop = qgroup.coproduct_generators(N, n, vp, P)
-    return gens, cop, highest_weight_restriction(gens, cop[1::3], cop[0::3],
-                                                 P)
+    return gens, cop, highest_weight_restriction(gens, cop[1::3],
+                                                 _weights(N, n), P)
 
 
 def test_certify_blocks_separates_the_pairs():
     # (4,3): blocks 1, 1, 3, 3, 5, 5, each pair told apart by the trace of F
     _, _, found = _blocks(4, 3)
-    blocks = [(str(cols[0]), len(cols), ms) for cols, ms in found]
+    blocks = [(str(cols[0]), len(cols), ms) for _, cols, ms in found]
     closures, seps = certify_blocks(blocks, P)
     assert closures == [m * m for _, m, _ in blocks]
     assert sorted(m for _, m, _ in blocks) == [1, 1, 3, 3, 5, 5]
@@ -174,7 +196,7 @@ def test_certify_blocks_pair_closure_fallback(monkeypatch):
     # of 2m^2 on its direct sum
     monkeypatch.setattr(linalg, "WORD_LENGTH", 0)
     _, _, found = _blocks(4, 3)
-    blocks = [(str(cols[0]), len(cols), ms) for cols, ms in found]
+    blocks = [(str(cols[0]), len(cols), ms) for _, cols, ms in found]
     _, seps = certify_blocks(blocks, P)
     sizes = {label: m for label, m, _ in blocks}
     assert sorted(sizes[a] for a, _, _, _ in seps) == [1, 3, 5]
@@ -186,7 +208,7 @@ def test_certify_blocks_rejects_a_duplicated_block():
     # a module summed with itself: every word has one trace on both
     # copies and the closure on their sum is m^2 < 2m^2
     _, _, found = _blocks(4, 3)
-    cols, ms = max(found, key=lambda b: len(b[0]))
+    _, cols, ms = max(found, key=lambda b: len(b[1]))
     m = len(cols)
     with pytest.raises(ArithmeticError,
                        match=r"blocks a and b are not certified non-iso"
@@ -198,15 +220,16 @@ def test_hw_restriction_rejects_an_entry_between_blocks():
     # add to B_1 the map w_a -> w_b between the highest-weight vectors of
     # two blocks (zero on every other w_f): it keeps W, couples two weights
     gens, cop, found = _blocks(3, 4)
-    fa, fb = found[0][0][0], found[1][0][0]
+    fa, fb = found[0][1][0], found[1][1][0]
     raising = cop[1::3]
     wb = next(w for w in nullspace(vstack(raising), P) if max(w) == fb)
     g = gens[0]
     bad = g + SparseMatrix(g.nrows, g.ncols, {(r, fa): x
                                               for r, x in wb.items()})
-    highest_weight_restriction([g], raising, cop[0::3], P)
+    weights = _weights(3, 4)
+    highest_weight_restriction([g], raising, weights, P)
     with pytest.raises(ArithmeticError, match="between the blocks"):
-        highest_weight_restriction([bad], raising, cop[0::3], P)
+        highest_weight_restriction([bad], raising, weights, P)
 
 
 def test_certify_blocks_dropped_generator_falls_short():
@@ -214,7 +237,7 @@ def test_certify_blocks_dropped_generator_falls_short():
     # spans at most 3 < 9 dimensions, and no pair is certified
     _, _, found = _blocks(3, 4)
     blocks = [(str(cols[0]), len(cols), [ms[0], ms[2]])
-              for cols, ms in found]
+              for _, cols, ms in found]
     closures, seps = certify_blocks(blocks, P)
     short = [(m, c) for (_, m, _), c in zip(blocks, closures) if c < m * m]
     assert short and all(c <= m for m, c in short) and seps == []

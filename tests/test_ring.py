@@ -46,6 +46,13 @@ def test_qint_values():
     assert qint((3, 2)) == (V ** 3 - V ** -3) / (QQ - QQ.inv())
 
 
+@pytest.mark.parametrize("n,base", [((1, 3), None), ((1, 2, 2), None),
+                                    ((1, 2), QQ), ((1, 2), V)])
+def test_qint_half_integer_needs_p_over_2_in_base_q(n, base):
+    with pytest.raises(ValueError, match=r"\(p, 2\), in the default base q"):
+        qint(n, base)
+
+
 def test_qint_plus():
     m = qint_plus(1)
     assert m * (QQ - QQ.inv()) == I * (QQ + QQ.inv())
