@@ -236,16 +236,18 @@ def fft_counts(N: int, n: int, seed: int):
 
     The closure is the dimension of the algebra A_P generated by the B_i
     (and F for N even) at the point v0 = _point(seed), reduced mod P and
-    restricted to the highest-weight space W (the joint kernel of the
-    Delta(E_i)).  W splits over the column weights (`qgroup.column_weight`)
-    into the multiplicity spaces M_lambda.  Every generator keeps them: it
-    commutes with the Delta(K_i), which are v^{2 (lambda.alpha_i)} on the
-    columns of weight lambda, and the restriction raises ArithmeticError
-    for a kernel vector that is not a weight vector or a generator entry
-    between two blocks.  Each block must have the size m_lambda of its
-    weight in the table, or this raises ArithmeticError.  The
-    closure runs once per block (`linalg.certify_blocks`), never on W as a
-    whole.  Why the blocks certify the claim:
+    restricted to the highest-weight space W, one block M_lambda per
+    weight lambda of `qgroup.dominant_columns`: the joint kernel of the
+    Delta(E_i) on the columns of weight lambda, which every generator
+    keeps (`linalg.highest_weight_restriction` raises ArithmeticError if
+    not).  The blocks span an invariant subspace, and a closure there can
+    only fall short, so reaching sum m_lambda^2 still certifies the count;
+    at a generic point nothing is lost, as every highest-weight vector has
+    a dominant weight (see `intertwiner.check_cubic`).  Each block must
+    have the size m_lambda of its weight in the table, or this raises
+    ArithmeticError.  The closure runs once per block
+    (`linalg.certify_blocks`), never on W as a whole.  Why the blocks
+    certify the claim:
 
     - Each block's closure is m_lambda^2: A_P maps onto End(M_lambda), so
       M_lambda is absolutely irreducible.
@@ -297,10 +299,10 @@ def fft_certificate(N: int, n: int, seed: int):
     cop = qgroup.coproduct_generators(N, n, vp, P)
     r = coideal.duality_rep(N, n, vp, P)
     table = combinat.spinor_table(N, n)
-    dim = (1 << qgroup.rank_of(N)) ** n
     found = highest_weight_restriction(
         r.B + ([r.F] if r.F is not None else []), cop[1::3],
-        [qgroup.column_weight(N, n, j) for j in range(dim)], P)
+        {j: qgroup.column_weight(N, n, j)
+         for j in qgroup.dominant_columns(N, n)}, P)
     for w, cols, _ in found:
         if table.get(w) != len(cols):
             raise ArithmeticError(
@@ -316,7 +318,7 @@ def fft_certificate(N: int, n: int, seed: int):
     sm = sum(m * m for _, m, _ in blocks)
     com = None
     if n <= 3:
-        com = commutant_dimension(cop, dim, P)
+        com = commutant_dimension(cop, cop[0].nrows, P)
     ok = closure == sm and (com is None or com == sm)
     return ((closure, sm, com, ok),
             [(w, m, c) for (w, m, _), c in zip(blocks, closures)], seps)
@@ -367,6 +369,7 @@ def run_table(args) -> int:
         if args.q != "sym":
             raise ValueError(f"table {args.kind} is combinatorial and has "
                              f"no --q mode")
+        del doc["mode"]     # no q enters these tables
         # each tensor step adds the 2^k weights of S, k = N // 2, the rows
         # of the largest operator `verify relations` builds
         if N // 2 > MAX_OPERATOR_BITS:
@@ -437,7 +440,8 @@ def render(doc, fmt: str) -> str:
         for e in doc["entries"]:
             writer.writerow([show(k, e.get(k)) for k in keys])
         return buf.getvalue()
-    lines = [f"N={doc['N']} n={doc['n']} mode={doc['mode']}"]
+    lines = [" ".join(f"{k}={doc[k]}" for k in ("N", "n", "mode")
+                      if k in doc)]
     for e in doc["entries"]:
         if "weight" in e:
             lines.append(f"  ({show('weight', e['weight'])})"

@@ -16,7 +16,6 @@ from operator import add
 from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
 from .linalg import (SparseMatrix, commutator, embed, nullspace, vstack,
                      _one)
-from .linalg import residuals_zero  # noqa: F401  (re-exported)
 from . import clifford as cl
 from .qgroup import rank_of, coproduct_generators
 from .intertwiner import (build_C_classical, build_C_quantum,

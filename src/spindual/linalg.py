@@ -3,8 +3,9 @@
 Matrices are dict-of-entries {(row, col): elem}; entries may be Scalar
 (symbolic) or GaussRat (specialized), duck-typed over +, *, unary -, bool
 (nonzero test) and .inv(), or ints mod a prime p (`specialize(v0, p)`).
-Echelon, rank, nullspace, highest-weight restriction, closure and
-commutant take that p as an argument and reduce any int entries mod p.
+Echelon, rank, nullspace, the highest-weight restriction (a kernel per
+weight space), closure and commutant take that p as an argument and
+reduce any int entries mod p.
 """
 
 from __future__ import annotations
@@ -344,60 +345,59 @@ def nullspace(m: SparseMatrix, p: int = None) -> list:
     return out
 
 
-def highest_weight_restriction(gens, raising, weights, p: int = None):
+def highest_weight_restriction(gens, raising, weights: dict, p: int = None):
     """Restrict `gens` to W, the joint kernel of the `raising` operators
-    (over F_p for a prime p), one block per weight: `weights[r]` is the
-    weight of basis column r, and the result is a list of (weight, free
-    columns, restricted generators), from the highest weight down.
+    (over F_p for a prime p), one block per weight: `weights` is {column:
+    weight} on the columns to search, and the result is a list of (weight,
+    free columns, restricted generators), from the highest weight down.
 
-    W is spanned by the `nullspace` vectors w_f, one per free column f,
-    each with 1 at f and zero at every other free column; so a vector of W
-    has its coordinates at the free columns, and g on W is read off the rows of
-    g*W at those columns.  Raises ArithmeticError if some w_f is not a
-    weight vector (it has an entry at a column of another weight), some
-    g*w_f leaves W (e*(g*w_f) != 0 for a raising e), or a restricted
-    generator has an entry between two blocks: the result would not be a
-    restriction to each block.
+    A block is the `nullspace` of the stacked raising operators on the
+    columns of its weight, every row kept: they map those columns to other
+    weights, which need not be searched.  Its vectors w_f, one per free
+    column f, have 1 at f and zero at every other free column, so g on the
+    block is read off the rows of g*w_f at those columns.  Raises
+    ArithmeticError if some g*w_f leaves W (e*(g*w_f) != 0 for a raising
+    e) or has an entry at a column not of w_f's weight.
     """
-    vecs = nullspace(vstack(raising), p)
-    free = [max(w) for w in vecs]
-    W = SparseMatrix(raising[0].ncols, len(free),
-                     {(r, j): x for j, w in enumerate(vecs)
+    stacked = vstack(raising)
+    cols = {}       # weight -> its columns, ascending
+    for c in sorted(weights):
+        cols.setdefault(weights[c], []).append(c)
+    at = {c: t for cs in cols.values() for t, c in enumerate(cs)}
+    rows = {wt: {} for wt in cols}  # the stacked operators on those columns
+    for (r, c), x in stacked.data.items():
+        if c in at:
+            rows[weights[c]][(r, at[c])] = x
+    vecs, out = [], []  # (weight, f, w_f); (weight, free columns, gens)
+    for wt in sorted(cols, reverse=True):
+        cs = cols[wt]
+        ws = nullspace(SparseMatrix(stacked.nrows, len(cs), rows[wt]), p)
+        vecs += [(wt, cs[max(w)], {cs[t]: x for t, x in w.items()})
+                 for w in ws]
+        if ws:
+            out.append((wt, [cs[max(w)] for w in ws], []))
+    W = SparseMatrix(stacked.ncols, len(vecs),
+                     {(r, j): x for j, (_, _, w) in enumerate(vecs)
                       for r, x in w.items()})
-    blocks = {}     # weight -> positions in W
-    for j, (f, w) in enumerate(zip(free, vecs)):
-        r = next((r for r in w if weights[r] != weights[f]), None)
-        if r is not None:
-            raise ArithmeticError(f"highest-weight vector at column {f} "
-                                  f"is not a weight vector: it has an "
-                                  f"entry at column {r} of another weight")
-        blocks.setdefault(weights[f], []).append(j)
-    blocks = dict(sorted(blocks.items(), reverse=True))
-    where = {}      # free column -> (block, position in the block)
-    for b, js in enumerate(blocks.values()):
-        for t, j in enumerate(js):
-            where[free[j]] = (b, t)
-    out = [[] for _ in blocks]
+    pos = {f: t for _, fs, _ in out for t, f in enumerate(fs)}
     for i, g in enumerate(gens):
         gw = _mul(g, W, p)
         for b, e in enumerate(raising):
             if not _mul(e, gw, p).is_zero():
                 raise ArithmeticError(f"generator {i} does not preserve the "
                                       f"kernel of raising operator {b}")
-        parts = [{} for _ in blocks]
-        for (r, c), x in gw.data.items():
-            if r not in where:
-                continue
-            (b, t), (bc, tc) = where[r], where[free[c]]
-            if b != bc:
-                raise ArithmeticError(
-                    f"generator {i} has an entry between the blocks of "
-                    f"highest-weight columns {free[c]} and {r}")
-            parts[b][(t, tc)] = x
-        for b, js in enumerate(blocks.values()):
-            out[b].append(SparseMatrix(len(js), len(js), parts[b]))
-    return [(wt, [free[j] for j in js], ms)
-            for (wt, js), ms in zip(blocks.items(), out)]
+        parts = {wt: {} for wt, _, _ in out}
+        for (r, j), x in gw.data.items():
+            wt, f, _ = vecs[j]
+            if weights.get(r) != wt:
+                raise ArithmeticError(f"generator {i} maps the highest-weight "
+                                      f"vector at column {f} to column {r}, "
+                                      f"not of its weight {wt}")
+            if r in pos:
+                parts[wt][(pos[r], pos[f])] = x
+        for wt, fs, ms in out:
+            ms.append(SparseMatrix(len(fs), len(fs), parts[wt]))
+    return out
 
 
 def _flatten(m: SparseMatrix) -> dict:

@@ -571,10 +571,6 @@ class Scalar:
             raise PoleError(f"denominator vanishes at v0 = {v0!r}")
         return num * d.inv() if p is None else num * pow(d, -1, p) % p
 
-    def is_laurent(self):
-        """True if the scalar is a Laurent polynomial (trivial denominator)."""
-        return self.den is LP_ONE
-
     def has_gaussian_integer_coeffs(self):
         return self.den is LP_ONE and all(c.is_integer() for c in self.num.coeffs.values())
 

@@ -9,10 +9,10 @@ from math import comb
 
 import pytest
 
-from spindual.ring import GaussRat, ONE, QQ, Scalar, Q
+from spindual.ring import GaussRat, QQ, Scalar, Q
 from spindual.linalg import random_point, commutant_dimension, residuals_zero
 from spindual import qgroup, intertwiner, coideal, combinat
-from spindual.cli import fft_counts, twist_commutant
+from spindual.cli import fft_counts
 
 
 def _point(seed):
@@ -106,7 +106,7 @@ def test_08_temperley_lieb_coideal_action():
         for e in es:
             assert (e * e - e).is_zero()
         res = coideal.check_coideal_relations(coideal.tl_braid_rep(n))
-        assert coideal.residuals_zero(res), n
+        assert residuals_zero(res), n
     c = coideal.tl_measured_constant()
     assert c == ((QQ + QQ.inv()) ** 2).inv()
 
@@ -114,16 +114,16 @@ def test_08_temperley_lieb_coideal_action():
 def test_09_so3_reps_and_twists():
     for Np in range(1, 8):
         r = coideal.so3_classical_rep(Np)
-        assert coideal.residuals_zero(coideal.check_coideal_relations(r)), Np
+        assert residuals_zero(coideal.check_coideal_relations(r)), Np
         if Np % 2:
             for sign in (1, -1):
                 r2 = coideal.so3_nonclassical_rep(Np, sign)
-                assert coideal.residuals_zero(
+                assert residuals_zero(
                     coideal.check_coideal_relations(r2)), (Np, sign)
     v0 = _point(17)
     for Np in range(2, 8):
         r = coideal.twist_so3(coideal.so3_classical_rep(Np))
-        assert coideal.residuals_zero(coideal.check_coideal_relations(r)), Np
+        assert residuals_zero(coideal.check_coideal_relations(r)), Np
         bs = [b.specialize(v0) for b in r.B]
         dim = commutant_dimension(bs, r.dim)
         assert dim == (2 if Np % 2 else 1), Np

@@ -54,7 +54,8 @@ def test_table_json_schema(capsys):
                     "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["N"] == 5 and doc["n"] == 2 and doc["mode"] == "symbolic"
+    assert list(doc) == ["N", "n", "entries"]
+    assert doc["N"] == 5 and doc["n"] == 2
     assert len(doc["entries"]) == 3
     for e in doc["entries"]:
         assert set(e) == {"weight", "multiplicity", "complement", "dimension"}
@@ -78,9 +79,25 @@ def test_table_csv(capsys):
 
 
 def test_spectrum_table(capsys):
+    # the one table that depends on q names its mode
     code, out = run(capsys, "table", "spectrum", "--N", "4", "--q", "one")
     assert code == 0
-    assert "x6" in out
+    assert out.splitlines()[0] == "N=4 n=3 mode=classical" and "x6" in out
+    code, out = run(capsys, "table", "spectrum", "--N", "4", "--format",
+                    "json")
+    doc = json.loads(out)
+    assert code == 0 and list(doc) == ["N", "n", "mode", "entries"]
+    assert doc["mode"] == "symbolic"
+
+
+@pytest.mark.parametrize("kind", ["multiplicities", "complements"])
+def test_combinatorial_tables_have_no_mode(capsys, kind):
+    # no q enters these tables, so neither the header nor the JSON names one
+    code, out = run(capsys, "table", kind, "--N", "4", "--n", "2")
+    assert code == 0 and out.splitlines()[0] == "N=4 n=2"
+    code, out = run(capsys, "table", kind, "--N", "4", "--n", "2",
+                    "--format", "json")
+    assert code == 0 and list(json.loads(out)) == ["N", "n", "entries"]
 
 
 def test_fft_command(capsys):

@@ -1,5 +1,3 @@
-import pytest
-
 from spindual.ring import ONE, TWO, QQ
 from spindual.linalg import SparseMatrix
 from spindual.clifford import (bit, prefix, creat, annih, omega, Omega,

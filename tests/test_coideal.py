@@ -3,12 +3,12 @@ from math import comb
 
 import pytest
 
-from spindual.ring import GaussRat, LP_ONE, ONE, QQ, V, qint, Q
+from spindual.ring import GaussRat, LP_ONE, ONE, QQ, V, qint
 from spindual.linalg import (SparseMatrix, algebra_closure_dim, _one,
                              commutant_dimension, random_point,
-                             verify_spectrum)
+                             residuals_zero, verify_spectrum)
 from spindual.coideal import (CoidealRep, check_coideal_relations,
-                              residuals_zero, so3_classical_rep,
+                              so3_classical_rep,
                               so3_nonclassical_rep, twist_so3, tl_generators,
                               tl_braid_rep, tl_measured_constant, duality_rep,
                               classical_duality_rep)

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spindual.combinat import (is_dominant, is_admissible, tensor_with_spinor,
+from spindual.combinat import (is_admissible, tensor_with_spinor,
                                spinor_table, weyl_dim,
                                complement, branch_halfint,
-                               gz_dimension, branch_diagram, diagram_dimension,
+                               gz_dimension, diagram_dimension,
                                valid_o_label, dual_dimension, duality_residuals,
                                conjugate)
 from spindual.linalg import residuals_zero

@@ -9,7 +9,7 @@ from spindual.linalg import (SparseMatrix, EchelonBasis, commutator,
                              matrix_rank,
                              nullspace, algebra_closure_dim,
                              commutant_dimension, verify_spectrum,
-                             embed, vstack, random_point, residuals_zero,
+                             embed, random_point, residuals_zero,
                              first_nonzero, certify_blocks,
                              highest_weight_restriction, SPECTRUM_POINT)
 from spindual.intertwiner import (build_C_quantum, build_C_classical,
@@ -101,8 +101,10 @@ def test_specialize_drops_vanishing_entries():
 
 
 def _weights(N, n):
-    return [qgroup.column_weight(N, n, j)
-            for j in range((1 << qgroup.rank_of(N)) ** n)]
+    """{column: weight} on the dominant columns, as `cli.fft_certificate`
+    searches them."""
+    return {j: qgroup.column_weight(N, n, j)
+            for j in qgroup.dominant_columns(N, n)}
 
 
 def _reduced_coproduct(N, n, v0):
@@ -138,21 +140,43 @@ def test_hw_restriction_rejects_non_invariant_generators():
         highest_weight_restriction(gens + lowering[:1], raising, weights, P)
 
 
-def test_hw_restriction_rejects_a_vector_that_is_not_a_weight_vector():
-    # relabel one pivot column r in the support of some w_f: w_f then has
-    # entries at two weights, which the restriction must name
+def test_hw_restriction_rejects_a_relabelled_column():
+    # move one column r of weight (2,) into the block of (0,): the kernel
+    # left on the other columns of (2,) is a proper subspace of the
+    # irreducible block M_(2,), so some B_i maps it onto column r, which
+    # the map now gives another weight
     N, n = 3, 4
     vp, raising, weights, _ = _reduced_coproduct(N, n, cli._point(11))
     gens = coideal.duality_rep(N, n, vp, P).B
     highest_weight_restriction(gens, raising, weights, P)
-    w = next(w for w in nullspace(vstack(raising), P) if len(w) > 1)
-    r = min(w)
-    bad = list(weights)
-    bad[r] = (99,)
+    r = min(c for c, w in weights.items() if w == (2,))
+    bad = dict(weights)
+    bad[r] = (0,)
     with pytest.raises(ArithmeticError,
-                       match=rf"column {max(w)} is not a weight vector: .*"
-                             rf"column {r} of another weight"):
+                       match=rf"generator \d maps the highest-weight vector "
+                             rf"at column \d+ to column {r}, not of its "
+                             rf"weight \(2,\)"):
         highest_weight_restriction(gens, raising, bad, P)
+
+
+BLOCKS = {
+    (3, 4): [((4,), 1), ((2,), 3), ((0,), 2)],
+    (4, 3): [((3, 3), 1), ((3, 1), 3), ((3, -1), 3), ((3, -3), 1),
+             ((1, 1), 5), ((1, -1), 5)],
+    (5, 3): [((3, 3), 1), ((3, 1), 2), ((1, 1), 3)],
+    (4, 4): [((4, 4), 1), ((4, 2), 4), ((4, 0), 6), ((4, -2), 4),
+             ((4, -4), 1), ((2, 2), 9), ((2, 0), 16), ((2, -2), 9),
+             ((0, 0), 10)],
+}
+
+
+@pytest.mark.parametrize("N,n", sorted(BLOCKS))
+def test_hw_restriction_blocks(N, n):
+    # the (doubled weight, m_lambda) of each block, highest weight first,
+    # one kernel per dominant weight
+    for seed in (11, 23):
+        _, _, found = _blocks(N, n, seed)
+        assert [(w, len(cols)) for w, cols, _ in found] == BLOCKS[(N, n)]
 
 
 @pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (5, 3)])
@@ -217,18 +241,21 @@ def test_certify_blocks_rejects_a_duplicated_block():
 
 
 def test_hw_restriction_rejects_an_entry_between_blocks():
-    # add to B_1 the map w_a -> w_b between the highest-weight vectors of
-    # two blocks (zero on every other w_f): it keeps W, couples two weights
+    # add to B_1 the map w_a -> w_b from a highest-weight vector of weight
+    # (2,) to the one of (4,), the basis vector of column 0 (zero on every
+    # other w_f): it keeps W, couples two weights
     gens, cop, found = _blocks(3, 4)
-    fa, fb = found[0][1][0], found[1][1][0]
+    assert found[0][:2] == ((4,), [0])
+    fa = found[1][1][0]
     raising = cop[1::3]
-    wb = next(w for w in nullspace(vstack(raising), P) if max(w) == fb)
     g = gens[0]
-    bad = g + SparseMatrix(g.nrows, g.ncols, {(r, fa): x
-                                              for r, x in wb.items()})
+    bad = g + SparseMatrix(g.nrows, g.ncols, {(0, fa): 1})
     weights = _weights(3, 4)
     highest_weight_restriction([g], raising, weights, P)
-    with pytest.raises(ArithmeticError, match="between the blocks"):
+    with pytest.raises(ArithmeticError,
+                       match=rf"generator 0 maps the highest-weight vector at "
+                             rf"column {fa} to column 0, not of its weight "
+                             rf"\(2,\)"):
         highest_weight_restriction([bad], raising, weights, P)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from spindual.ring import (GaussRat, LaurentPoly, Scalar, PoleError, Q,
                            LP_ONE, LP_ZERO,
-                           ZERO, ONE, TWO, I, V, QQ, HALF, GR_I,
+                           ZERO, ONE, I, V, QQ, HALF, GR_I,
                            P, is_prime, prime_1_mod, root_of_unity,
                            qint, qint_plus, qbinom, q_power, sc, unit)
 from spindual import ring
@@ -92,8 +92,8 @@ def test_specialize_and_pole():
 
 
 def test_laurent_predicates():
-    assert QQ.is_laurent()
-    assert not (ONE / qint(2, QQ)).is_laurent()
+    assert QQ.den is LP_ONE
+    assert (ONE / qint(2, QQ)).den is not LP_ONE
     assert (QQ + I).has_gaussian_integer_coeffs()
     assert not HALF.has_gaussian_integer_coeffs()
 
@@ -503,10 +503,10 @@ def test_units_pickle_and_marker_free_scalars_multiply():
 @example(ZERO)
 def test_pickled_scalars_keep_their_canonical_form(x):
     # a reloaded denominator equal to one is the shared LP_ONE again, so
-    # `is_laurent` and every other `den is LP_ONE` test answer as before
+    # every `den is LP_ONE` test answers as before
     y = pickle.loads(pickle.dumps(x))
     assert y == x and same_fields(y, x) and hash(y) == hash(x)
-    assert y.is_laurent() == x.is_laurent() and repr(y) == repr(x)
+    assert (y.den is LP_ONE) == (x.den is LP_ONE) and repr(y) == repr(x)
     assert type(y) is type(x)
 
 
