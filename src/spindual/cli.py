@@ -253,9 +253,8 @@ def fft_counts(N: int, n: int, seed: int):
       M_lambda is absolutely irreducible.
     - The blocks are pairwise non-isomorphic A_P-modules: blocks of
       different sizes trivially, and each equal-size pair by a word in
-      the generators with different traces on the two, or else by a
-      closure of 2m^2 on their direct sum (a pair that passes neither
-      raises ArithmeticError).
+      the generators with different traces on the two (a pair that no
+      word separates raises ArithmeticError).
     - Jacobson density (Wedderburn on the semisimple quotient, with the
       Chinese remainder theorem over the distinct simple modules) then
       says A_P maps onto the sum of the End(M_lambda), so dim A_P on W is
@@ -301,8 +300,7 @@ def fft_certificate(N: int, n: int, seed: int):
     table = combinat.spinor_table(N, n)
     found = highest_weight_restriction(
         r.B + ([r.F] if r.F is not None else []), cop[1::3],
-        {j: qgroup.column_weight(N, n, j)
-         for j in qgroup.dominant_columns(N, n)}, P)
+        qgroup.dominant_columns(N, n), P)
     for w, cols, _ in found:
         if table.get(w) != len(cols):
             raise ArithmeticError(
@@ -346,13 +344,10 @@ def run_fft(args) -> int:
     for w, m, c in blocks:
         print(f"  block ({w})  m={m}  closure {c} "
               f"{'=' if c == m * m else '<'} m^2 = {m * m}")
-    for a, b, word, val in seps:
-        if word is None:
-            how = f"closure on the sum {val} = 2m^2"
-        else:
-            how = (f"trace of {' '.join(names[i] for i in word)}: "
-                   f"{_signed(val[0])} vs {_signed(val[1])}")
-        print(f"  pair ({a}) / ({b})  {how}")
+    for a, b, word, (ta, tb) in seps:
+        print(f"  pair ({a}) / ({b})  trace of "
+              f"{' '.join(names[i] for i in word)}: "
+              f"{_signed(ta)} vs {_signed(tb)}")
     print(f"algebra closure dim : {closure}")
     print(f"sum of m^2          : {sm}")
     if com is not None:

@@ -207,9 +207,9 @@ def cubic_residuals(a: SparseMatrix, b: SparseMatrix, mid, d=None):
 
 def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid) -> dict:
     """[g, C] for the generator images `gens` (`_commutators`), then the
-    two cubic residuals with middle coefficient `mid` on the columns D =
-    `dominant_columns(N, 3)` of S^(x)3, those whose `column_weight` is
-    dominant, as d^3 x d^3 matrices.
+    two cubic residuals with middle coefficient `mid` on the columns D of
+    S^(x)3 whose `column_weight` is dominant, the keys of
+    `dominant_columns(N, 3)`, as d^3 x d^3 matrices.
 
     C1 = C (x) 1 and C2 = 1 (x) C are built only on their D x D blocks
     (242 x 242 for N = 8, not 4096 x 4096).  Why that gives the residuals
@@ -266,10 +266,12 @@ def classical_spectrum_candidates(N: int):
 
 
 def quantum_spectrum_candidates(N: int):
-    """Candidate eigenvalues (-1)^j (q^{N-2j} - q^{2j-N})/(q^2 - q^{-2}),
+    """(eigenvalue, multiplicity) pairs for C at generic q: (-1)^j
+    (q^{N-2j} - q^{2j-N})/(q^2 - q^{-2}) with multiplicity binom(N, j),
     0 <= j <= k for N odd and 0 <= j <= 2k for N even; for N odd the list
     carries the same global (-1)^k as the classical one (it must: the
-    eigenvalues degenerate to the classical ones at q = 1)."""
+    eigenvalues degenerate to the classical ones at q = 1, and keep their
+    multiplicities)."""
     k = rank_of(N)
     den = (QQ ** 2 - QQ ** (-2)).inv()
     top = k if N % 2 else 2 * k
@@ -277,19 +279,21 @@ def quantum_spectrum_candidates(N: int):
     out = []
     for j in range(top + 1):
         val = (q_power(2 * (N - 2 * j)) - q_power(-2 * (N - 2 * j))) * den
-        out.append(val if (glob * (-1) ** j) > 0 else -val)
+        out.append((val if (glob * (-1) ** j) > 0 else -val, comb(N, j)))
     return out
 
 
 def spectrum_of_C(N: int, classical=False) -> SpectrumReport:
+    """`verify_spectrum` of C at q = 1 or at generic q against its
+    candidate eigenvalues, with `annihilates` true only if the product
+    vanishes and every eigenvalue has its expected multiplicity."""
     if classical:
-        C = build_C_classical(N)
-        pairs = classical_spectrum_candidates(N)
-        rep = verify_spectrum(C, [v for v, _ in pairs])
-        ok = rep.annihilates and all(rep.multiplicities[v] == m for v, m in pairs)
-        return SpectrumReport(ok, rep.multiplicities, rep.dim, rep.blocks)
-    C = build_C_quantum(N)
-    return verify_spectrum(C, quantum_spectrum_candidates(N))
+        C, pairs = build_C_classical(N), classical_spectrum_candidates(N)
+    else:
+        C, pairs = build_C_quantum(N), quantum_spectrum_candidates(N)
+    rep = verify_spectrum(C, [v for v, _ in pairs])
+    ok = rep.annihilates and all(rep.multiplicities[v] == m for v, m in pairs)
+    return SpectrumReport(ok, rep.multiplicities, rep.dim, rep.blocks)
 
 
 # -- integrality ------------------------------------------------------------

@@ -168,8 +168,9 @@ def embed(m: SparseMatrix, left: int, right: int,
           block=None) -> SparseMatrix:
     """id_left (x) m (x) id_right, for identities of sizes `left` and
     `right`, by index arithmetic: the entries of m are reused, none is
-    multiplied.  With `block`, a list of indices D, only the entries in
-    rows and columns of D are built (m square), column by column."""
+    multiplied.  With `block`, indices D (a list, or the keys of a dict),
+    only the entries in rows and columns of D are built (m square), column
+    by column."""
     nr, nc = m.nrows, m.ncols
     size = (left * nr * right, left * nc * right)
     out = {}
@@ -348,8 +349,9 @@ def nullspace(m: SparseMatrix, p: int = None) -> list:
 def highest_weight_restriction(gens, raising, weights: dict, p: int = None):
     """Restrict `gens` to W, the joint kernel of the `raising` operators
     (over F_p for a prime p), one block per weight: `weights` is {column:
-    weight} on the columns to search, and the result is a list of (weight,
-    free columns, restricted generators), from the highest weight down.
+    weight} on the columns to search, as `qgroup.dominant_columns` gives
+    it, and the result is a list of (weight, free columns, restricted
+    generators), from the highest weight down.
 
     A block is the `nullspace` of the stacked raising operators on the
     columns of its weight, every row kept: they map those columns to other
@@ -426,8 +428,7 @@ def algebra_closure_dim(gens, dim: int, p: int = None) -> int:
     return len(basis)
 
 
-# Words of up to this many generators are tried before a pair of blocks
-# falls back to the closure on their direct sum.
+# Words of up to this many generators are tried on each pair of blocks.
 WORD_LENGTH = 3
 
 
@@ -455,13 +456,6 @@ def _word_traces(gens, p):
         level = nxt
 
 
-def _direct_sum(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    n = a.nrows
-    data = dict(a.data)
-    data.update({(r + n, c + n): x for (r, c), x in b.data.items()})
-    return SparseMatrix(n + b.nrows, n + b.ncols, data)
-
-
 def certify_blocks(blocks, p: int):
     """Certify over F_p that the generators restricted to the blocks M_1,
     M_2, ... span all of End(M_1) + End(M_2) + ...; `blocks` is a list of
@@ -472,15 +466,12 @@ def certify_blocks(blocks, p: int):
       when the block is absolutely irreducible;
     - separations, only if every block reached m^2: for every pair (a, b)
       of equal-size blocks, (a, b, word, (trace on a, trace on b)) for the
-      first word of up to WORD_LENGTH generators whose traces differ, or
-      (a, b, None, closure on the direct sum) if no word does and that
-      closure is 2m^2.  Either proves the two modules non-isomorphic:
-      isomorphic modules give every algebra element the same trace, and
-      the image of the algebra in End(M_a) + End(M_b) is the graph of an
-      isomorphism, of dimension m^2, when the modules are isomorphic.
+      first word of up to WORD_LENGTH generators whose traces differ.
+      That proves the two modules non-isomorphic: isomorphic modules give
+      every algebra element the same trace.
 
     Blocks of different sizes are never isomorphic.  Raises
-    ArithmeticError, naming both labels, for a pair that neither test
+    ArithmeticError, naming both labels, for a pair that no word
     separates: that is a failure, never a pass.
     """
     closures = [algebra_closure_dim(gs, m, p) for _, m, gs in blocks]
@@ -495,16 +486,10 @@ def certify_blocks(blocks, p: int):
                         zip(_word_traces(ga, p), _word_traces(gb, p))
                         if ta != tb), None)
             if hit is None:
-                both = algebra_closure_dim(
-                    [_direct_sum(x, y) for x, y in zip(ga, gb)], 2 * m, p)
-                if both != 2 * m * m:
-                    raise ArithmeticError(
-                        f"blocks {la} and {lb} are not certified "
-                        f"non-isomorphic: no word of up to {WORD_LENGTH} "
-                        f"generators has different traces on them, and the "
-                        f"closure on their sum is {both} < 2m^2 = "
-                        f"{2 * m * m}")
-                hit = (None, both)
+                raise ArithmeticError(
+                    f"blocks {la} and {lb} are not certified "
+                    f"non-isomorphic: no word of up to {WORD_LENGTH} "
+                    f"generators has different traces on them")
             seps.append((la, lb) + hit)
     return closures, seps
 

@@ -111,14 +111,16 @@ def spin_rep(N: int) -> SpinRep:
 
 
 @lru_cache(maxsize=None)
-def dominant_columns(N: int, n: int) -> list:
-    """Indices of the basis vectors of S^(x)n whose weight (`column_weight`,
-    the sum of its factors' weights) is dominant (`combinat.is_dominant`).
-    The list is cached per (N, n) and shared: do not mutate it."""
+def dominant_columns(N: int, n: int) -> dict:
+    """{column: weight} on the basis vectors of S^(x)n, in ascending column
+    order, whose weight (`column_weight`, the sum of its factors' weights)
+    is dominant (`combinat.is_dominant`).  The dict is cached per (N, n)
+    and shared: do not mutate it."""
     factors = [column_weight(N, 1, m) for m in range(1 << rank_of(N))]
     # product() varies the last factor fastest, as kron does
-    return [j for j, ws in enumerate(product(factors, repeat=n))
-            if is_dominant(tuple(map(sum, zip(*ws))), N)]
+    weights = (tuple(map(sum, zip(*ws)))
+               for ws in product(factors, repeat=n))
+    return {j: w for j, w in enumerate(weights) if is_dominant(w, N)}
 
 
 def column_weight(N: int, n: int, j: int) -> tuple:

@@ -271,9 +271,6 @@ class LaurentPoly:
     def const(c: GaussRat) -> "LaurentPoly":
         return LaurentPoly({0: c} if c else {})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def is_one(self):
         return len(self.coeffs) == 1 and self.coeffs.get(0) == GR_ONE
 
@@ -478,14 +475,8 @@ class Scalar:
         return unit(e, 0)
 
     # -- predicates --------------------------------------------------------
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
-
-    def is_one(self):
-        return self.den is LP_ONE and self.num.is_one()
 
     def __eq__(self, other):
         if isinstance(other, int):

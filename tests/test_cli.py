@@ -416,6 +416,23 @@ def test_verify_spectrum_prints_its_blocks(capsys):
                                    "of size 8")
 
 
+@pytest.mark.parametrize("q,name", [("sym", "quantum_spectrum_candidates"),
+                                    ("one", "classical_spectrum_candidates")])
+def test_verify_spectrum_checks_the_multiplicities(monkeypatch, capsys, q,
+                                                   name):
+    # the first two eigenvalues swapped, each count left in place: the
+    # product still vanishes and the counts still fill the space, but each
+    # of the two eigenvalues now expects the other's multiplicity
+    candidates = getattr(intertwiner, name)
+
+    def swapped(N):
+        (a, ma), (b, mb), *rest = candidates(N)
+        return [(b, ma), (a, mb)] + rest
+    monkeypatch.setattr(intertwiner, name, swapped)
+    code, out = run(capsys, "verify", "spectrum", "--N", "5", "--q", q)
+    assert code == 1 and "FAIL" in out and "PASS" not in out
+
+
 @pytest.mark.parametrize("N,n,level", [(5, 3, -3), (3, 2, 0), (4, 3, 2),
                                        (6, 1, 4)])
 def test_empty_table_exit_2(capsys, N, n, level):

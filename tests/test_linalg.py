@@ -100,17 +100,10 @@ def test_specialize_drops_vanishing_entries():
     assert sp.data == {(1, 1): 2} and matrix_rank(sp, P) == 1
 
 
-def _weights(N, n):
-    """{column: weight} on the dominant columns, as `cli.fft_certificate`
-    searches them."""
-    return {j: qgroup.column_weight(N, n, j)
-            for j in qgroup.dominant_columns(N, n)}
-
-
 def _reduced_coproduct(N, n, v0):
     vp = v0.mod_p(P)
     cop = qgroup.coproduct_generators(N, n, vp, P)
-    return vp, cop[1::3], _weights(N, n), cop[2::3]
+    return vp, cop[1::3], qgroup.dominant_columns(N, n), cop[2::3]
 
 
 def _generators(r):
@@ -200,8 +193,8 @@ def _blocks(N, n, seed=11):
     vp = cli._point(seed).mod_p(P)
     gens = _generators(coideal.duality_rep(N, n, vp, P))
     cop = qgroup.coproduct_generators(N, n, vp, P)
-    return gens, cop, highest_weight_restriction(gens, cop[1::3],
-                                                 _weights(N, n), P)
+    return gens, cop, highest_weight_restriction(
+        gens, cop[1::3], qgroup.dominant_columns(N, n), P)
 
 
 def test_certify_blocks_separates_the_pairs():
@@ -215,28 +208,64 @@ def test_certify_blocks_separates_the_pairs():
     assert all(word == (2,) and tb == P - ta for _, _, word, (ta, tb) in seps)
 
 
-def test_certify_blocks_pair_closure_fallback(monkeypatch):
-    # with no words to try, each pair of (4,3) is told apart by a closure
-    # of 2m^2 on its direct sum
+def _fft_sizes():
+    """Every (N, n) with n >= 2 that `cli._check_config` accepts for fft."""
+    out = []
+    for N in range(3, cli.MAX_OPERATOR_BITS + 2):
+        for n in range(2, cli.MAX_OPERATOR_BITS // (N // 2) + 1):
+            try:
+                cli._check_config({"fft": "spec"}, N, n)
+            except ValueError:
+                continue
+            out.append((N, n))
+    return out
+
+
+def test_trace_words_separate_every_accepted_pair():
+    # at every accepted size and both seeds of the CLI tests, each pair of
+    # equal-size blocks has a word of up to WORD_LENGTH generators with
+    # different traces on the two, so certify_blocks never raises for an
+    # unseparated pair there (the closures are not run)
+    sizes = _fft_sizes()
+    assert len(sizes) == 29 and (3, 8) in sizes and (13, 2) in sizes
+    pairs = 0
+    for N, n in sizes:
+        for seed in (11, 23):
+            _, _, found = _blocks(N, n, seed)
+            for a, (wa, cols, ga) in enumerate(found):
+                for wb, cb, gb in found[a + 1:]:
+                    if len(cb) != len(cols):
+                        continue
+                    pairs += 1
+                    assert any(ta != tb for (_, ta), (_, tb) in zip(
+                        linalg._word_traces(ga, P),
+                        linalg._word_traces(gb, P))), (N, n, seed, wa, wb)
+    assert pairs == 262
+
+
+def test_certify_blocks_rejects_an_unseparated_pair(monkeypatch):
+    # with no words to try, the first equal-size pair of (4,3) is not
+    # told apart: a failure naming both blocks, never a pass
     monkeypatch.setattr(linalg, "WORD_LENGTH", 0)
     _, _, found = _blocks(4, 3)
     blocks = [(str(cols[0]), len(cols), ms) for _, cols, ms in found]
-    _, seps = certify_blocks(blocks, P)
-    sizes = {label: m for label, m, _ in blocks}
-    assert sorted(sizes[a] for a, _, _, _ in seps) == [1, 3, 5]
-    assert all(word is None and both == 2 * sizes[a] ** 2
-               for a, _, word, both in seps)
+    a, b = next((la, lb) for i, (la, m, _) in enumerate(blocks)
+                for lb, mb, _ in blocks[i + 1:] if mb == m)
+    with pytest.raises(ArithmeticError,
+                       match=rf"blocks {a} and {b} are not certified "
+                             rf"non-isomorphic: no word of up to 0 "):
+        certify_blocks(blocks, P)
 
 
 def test_certify_blocks_rejects_a_duplicated_block():
-    # a module summed with itself: every word has one trace on both
-    # copies and the closure on their sum is m^2 < 2m^2
+    # a module summed with itself: every word has one trace on both copies
     _, _, found = _blocks(4, 3)
     _, cols, ms = max(found, key=lambda b: len(b[1]))
     m = len(cols)
     with pytest.raises(ArithmeticError,
-                       match=r"blocks a and b are not certified non-iso"
-                             rf".* closure on their sum is {m * m} < "):
+                       match=r"blocks a and b are not certified "
+                             r"non-isomorphic: no word of up to 3 generators "
+                             r"has different traces on them"):
         certify_blocks([("a", m, ms), ("b", m, ms)], P)
 
 
@@ -250,7 +279,7 @@ def test_hw_restriction_rejects_an_entry_between_blocks():
     raising = cop[1::3]
     g = gens[0]
     bad = g + SparseMatrix(g.nrows, g.ncols, {(0, fa): 1})
-    weights = _weights(3, 4)
+    weights = qgroup.dominant_columns(3, 4)
     highest_weight_restriction([g], raising, weights, P)
     with pytest.raises(ArithmeticError,
                        match=rf"generator 0 maps the highest-weight vector at "
@@ -302,6 +331,11 @@ def test_sparse_matrix_eq_foreign_operand():
     assert not (ident == None) and ident != "I"    # noqa: E711
 
 
+def _quantum(N):
+    """The quantum candidate eigenvalues, without their multiplicities."""
+    return [v for v, _ in quantum_spectrum_candidates(N)]
+
+
 def _symbolic_mults(m, candidates):
     ident = SparseMatrix.identity(m.nrows)
     return {c: m.nrows - matrix_rank(m - ident.scale(c)) for c in candidates}
@@ -312,14 +346,14 @@ def _symbolic_mults(m, candidates):
                                          (6, True)])
 def test_spectrum_counts_mod_p_match_symbolic_rank(N, classical):
     if classical:
-        C = build_C_classical(N)
-        cands = [v for v, _ in classical_spectrum_candidates(N)]
+        C, pairs = build_C_classical(N), classical_spectrum_candidates(N)
     else:
-        C, cands = build_C_quantum(N), quantum_spectrum_candidates(N)
+        C, pairs = build_C_quantum(N), quantum_spectrum_candidates(N)
+    cands = [v for v, _ in pairs]
     rep = verify_spectrum(C, cands)
     assert rep.annihilates and rep.complete
     assert list(rep.multiplicities) == cands
-    assert rep.multiplicities == _symbolic_mults(C, cands)
+    assert rep.multiplicities == dict(pairs) == _symbolic_mults(C, cands)
 
 
 def test_verify_spectrum_negative_controls():
@@ -328,7 +362,7 @@ def test_verify_spectrum_negative_controls():
     rep = verify_spectrum(jordan, [ONE])
     assert not rep.annihilates and not rep.complete
     # a wrong candidate list: the last quantum eigenvalue with its sign flipped
-    cands = quantum_spectrum_candidates(5)
+    cands = _quantum(5)
     rep = verify_spectrum(build_C_quantum(5), cands[:-1] + [-cands[-1]])
     assert not rep.annihilates and not rep.complete
     # two candidates with one image at the point, and a candidate with a
@@ -463,7 +497,7 @@ def assert_same_spectrum(m, candidates):
 
 @pytest.mark.parametrize("N", range(3, 8))
 def test_block_spectrum_matches_whole_matrix(N):
-    for C, cands in ((build_C_quantum(N), quantum_spectrum_candidates(N)),
+    for C, cands in ((build_C_quantum(N), _quantum(N)),
                      (build_C_classical(N),
                       [v for v, _ in classical_spectrum_candidates(N)])):
         rep = assert_same_spectrum(C, cands)
@@ -472,19 +506,19 @@ def test_block_spectrum_matches_whole_matrix(N):
 
 
 def test_block_spectrum_quantum_N6_blocks():
-    rep = verify_spectrum(build_C_quantum(6), quantum_spectrum_candidates(6))
+    rep = verify_spectrum(build_C_quantum(6), _quantum(6))
     assert len(rep.blocks) == 27 and max(rep.blocks) == 8
 
 
 def test_block_spectrum_matches_whole_matrix_on_duality_generators():
     r = coideal.duality_rep(5, 3)
     for B in r.B:
-        rep = assert_same_spectrum(B, quantum_spectrum_candidates(5))
+        rep = assert_same_spectrum(B, _quantum(5))
         assert rep.complete
 
 
 def test_block_spectrum_negative_controls_match_whole_matrix():
-    C, cands = build_C_quantum(5), quantum_spectrum_candidates(5)
+    C, cands = build_C_quantum(5), _quantum(5)
     # a dropped candidate, a sign-flipped one, and an entry joining the
     # blocks of the highest and the lowest weight vector into one on which
     # no product of the candidates vanishes

@@ -251,7 +251,11 @@ def test_transpose_antiautomorphism():
 
 @pytest.mark.parametrize("N,count", [(5, 13), (6, 80), (7, 40), (8, 242)])
 def test_dominant_columns(N, count):
-    assert len(dominant_columns(N, 3)) == count
+    # {column: weight} in ascending column order, each weight the one
+    # column_weight gives
+    cols = dominant_columns(N, 3)
+    assert len(cols) == count and list(cols) == sorted(cols)
+    assert all(w == column_weight(N, 3, j) for j, w in cols.items())
 
 
 @pytest.mark.parametrize("N", range(3, 10))
