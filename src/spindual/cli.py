@@ -17,7 +17,7 @@ import sys
 import time
 from math import comb
 
-from .ring import GaussRat, P, PoleError, require_generic
+from .ring import GaussRat, GR_ONE, P, PoleError, require_generic
 from .linalg import (random_point, commutant_dimension, certify_blocks,
                      highest_weight_restriction, first_nonzero)
 from . import qgroup, intertwiner, coideal, combinat
@@ -51,6 +51,10 @@ MAX_FFT_BLOCK = 35
 # C(n//2 + k, k) dominant weights.  At n 2^k C(n//2 + k, k) = 1.1e7, (24, 6)
 # takes 3.7 s; at 1.4e7, (5, 300) takes 16 s (2-core Xeon, Python 3.11).
 MAX_TABLE_WORK = 12_000_000
+# `verify so3` checks modules of size Nparam + 1, and (Nparam + 1)/2 for
+# Nparam odd.  Nparam 22 takes 2.8 s, 24 4-5 s, 21 15 s and 23 23 s; 25
+# takes 33 s, 31 104 s, 32 23 s, and 40 ran past 20 s (2-core Xeon, 3.11).
+MAX_SO3_PARAM = 24
 
 
 class Reporter:
@@ -108,9 +112,9 @@ def _operator_bits(suite: str, mode: str, N: int, n: int) -> int:
 def _check_config(modes: dict, N: int, n: int) -> None:
     """Refuse, before anything is built, a configuration some suite of
     `modes` ({suite: --q mode}) cannot run: a spin suite with N < 3,
-    Temperley-Lieb with n < 2, a largest operator with more than
-    2^MAX_OPERATOR_BITS rows, or for fft a highest-weight block larger
-    than MAX_FFT_BLOCK (read off `combinat.spinor_table`)."""
+    Temperley-Lieb with n < 2, a largest operator above 2^MAX_OPERATOR_BITS
+    rows, a duality table `_check_table_work` refuses, so3 above
+    MAX_SO3_PARAM, or an fft block above MAX_FFT_BLOCK."""
     suites = list(modes)
     spin = [s for s in suites if s in SPIN_SUITES]
     if N < 3 and spin:
@@ -124,6 +128,11 @@ def _check_config(modes: dict, N: int, n: int) -> None:
         raise ValueError(f"suite {suite!r} at N={N} n={n} would build "
                          f"operators with 2^{bits} rows, above the limit "
                          f"2^{MAX_OPERATOR_BITS} = {1 << MAX_OPERATOR_BITS}")
+    if "duality" in suites:
+        _check_table_work("suite 'duality'", N, n)
+    if "so3" in suites and N > MAX_SO3_PARAM:
+        raise ValueError(f"suite 'so3' at Nparam={N} is above the limit "
+                         f"{MAX_SO3_PARAM}")
     if "fft" in suites:
         w, m = max(combinat.spinor_table(N, n).items(), key=lambda t: t[1])
         if m > MAX_FFT_BLOCK:
@@ -131,6 +140,21 @@ def _check_config(modes: dict, N: int, n: int) -> None:
                              f"highest-weight block of size {m} at weight "
                              f"({combinat.fmt_weight(w)}), above the limit "
                              f"{MAX_FFT_BLOCK}")
+
+
+def _check_table_work(what: str, N: int, n: int) -> None:
+    """Refuse a `combinat.spinor_table(N, n)` too large to attempt: its n
+    tensor steps each add the 2^k weights of S, k = N // 2, to at most
+    C(n//2 + k, k) dominant weights (MAX_TABLE_WORK)."""
+    k = N // 2
+    if k > MAX_OPERATOR_BITS:
+        raise ValueError(f"{what} at N={N} tensors with the 2^{k} weights "
+                         f"of S, above the limit 2^{MAX_OPERATOR_BITS}")
+    work = n * (1 << k) * comb(n // 2 + k, k)
+    if work > MAX_TABLE_WORK:
+        raise ValueError(f"{what} at N={N} n={n} would try n 2^k "
+                         f"C(n//2 + k, k) = {work:.2g} weights, above the "
+                         f"limit {MAX_TABLE_WORK:.2g}")
 
 
 def _point(seed: int) -> GaussRat:
@@ -178,14 +202,13 @@ def run_verify(args) -> int:
             check(f"[coproduct(g), C] = 0 N={N}",
                   lambda: intertwiner.check_commutation(N))
         elif suite == "cubic":
-            if mode == "spec":
-                v0 = _point(args.seed)
-                check(f"cubic relation N={N}",
-                      lambda: intertwiner.check_cubic_specialized(N, v0))
-            else:
-                check(f"cubic relation N={N}",
-                      lambda: intertwiner.check_cubic(
-                          N, classical=mode == "one"))
+            # q = 1: the three-strand duality representation at v0 = 1
+            check(f"cubic relation N={N}", {
+                "sym": lambda: intertwiner.check_cubic(N),
+                "one": lambda: coideal.check_coideal_relations(
+                    coideal.duality_rep(N, 3, GR_ONE)),
+                "spec": lambda: intertwiner.check_cubic_specialized(
+                    N, _point(args.seed))}[mode])
         elif suite == "spectrum":
             cls = mode == "one"
             reps = []
@@ -365,17 +388,7 @@ def run_table(args) -> int:
             raise ValueError(f"table {args.kind} is combinatorial and has "
                              f"no --q mode")
         del doc["mode"]     # no q enters these tables
-        # each tensor step adds the 2^k weights of S, k = N // 2, the rows
-        # of the largest operator `verify relations` builds
-        if N // 2 > MAX_OPERATOR_BITS:
-            raise ValueError(f"table at N={N} tensors with the 2^{N // 2} "
-                             f"weights of S, above the limit "
-                             f"2^{MAX_OPERATOR_BITS}")
-        work = n * (1 << N // 2) * comb(n // 2 + N // 2, N // 2)
-        if work > MAX_TABLE_WORK:
-            raise ValueError(f"table at N={N} n={n} would try n 2^k "
-                             f"C(n//2 + k, k) = {work:.2g} weights, above "
-                             f"the limit {MAX_TABLE_WORK:.2g}")
+        _check_table_work("table", N, n)
         table = combinat.spinor_table(N, n, args.level)
         if not table:
             # S has weight (1/2, ..., 1/2), admissible exactly from N - 1 on;

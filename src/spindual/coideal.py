@@ -18,8 +18,8 @@ from .linalg import (SparseMatrix, commutator, embed, nullspace, vstack,
                      _one)
 from . import clifford as cl
 from .qgroup import rank_of, coproduct_generators
-from .intertwiner import (build_C_classical, build_C_quantum,
-                          clear_denominators, cubic_residuals)
+from .intertwiner import (build_C_quantum, clear_denominators,
+                          cubic_residuals)
 
 
 class CoidealRep:
@@ -183,6 +183,8 @@ def tl_measured_constant(n: int = 3) -> Scalar:
 def duality_rep(N: int, n: int, v0=None, p: int = None) -> CoidealRep:
     """B_i = C_i on the n-fold spinor tensor power, parameter -q^2; for N
     even also F = f (x) 1^(n-1) with f the diagonal (-1)^{m{k}} operator.
+    The one builder of the B_i and F: v0 = 1 (`ring.GR_ONE`, or 1 mod p)
+    gives the classical duality, parameter -1.
 
     At a point v0 (a GaussRat, or an int mod a prime p) C comes from
     `build_C_quantum` at v0, which specializes on S and then tensors, and
@@ -191,21 +193,11 @@ def duality_rep(N: int, n: int, v0=None, p: int = None) -> CoidealRep:
     ring map on entries with no pole at the point (`Scalar.specialize`
     raises PoleError at one), so every operator equals the symbolic one
     specialized entry by entry."""
-    # the symbolic C under the cache key of the plain build_C_quantum(N)
-    C = build_C_quantum(N) if v0 is None else build_C_quantum(N, v0, p)
-    return _embedded_rep(N, n, C, -(QQ ** 2), v0, p)
-
-
-def classical_duality_rep(N: int, n: int) -> CoidealRep:
-    return _embedded_rep(N, n, build_C_classical(N), -ONE)
-
-
-def _embedded_rep(N: int, n: int, C: SparseMatrix, param: Scalar, v0=None,
-                p: int = None) -> CoidealRep:
-    """The embedded C_i (and F for N even); C is given at the point v0,
-    f and the parameter are specialized there first."""
     k = rank_of(N)
     d = 1 << k
+    # the symbolic C under the cache key of the plain build_C_quantum(N)
+    C = build_C_quantum(N) if v0 is None else build_C_quantum(N, v0, p)
+    param = -(QQ ** 2)
     f = None if N % 2 else cl.parity(k, k)
     if v0 is not None:
         param = param.specialize(v0, p)

@@ -1,6 +1,6 @@
 """The commuting operators C on the 2-fold (and, embedded, n-fold) tensor
-power of the spinor space: classical form at q = 1, the q-deformed forms
-for N even and N odd, the cubic relation, spectra and integrality.
+power of the spinor space: the q-deformed forms for N even and N odd (at
+v = 1 the classical one), the cubic relation, spectra and integrality.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .ring import (Scalar, GaussRat, Q, HALF, QQ, LP_ONE, qint,
+from .ring import (Scalar, GaussRat, Q, QQ, GR_ONE, LP_ONE, qint,
                    q_power, require_generic)
 from .linalg import (SparseMatrix, commutator, embed, verify_spectrum,
                      SpectrumReport, _mod)
@@ -78,18 +78,13 @@ def _f_term(N: int, v0=None, p: int = None) -> SparseMatrix:
                 .scale(inv2), p)
 
 
-@lru_cache(maxsize=None)
 def build_C_classical(N: int) -> SparseMatrix:
-    """C = (1/2) sum_{i=1}^N e_i (x) e_i at q = 1.  The sign choice in e_N
-    (`clifford.clifford_generator`) does not enter: e_N (x) e_N = f (x) f
-    for either sign."""
-    k = rank_of(N)
-    acc = None
-    for j in range(1, N + 1):
-        e = cl.clifford_generator(j, k)
-        t = e.kron(e)
-        acc = t if acc is None else acc + t
-    return acc.scale(HALF)
+    """C at q = 1, (1/2) sum_{i=1}^N e_i (x) e_i: `build_C_quantum` at
+    v0 = 1 with constant Scalar entries, which `verify_spectrum` can
+    specialize and subtract Scalar candidates from."""
+    C = build_C_quantum(N, GR_ONE)
+    return SparseMatrix(C.nrows, C.ncols, {rc: Scalar.from_gauss(x)
+                                           for rc, x in C.data.items()})
 
 
 # -- commutation and cubic relations ---------------------------------------
@@ -122,17 +117,14 @@ def _commutators(gens: list, C: SparseMatrix) -> dict:
     return out
 
 
-def check_cubic(N: int, classical=False) -> dict:
+def check_cubic(N: int) -> dict:
     """{relation: residual} for the cubic relation on S^(x)3: lhs(C1; C2)
     - C2 and lhs(C2; C1) - C1, where lhs(a; b) = a^2 b + (q^2 + q^-2) a b a
-    + b a^2 (the middle coefficient degenerates to 2 at q = 1).
+    + b a^2.
 
-    At q = 1 this is `check_coideal_relations` of the three-strand
-    classical duality representation on the whole space (with F's
-    relations for N even).  The quantum dict is `check_commutation`'s
-    [Delta(g), C], then `cubic C1;C2` and `cubic C2;C1` on the columns of
-    `dominant_columns(N, 3)` only (242 of 4096 for N = 8), computed on
-    that block as `_cubic_residuals` says.  Why all of them zero
+    The dict is `check_commutation`'s [Delta(g), C], then `cubic C1;C2`
+    and `cubic C2;C1` on the columns of `dominant_columns(N, 3)` only (242
+    of 4096 for N = 8), computed on that block as `_cubic_residuals` says.  Why all of them zero
     certifies the cubic relation on the whole space:
 
     - C commutes with the Delta(g), and so with Delta(K_i^{1/2})
@@ -156,9 +148,6 @@ def check_cubic(N: int, classical=False) -> dict:
     Without the commutators the first step fails, which is why they are
     part of the dict and go to the same zero test.
     """
-    if classical:
-        from .coideal import check_coideal_relations, classical_duality_rep
-        return check_coideal_relations(classical_duality_rep(N, 3))
     return _cubic_residuals(N, build_C_quantum(N), coproduct_generators(N, 2),
                             QQ ** 2 + QQ ** (-2))
 
@@ -285,15 +274,13 @@ def quantum_spectrum_candidates(N: int):
 
 def spectrum_of_C(N: int, classical=False) -> SpectrumReport:
     """`verify_spectrum` of C at q = 1 or at generic q against its
-    candidate eigenvalues, with `annihilates` true only if the product
-    vanishes and every eigenvalue has its expected multiplicity."""
+    candidate eigenvalues and their expected multiplicities: the report
+    is `complete` only if each eigenvalue has its count."""
     if classical:
         C, pairs = build_C_classical(N), classical_spectrum_candidates(N)
     else:
         C, pairs = build_C_quantum(N), quantum_spectrum_candidates(N)
-    rep = verify_spectrum(C, [v for v, _ in pairs])
-    ok = rep.annihilates and all(rep.multiplicities[v] == m for v, m in pairs)
-    return SpectrumReport(ok, rep.multiplicities, rep.dim, rep.blocks)
+    return verify_spectrum(C, *zip(*pairs))
 
 
 # -- integrality ------------------------------------------------------------

@@ -540,15 +540,19 @@ def commutant_dimension(gens, dim: int, p: int = None) -> int:
 
 class SpectrumReport:
     def __init__(self, annihilates: bool, multiplicities: dict, dim: int,
-                 blocks=()):
+                 blocks=(), expected=()):
         self.annihilates = annihilates
         self.multiplicities = multiplicities
         self.dim = dim
         self.blocks = blocks    # the sizes of the blocks it was checked on
+        self.expected = dict(expected)  # {candidate: expected count}
 
     @property
     def complete(self):
-        return self.annihilates and sum(self.multiplicities.values()) == self.dim
+        """It annihilates, its counts fill the space, each meets `expected`."""
+        mults = self.multiplicities
+        return (self.annihilates and sum(mults.values()) == self.dim
+                and all(mults[c] == m for c, m in self.expected.items()))
 
     def __repr__(self):
         return (f"SpectrumReport(annihilates={self.annihilates}, "
@@ -561,13 +565,16 @@ class SpectrumReport:
 SPECTRUM_POINT = 2
 
 
-def verify_spectrum(m: SparseMatrix, candidates) -> SpectrumReport:
+def verify_spectrum(m: SparseMatrix, candidates,
+                    counts=()) -> SpectrumReport:
     """Check that prod(m - c) vanishes over the candidate eigenvalues, in
     exact arithmetic, and read off each multiplicity, keyed on the
     candidates, as dim - rank(m - c) with m and c reduced at v =
-    SPECTRUM_POINT over F_P.  Both run on each block m_B of m, a connected
-    component of the graph with an edge r - c per stored entry: m, its
-    reduction and every polynomial in m are block diagonal over them.
+    SPECTRUM_POINT over F_P.  With `counts`, the candidates' expected
+    multiplicities, the report is `complete` only if each is met.  Both
+    run on each block m_B of m, a connected component of the graph with
+    an edge r - c per stored entry: m, its reduction and every polynomial
+    in m are block diagonal over them.
     Why the counts are the multiplicities over Q(i)(v) if the product
     vanishes:
 
@@ -636,7 +643,7 @@ def verify_spectrum(m: SparseMatrix, candidates) -> SpectrumReport:
                     prod = prod * (SparseMatrix(size, size, sym)
                                    - ident.scale(c))
         ok = ok and prod.is_zero()
-    return SpectrumReport(ok, mults, m.nrows, sizes)
+    return SpectrumReport(ok, mults, m.nrows, sizes, zip(candidates, counts))
 
 
 def random_point(rng) -> GaussRat:

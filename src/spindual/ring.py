@@ -611,7 +611,6 @@ TWO = Scalar.from_int(2)
 I = unit(0, 1)
 V = Scalar.v_power(1)
 QQ = Scalar.v_power(2)          # the deformation parameter q = v^2
-HALF = Scalar.from_gauss(GaussRat(Q(1, 2)))
 
 
 def sc(n: int) -> Scalar:

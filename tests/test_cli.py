@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spindual import cli, combinat, intertwiner, qgroup
+from spindual import cli, coideal, combinat, intertwiner, qgroup
 from spindual.cli import main
 from spindual.combinat import fmt_weight, is_admissible
 from spindual.qgroup import SpinRep
@@ -392,6 +392,35 @@ def test_table_work_guard_exit_2(monkeypatch, capsys, N, n):
     assert main(["table", "multiplicities", "--N", str(N), "--n", str(n)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "above the limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("N,n", [(24, 12), (9, 60), (26, 2)])
+def test_verify_duality_size_guard_exit_2(monkeypatch, capsys, N, n):
+    # the duality suite tensors the table `table multiplicities` does and
+    # is refused by the same rule, before any tensor step ((24, 12) and
+    # (9, 60) ran past 20 s without it)
+    def never(*args):
+        raise AssertionError("spinor_table called")
+    monkeypatch.setattr(combinat, "spinor_table", never)
+    t0 = time.perf_counter()
+    code = main(["verify", "duality", "--N", str(N), "--n", str(n)])
+    out, err = capsys.readouterr()
+    assert code == 2 and time.perf_counter() - t0 < 1
+    assert out == "" and "suite 'duality'" in err and "above the limit" in err
+    assert "Traceback" not in err
+
+
+def test_verify_so3_size_guard_exit_2(monkeypatch, capsys):
+    # Nparam above MAX_SO3_PARAM is refused before any module is built
+    def never(*args):
+        raise AssertionError("so3 module built")
+    monkeypatch.setattr(coideal, "so3_classical_rep", never)
+    t0 = time.perf_counter()
+    code = main(["verify", "so3", "--N", str(cli.MAX_SO3_PARAM + 1)])
+    out, err = capsys.readouterr()
+    assert code == 2 and time.perf_counter() - t0 < 1
+    assert out == "" and "suite 'so3'" in err and "above the limit" in err
+    assert "Traceback" not in err
 
 
 def test_table_below_the_work_limit_runs(monkeypatch, capsys):

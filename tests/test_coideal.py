@@ -3,15 +3,14 @@ from math import comb
 
 import pytest
 
-from spindual.ring import GaussRat, LP_ONE, ONE, QQ, V, qint
+from spindual.ring import GaussRat, GR_ONE, LP_ONE, ONE, QQ, V, qint
 from spindual.linalg import (SparseMatrix, algebra_closure_dim, _one,
                              commutant_dimension, random_point,
                              residuals_zero, verify_spectrum)
 from spindual.coideal import (CoidealRep, check_coideal_relations,
                               so3_classical_rep,
                               so3_nonclassical_rep, twist_so3, tl_generators,
-                              tl_braid_rep, tl_measured_constant, duality_rep,
-                              classical_duality_rep)
+                              tl_braid_rep, tl_measured_constant, duality_rep)
 from spindual.intertwiner import quantum_spectrum_candidates
 from spindual.qgroup import spin_rep
 
@@ -121,8 +120,10 @@ def test_duality_rep_eigenvalues_in_candidate_set():
 
 
 def test_classical_duality_rep():
+    # q = 1 is the point v0 = 1 of the one duality builder: parameter -1
     for N, n in ((3, 3), (4, 3), (5, 3)):
-        rep = classical_duality_rep(N, n)
+        rep = duality_rep(N, n, GR_ONE)
+        assert rep.param == -GR_ONE
         assert residuals_zero(check_coideal_relations(rep))
 
 
@@ -182,7 +183,7 @@ CLEARED_REPS = {
     "TL n=4": lambda: tl_braid_rep(4),
     "so3 Nparam=5": lambda: so3_classical_rep(5),
     "so3 nonclassical Nparam=5": lambda: so3_nonclassical_rep(5, -1),
-    "classical duality (4,4)": lambda: classical_duality_rep(4, 4),
+    "classical duality (4,4)": lambda: duality_rep(4, 4, GR_ONE),
 }
 
 

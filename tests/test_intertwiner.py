@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spindual.ring import (GaussRat, ONE, TWO, HALF, V, QQ, Scalar,
+from spindual.ring import (GaussRat, ONE, TWO, V, QQ, Scalar,
                            Q, GR_ONE, GR_I, P, PoleError, LP_ONE)
 from spindual.linalg import (SparseMatrix, embed, first_nonzero, random_point,
                              residuals_zero)
@@ -11,6 +11,7 @@ from spindual.qgroup import (column_weight, dominant_columns, rank_of,
                              spin_rep, coproduct_generators,
                              _balanced_coproduct)
 from spindual import clifford as cl, intertwiner, linalg
+from spindual.coideal import check_coideal_relations, duality_rep
 from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   build_C_classical,
                                   check_commutation, check_cubic,
@@ -26,6 +27,20 @@ def pair_generators(N: int, v0=None) -> list:
     the order and with the labels of `_commutators`."""
     return [(f"{'KEF'[j % 3]}{j // 3 + 1}", g)
             for j, g in enumerate(coproduct_generators(N, 2, v0))]
+
+
+HALF = Scalar.from_gauss(GaussRat(Q(1, 2)))
+
+
+def clifford_C(N: int, sign: int = 1) -> SparseMatrix:
+    """The classical C = (1/2) sum_{j=1}^N e_j (x) e_j from the Clifford
+    generators, with `sign` the sign choice in e_N for N odd."""
+    k = rank_of(N)
+    acc = None
+    for j in range(1, N + 1):
+        e = cl.clifford_generator(j, k, sign)
+        acc = e.kron(e) if acc is None else acc + e.kron(e)
+    return acc.scale(HALF)
 
 
 def C_embedded(N: int, i: int, n: int) -> SparseMatrix:
@@ -141,10 +156,31 @@ def test_two_presentations_agree():
 
 
 def test_quantum_degenerates_to_classical():
-    one = GaussRat(1)
-    for N in (3, 4, 5):
-        assert build_C_quantum(N).specialize(one) == \
-            build_C_classical(N).specialize(one)
+    # C at q = 1 is the quantum C at v0 = 1: built there, and specialized
+    # there from the symbolic one, it is the Clifford half-sum of squares
+    for N in range(2, 11):
+        ref = clifford_C(N)
+        assert build_C_classical(N) == ref, N
+        assert build_C_quantum(N, GR_ONE) == ref.specialize(GR_ONE), N
+        if N <= 6:
+            assert build_C_quantum(N).specialize(GR_ONE) == \
+                ref.specialize(GR_ONE), N
+
+
+@pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (5, 3), (6, 3)])
+def test_duality_rep_at_q_one_is_the_clifford_form(N, n):
+    # the B_i and F of the one duality builder at v0 = 1 (and at 1 mod P)
+    # are the Clifford-form C_i and f (x) 1 embedded, with parameter -1
+    k = rank_of(N)
+    d = 1 << k
+    C = clifford_C(N)
+    B = [embed(C, d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]
+    F = None if N % 2 else embed(cl.parity(k, k), 1, d ** (n - 1))
+    for v0, p, param in ((GR_ONE, None, -GR_ONE), (1, P, P - 1)):
+        rep = duality_rep(N, n, v0, p)
+        assert rep.B == [b.specialize(v0, p) for b in B]
+        assert rep.F == (None if F is None else F.specialize(v0, p))
+        assert rep.param == param
 
 
 def test_C_is_symmetric():
@@ -197,9 +233,12 @@ def test_cubic_symbolic(N):
 
 
 def test_cubic_classical():
-    assert residuals_zero(check_cubic(5, classical=True))
+    # the cubic relation at q = 1 (what `verify cubic --q one` runs): the
+    # coideal relations of the three-strand duality representation at
+    # v0 = 1, with parameter -1
+    assert residuals_zero(check_coideal_relations(duality_rep(5, 3, GR_ONE)))
     # for N even the three-strand check also covers the relations of F
-    res = check_cubic(4, classical=True)
+    res = check_coideal_relations(duality_rep(4, 3, GR_ONE))
     assert residuals_zero(res)
     assert {"cubic 1,2", "cubic 2,1", "F^2", "FB1", "FB2"} <= set(res)
 
@@ -321,12 +360,7 @@ def test_extended_index_only_for_odd_N():
 def test_classical_C_is_blind_to_the_sign_of_e_N(N):
     # e_N enters C only as e_N (x) e_N = f (x) f, so either sign of e_N
     # gives the same C
-    k = rank_of(N)
-    acc = None
-    for j in range(1, N + 1):
-        e = cl.clifford_generator(j, k, -1)
-        acc = e.kron(e) if acc is None else acc + e.kron(e)
-    assert acc.scale(HALF) == build_C_classical(N)
+    assert clifford_C(N, -1) == clifford_C(N) == build_C_classical(N)
 
 
 def test_classical_spectra():
@@ -336,6 +370,25 @@ def test_classical_spectra():
     pairs = dict(classical_spectrum_candidates(3))
     assert pairs == {Scalar.from_gauss(GaussRat(Q(1, 2))): 3,
                      Scalar.from_gauss(GaussRat(Q(-3, 2))): 1}
+
+
+@pytest.mark.parametrize("classical,name",
+                         [(False, "quantum_spectrum_candidates"),
+                          (True, "classical_spectrum_candidates")])
+def test_spectrum_counts_decide_complete_not_annihilates(monkeypatch,
+                                                         classical, name):
+    # the first two eigenvalues swapped, each count left in place: the
+    # product still vanishes and the counts still fill the space, but the
+    # two eigenvalues no longer have their expected counts
+    candidates = getattr(intertwiner, name)
+
+    def swapped(N):
+        (a, ma), (b, mb), *rest = candidates(N)
+        return [(b, ma), (a, mb)] + rest
+    monkeypatch.setattr(intertwiner, name, swapped)
+    rep = spectrum_of_C(5, classical)
+    assert rep.annihilates and not rep.complete
+    assert sum(rep.multiplicities.values()) == rep.dim
 
 
 def test_quantum_spectra():

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from spindual.ring import (GaussRat, LaurentPoly, Scalar, PoleError, Q,
                            LP_ONE, LP_ZERO,
-                           ZERO, ONE, I, V, QQ, HALF, GR_I,
+                           ZERO, ONE, I, V, QQ, GR_I,
                            P, is_prime, prime_1_mod, root_of_unity,
                            qint, qint_plus, qbinom, q_power, sc, unit)
 from spindual import ring
@@ -95,7 +95,7 @@ def test_laurent_predicates():
     assert QQ.den is LP_ONE
     assert (ONE / qint(2, QQ)).den is not LP_ONE
     assert (QQ + I).has_gaussian_integer_coeffs()
-    assert not HALF.has_gaussian_integer_coeffs()
+    assert not (ONE / sc(2)).has_gaussian_integer_coeffs()
 
 
 small = st.integers(min_value=-4, max_value=4)
