@@ -88,10 +88,13 @@ class Reporter:
 
 
 def _dominant_block_size(N: int) -> int:
-    """len(qgroup.dominant_columns(N, 3)), the side of the block the
-    quantum cubic check works on, without enumerating S^(x)3: 3^(k+1) - 1
-    for N = 2k and half that for N = 2k + 1 (checked against the
-    enumeration for N = 3..11 in the tests)."""
+    """len(qgroup.dominant_columns(N, 3)), without enumerating S^(x)3:
+    3^(k+1) - 1 for N = 2k and half that for N = 2k + 1 (checked against
+    the enumeration for N = 3..11 in the tests).  For N odd it is the side
+    of the block the quantum cubic check works on; for N even an upper
+    bound of it, twice the side of the half block with lambda_k > 0
+    (`intertwiner.cubic_columns`); the size guard keeps the bound, as 2k
+    refuses the same N (N >= 14) either way."""
     k = N // 2
     return (3 ** (k + 1) - 1) // (2 if N % 2 else 1)
 
@@ -202,6 +205,13 @@ def run_verify(args) -> int:
             check(f"[coproduct(g), C] = 0 N={N}",
                   lambda: intertwiner.check_commutation(N))
         elif suite == "cubic":
+            if N % 2 == 0 and mode != "one":
+                k = N // 2
+                print(f"# tau = e{N - 1}^(x)3, e{N - 1} = psi_{k} + "
+                      f"psi^dag_{k}: the cubic runs on the "
+                      f"{len(intertwiner.cubic_columns(N))} of "
+                      f"{len(qgroup.dominant_columns(N, 3))} dominant "
+                      f"columns with lambda_{k} > 0")
             # q = 1: the three-strand duality representation at v0 = 1
             check(f"cubic relation N={N}", {
                 "sym": lambda: intertwiner.check_cubic(N),

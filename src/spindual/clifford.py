@@ -78,7 +78,7 @@ def clifford_generator(j: int, k: int, eps: int = 1) -> SparseMatrix:
     """
     if j == 2 * k + 1:
         return parity(k, k).scale(sc(eps))
-    i, r = divmod(j + 1, 2)
-    if r:  # j odd
+    i = (j + 1) // 2
+    if j % 2:
         return annih(i, k) + creat(i, k)
     return (annih(i, k) - creat(i, k)).scale(-I)

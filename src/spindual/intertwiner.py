@@ -122,10 +122,12 @@ def check_cubic(N: int) -> dict:
     - C2 and lhs(C2; C1) - C1, where lhs(a; b) = a^2 b + (q^2 + q^-2) a b a
     + b a^2.
 
-    The dict is `check_commutation`'s [Delta(g), C], then `cubic C1;C2`
-    and `cubic C2;C1` on the columns of `dominant_columns(N, 3)` only (242
-    of 4096 for N = 8), computed on that block as `_cubic_residuals` says.  Why all of them zero
-    certifies the cubic relation on the whole space:
+    The dict is `check_commutation`'s [Delta(g), C], for N even the
+    residual [e (x) e, C] with e = e_{N-1}, then `cubic C1;C2` and `cubic
+    C2;C1` on the columns of `dominant_columns(N, 3)` only, computed on
+    that block as `_cubic_residuals` says; for N even only on its half D+
+    with lambda_k > 0 (121 of 242 dominant columns of 4096 for N = 8).
+    Why all of them zero certifies the cubic relation on the whole space:
 
     - C commutes with the Delta(g), and so with Delta(K_i^{1/2})
       (`_cubic_residuals`); so C1 = C (x) 1 and C2 = 1 (x) C commute
@@ -144,9 +146,19 @@ def check_cubic(N: int) -> dict:
       lambda is dominant, and w lies in the span of the dominant columns.
     - A module map that kills every highest-weight vector kills the
       submodules they generate, i.e. everything.
+    - For N even it is enough that the residuals vanish on D+: with tau =
+      e (x) e (x) e, (1) e^2 = 1 and e is monomial, flipping slot k, so
+      tau sends a column of weight lambda to a unit times one of weight
+      sigma lambda, sigma negating lambda_k; (2) dominance is
+      sigma-invariant for D_k, and lambda_k, a sum of three +-1, is never
+      0, so D = D+ disjoint union sigma D+; (3) [e (x) e, C] = 0 gives
+      tau C1 tau^-1 = C1 and tau C2 tau^-1 = C2, so tau commutes with
+      each cubic residual R; (4) so R = 0 on span(D+) gives R = 0 on
+      tau span(D+) = span(sigma D+), and so on span(D).
 
-    Without the commutators the first step fails, which is why they are
-    part of the dict and go to the same zero test.
+    Without the commutators the first step fails, and without [e (x) e,
+    C] the last, which is why they are part of the dict and go to the
+    same zero test.
     """
     return _cubic_residuals(N, build_C_quantum(N), coproduct_generators(N, 2),
                             QQ ** 2 + QQ ** (-2))
@@ -162,7 +174,7 @@ def check_cubic_specialized(N: int, v0: GaussRat) -> dict:
     require_generic(v0)
     mid = (QQ ** 2 + QQ ** (-2)).specialize(v0)
     return _cubic_residuals(N, build_C_quantum(N, v0),
-                            coproduct_generators(N, 2, v0), mid)
+                            coproduct_generators(N, 2, v0), mid, v0)
 
 
 def clear_denominators(mats):
@@ -194,15 +206,31 @@ def cubic_residuals(a: SparseMatrix, b: SparseMatrix, mid, d=None):
     return (ra - b.scale(d2)).scale(inv3), (rb - a.scale(d2)).scale(inv3)
 
 
-def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid) -> dict:
-    """[g, C] for the generator images `gens` (`_commutators`), then the
-    two cubic residuals with middle coefficient `mid` on the columns D of
-    S^(x)3 whose `column_weight` is dominant, the keys of
-    `dominant_columns(N, 3)`, as d^3 x d^3 matrices.
+def cubic_columns(N: int) -> list:
+    """The columns of S^(x)3 the quantum cubic residuals are evaluated on,
+    ascending: the keys of `dominant_columns(N, 3)`, and for N even only
+    those whose last weight coordinate lambda_k is > 0 (the half D+ of
+    the dominant columns, 121 of 242 for N = 8; see `_cubic_residuals`)."""
+    cols = dominant_columns(N, 3)
+    if N % 2:
+        return list(cols)
+    return [j for j, w in cols.items() if w[-1] > 0]
+
+
+def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid,
+                     v0=None) -> dict:
+    """[g, C] for the generator images `gens` (`_commutators`), for N even
+    the residual [e (x) e, C] with e = e_{N-1} = psi_k + psi^dag_k
+    (`clifford.clifford_generator`, at the point v0 of C if one is
+    given), then the two cubic residuals with middle coefficient `mid` on
+    the columns D of S^(x)3 whose `column_weight` is dominant, the keys of
+    `dominant_columns(N, 3)`, as d^3 x d^3 matrices; for N even on the
+    half D+ of D with lambda_k > 0 only (`cubic_columns`).
 
     C1 = C (x) 1 and C2 = 1 (x) C are built only on their D x D blocks
-    (242 x 242 for N = 8, not 4096 x 4096).  Why that gives the residuals
-    of the full operators on the columns D:
+    (40 x 40 for N = 7, not 512 x 512), for N even on their D+ x D+
+    blocks (121 x 121 for N = 8, not 4096 x 4096).  Why that gives the
+    residuals of the full operators on the columns D (and D+):
 
     - If the commutators [Delta(K_i), C] in the dict vanish, C keeps
       every weight space of S (x) S, so C1 and C2 keep every weight space
@@ -214,18 +242,43 @@ def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid) -> dict:
     - span(D) is a sum of joint Delta(K_i)-eigenspaces: Delta(K_i) is
       v^{2 (w.alpha_i)} at a column of weight w, so columns of one
       eigenvalue tuple share their weight, and whether a column is in D
-      depends only on its weight.
+      (or D+) depends only on its weight.
     - So C1 and C2 map span(D) into itself, and every product of them
-      applied to span(D) equals the same product of their D x D blocks.
+      applied to span(D) equals the same product of their D x D blocks;
+      the same holds for D+.
     - A nonzero commutator already fails the check, whatever the blocks
       give.
+
+    Why, for N even, the residuals on D+ vanish only if those on D do,
+    with tau = e (x) e (x) e on S^(x)3:
+
+    1. e^2 = 1, and e is monomial with entries +-1: it flips slot k of a
+       basis vector x(m).  So tau sends a column of weight lambda to a
+       unit times a column of weight sigma lambda, where sigma negates
+       lambda_k.
+    2. For D_k, lambda is dominant iff lambda_1 >= ... >= lambda_{k-1}
+       >= |lambda_k|, so dominance is sigma-invariant.  For n = 3,
+       lambda_k is a sum of three +-1, so it is never 0.  Hence D = D+
+       disjoint union sigma D+, and tau span(D+) = span(sigma D+).
+    3. [e (x) e, C] = 0 gives tau C1 tau^-1 = (e (x) e) C (e (x) e) (x)
+       e^2 = C1, and likewise tau C2 tau^-1 = C2.  So tau commutes with
+       each cubic residual R, a polynomial in C1 and C2.
+    4. So if R = 0 on span(D+), then R tau x = tau R x = 0 for x there:
+       R = 0 on tau span(D+) = span(sigma D+) too, and so on span(D).
+       The tau residual is in the dict: a nonzero one fails the check
+       like any other key.
 
     With a = C1 and b = C2 on the block, `cubic_residuals` takes eight
     block products, on d C1 and d C2 for d the lcm of C's entry
     denominators (`clear_denominators`)."""
     out = _commutators(gens, C)
+    k = rank_of(N)
+    if N % 2 == 0:
+        e = cl.clifford_generator(N - 1, k)
+        out[f"[e{N - 1} (x) e{N - 1}, C]"] = commutator(
+            _kron_at(e, e, v0, None), C)
     d, (dC,) = clear_denominators([C])
-    s, cols = 1 << rank_of(N), dominant_columns(N, 3)
+    s, cols = 1 << k, cubic_columns(N)
     out["cubic C1;C2"], out["cubic C2;C1"] = cubic_residuals(
         embed(dC, 1, s, cols), embed(dC, s, 1, cols), mid, d)
     return out

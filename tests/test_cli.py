@@ -4,8 +4,9 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spindual import cli, coideal, combinat, intertwiner, qgroup
+from spindual import cli, clifford, coideal, combinat, intertwiner, qgroup
 from spindual.cli import main
+from spindual.linalg import SparseMatrix
 from spindual.combinat import fmt_weight, is_admissible
 from spindual.qgroup import SpinRep
 from spindual.ring import GR_I, GaussRat, P, Q
@@ -293,9 +294,38 @@ def test_verify_cubic_q_one_label(capsys):
     assert "PASS  cubic relation N=4 q=1" in out and "symbolic" not in out
 
 
+@pytest.mark.parametrize("N,q", [(8, "spec"), (8, "sym"), (7, "sym"),
+                                 (8, "one")])
+def test_verify_cubic_names_the_half_block(capsys, N, q):
+    # for N even the quantum cubic runs on the dominant columns with
+    # lambda_k > 0 and says so, with the generator tau is built from
+    code, out = run(capsys, "verify", "cubic", "--N", str(N), "--q", q,
+                    "--seed", "23")
+    assert code == 0
+    line = ("# tau = e7^(x)3, e7 = psi_4 + psi^dag_4: the cubic runs on the "
+            "121 of 242 dominant columns with lambda_4 > 0\n")
+    assert out.count("# tau") == (N % 2 == 0 and q != "one")
+    assert (line in out) == (N == 8 and q != "one")
+
+
+def test_verify_cubic_names_a_tau_failure(monkeypatch, capsys):
+    # C + f (x) 1 still commutes with every Delta(g), but not with e (x) e:
+    # the check fails at the tau key, named with its first nonzero entry
+    build = intertwiner.build_C_quantum
+    monkeypatch.setattr(intertwiner, "build_C_quantum", lambda N: build(N)
+                        + clifford.parity(2, 2).kron(SparseMatrix.identity(4)))
+    code, out = run(capsys, "verify", "cubic", "--N", "4")
+    assert code == 1
+    assert "FAIL  cubic relation N=4 symbolic [nonzero: [e3 (x) e3, C] " \
+           "at (0, 5)]" in out
+
+
 @pytest.mark.parametrize("N", range(3, 12))
 def test_dominant_block_size_counts_the_columns(N):
     assert cli._dominant_block_size(N) == len(qgroup.dominant_columns(N, 3))
+    # for N even an upper bound of the block, twice its side
+    assert (cli._dominant_block_size(N)
+            == len(intertwiner.cubic_columns(N)) * (1 if N % 2 else 2))
 
 
 @pytest.mark.parametrize("q", ["sym", "spec"])

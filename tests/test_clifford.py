@@ -1,4 +1,6 @@
-from spindual.ring import ONE, TWO, QQ
+import pytest
+
+from spindual.ring import ONE, TWO, QQ, I
 from spindual.linalg import SparseMatrix
 from spindual.clifford import (bit, prefix, creat, annih, omega, Omega,
                                parity, clifford_generator)
@@ -67,6 +69,20 @@ def test_clifford_generators_anticommute():
             ea, eb = clifford_generator(a, K), clifford_generator(b, K)
             s = ea * eb + eb * ea
             assert s == (ID.scale(TWO) if a == b else Z), (a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_clifford_generator_indices(k):
+    # e_{2i-1} = psi_i + psi^dag_i, with entries +-1, and
+    # e_{2i} = -i(psi_i - psi^dag_i), which sends x(0) to i x(slot i filled)
+    for i in range(1, k + 1):
+        odd = clifford_generator(2 * i - 1, k)
+        even = clifford_generator(2 * i, k)
+        assert odd == annih(i, k) + creat(i, k), i
+        assert even == (annih(i, k) - creat(i, k)).scale(-I), i
+        assert set(odd.data.values()) <= {ONE, -ONE}
+        assert odd.data[(1 << (k - i), 0)] == ONE
+        assert even.data[(1 << (k - i), 0)] == I
 
 
 def test_last_generator_sign_choice():

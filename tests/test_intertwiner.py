@@ -5,8 +5,8 @@ import pytest
 
 from spindual.ring import (GaussRat, ONE, TWO, V, QQ, Scalar,
                            Q, GR_ONE, GR_I, P, PoleError, LP_ONE)
-from spindual.linalg import (SparseMatrix, embed, first_nonzero, random_point,
-                             residuals_zero)
+from spindual.linalg import (SparseMatrix, commutator, embed, first_nonzero,
+                             random_point, residuals_zero)
 from spindual.qgroup import (column_weight, dominant_columns, rank_of,
                              spin_rep, coproduct_generators,
                              _balanced_coproduct)
@@ -260,21 +260,28 @@ def test_quantum_cubic_returns_commutators(N):
     comm = check_commutation(N)
     sym = check_cubic(N)
     spec = check_cubic_specialized(N, v0)
+    # for N even also [e (x) e, C], which lets the cubic run on D+ only
+    tau = [f"[e{N - 1} (x) e{N - 1}, C]"] if N % 2 == 0 else []
     cubic = ["cubic C1;C2", "cubic C2;C1"]
-    assert list(sym) == list(spec) == list(comm) + cubic
+    assert list(sym) == list(spec) == list(comm) + tau + cubic
     assert len(comm) == 3 * k
     assert {g: sym[g] for g in comm} == comm
     assert {g: spec[g] for g in comm} == {g: m.specialize(v0)
                                           for g, m in comm.items()}
+    assert all(sym[t].is_zero() and spec[t].is_zero() for t in tau)
 
 
 @pytest.mark.parametrize("N", [5, 6])
 def test_cubic_restriction_matches_full_space(N):
     # with the right and a wrong middle coefficient, the restricted
-    # residuals are the full-space residuals on the dominant columns
+    # residuals are the full-space residuals on the dominant columns, for
+    # N even on their half D+ with lambda_k > 0; with the right one the
+    # full-space residuals vanish on the other half D- too
     d = 1 << (N // 2)
     ident = SparseMatrix.identity(d, GR_ONE)
-    cols = dominant_columns(N, 3)
+    cols = intertwiner.cubic_columns(N)
+    minus = sorted(set(dominant_columns(N, 3)) - set(cols))
+    assert len(minus) == (len(cols) if N % 2 == 0 else 0)
     for seed in (11, 23):
         v0 = random_point(random.Random(seed))
         C = build_C_quantum(N).specialize(v0)
@@ -283,18 +290,54 @@ def test_cubic_restriction_matches_full_space(N):
         for mid in (MID.specialize(v0), GaussRat(2)):
             full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
                     for a, b in ((C1, C2), (C2, C1))]
-            res = _cubic_residuals(N, C, gens, mid)
+            res = _cubic_residuals(N, C, gens, mid, v0)
             got = [res["cubic C1;C2"], res["cubic C2;C1"]]
             assert got == [restrict_columns(m, cols) for m in full], (seed, mid)
+            if mid != GaussRat(2):
+                assert all(restrict_columns(m, minus).is_zero()
+                           for m in full), seed
 
 
 def test_cubic_wrong_coefficient_fails():
     # middle coefficient 2 instead of q^2 + q^-2: C still commutes, but the
-    # restricted cubic residuals do not vanish
-    res = _cubic_residuals(5, build_C_quantum(5), coproduct_generators(5, 2),
-                           TWO)
-    assert [g for g, m in res.items() if not m.is_zero()] == [
-        "cubic C1;C2", "cubic C2;C1"]
+    # restricted cubic residuals do not vanish, for N = 6 on D+ alone
+    for N in (5, 6):
+        res = _cubic_residuals(N, build_C_quantum(N),
+                               coproduct_generators(N, 2), TWO)
+        assert [g for g, m in res.items() if not m.is_zero()] == [
+            "cubic C1;C2", "cubic C2;C1"], N
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_last_mode_e_tensor_e_commutes_with_C(N):
+    # [e_j (x) e_j, C] = 0 exactly for the two Clifford generators of the
+    # last mode k: the tau = e_{N-1}^(x)3 of the N-even cubic check
+    k, C = N // 2, build_C_quantum(N)
+    zero = []
+    for j in range(1, N + 1):
+        e = cl.clifford_generator(j, k)
+        if commutator(e.kron(e), C).is_zero():
+            zero.append(j)
+    assert zero == [N - 1, N]
+
+
+def test_cubic_tau_key_fails_on_a_diagonal_entry():
+    # negative control for the D+ half: one more diagonal entry of C keeps
+    # it weight-preserving (the K_i commutators stay zero), but e (x) e
+    # maps that basis vector to another, and the tau key names the entries
+    N, k = 6, 3
+    v0 = random_point(random.Random(11))
+    C = build_C_quantum(N, v0)
+    assert (0, 0) not in C.data
+    bad = C + SparseMatrix(C.nrows, C.ncols, {(0, 0): GR_ONE})
+    res = _cubic_residuals(N, bad, coproduct_generators(N, 2, v0),
+                           MID.specialize(v0), v0)
+    assert all(res[f"K{i}"].is_zero() for i in range(1, k + 1))
+    tau = res["[e5 (x) e5, C]"]
+    # e_5 flips slot 3 of each factor: x(000) (x) x(000) <-> x(001) (x) x(001)
+    flip = (1 << k) + 1
+    assert set(tau.data) == {(0, flip), (flip, 0)}
+    assert first_nonzero({"tau": tau}) == ("tau", (0, flip))
 
 
 def test_cubic_dropped_f_term_fails_equivariance():
