@@ -17,7 +17,8 @@ import sys
 import time
 from math import comb
 
-from .ring import GaussRat, GR_ONE, P, PoleError, require_generic
+from .ring import (CheckFailure, GaussRat, GR_ONE, P, PoleError,
+                   require_generic)
 from .linalg import (random_point, commutant_dimension, certify_blocks,
                      highest_weight_restriction, first_nonzero)
 from . import qgroup, intertwiner, coideal, combinat
@@ -64,13 +65,11 @@ class Reporter:
     def check(self, label: str, fn):
         """Print PASS or FAIL for `fn`, which returns a {relation:
         residual} dict or a bool.  FAIL is a nonzero residual (named), False,
-        or an ArithmeticError raised on purpose; anything else propagates."""
+        or a CheckFailure; anything else propagates."""
         t0 = time.perf_counter()
         try:
             res = fn()
-        except PoleError:
-            raise
-        except ArithmeticError as exc:
+        except CheckFailure as exc:
             res, label = False, f"{label} [{type(exc).__name__}: {exc}]"
         except ValueError as exc:    # configs are vetted first: a defect
             raise RuntimeError(f"check {label!r} raised ValueError") from exc
@@ -272,13 +271,13 @@ def fft_counts(N: int, n: int, seed: int):
     restricted to the highest-weight space W, one block M_lambda per
     weight lambda of `qgroup.dominant_columns`: the joint kernel of the
     Delta(E_i) on the columns of weight lambda, which every generator
-    keeps (`linalg.highest_weight_restriction` raises ArithmeticError if
+    keeps (`linalg.highest_weight_restriction` raises CheckFailure if
     not).  The blocks span an invariant subspace, and a closure there can
     only fall short, so reaching sum m_lambda^2 still certifies the count;
     at a generic point nothing is lost, as every highest-weight vector has
     a dominant weight (see `intertwiner.check_cubic`).  Each block must
     have the size m_lambda of its weight in the table, or this raises
-    ArithmeticError.  The closure runs once per block
+    CheckFailure.  The closure runs once per block
     (`linalg.certify_blocks`), never on W as a whole.  Why the blocks
     certify the claim:
 
@@ -287,7 +286,7 @@ def fft_counts(N: int, n: int, seed: int):
     - The blocks are pairwise non-isomorphic A_P-modules: blocks of
       different sizes trivially, and each equal-size pair by a word in
       the generators with different traces on the two (a pair that no
-      word separates raises ArithmeticError).
+      word separates raises CheckFailure).
     - Jacobson density (Wedderburn on the semisimple quotient, with the
       Chinese remainder theorem over the distinct simple modules) then
       says A_P maps onto the sum of the End(M_lambda), so dim A_P on W is
@@ -306,18 +305,29 @@ def fft_counts(N: int, n: int, seed: int):
     Every operator comes from `qgroup.coproduct_generators` and
     `coideal.duality_rep` at v0 mod P, which reduce the operators on S and
     S (x) S first and then tensor or embed them mod P; nothing on S^(x)n
-    is built over Q(i)(v).  For n <= 3 the commutant of the coproduct image
-    on the whole space is also counted, over F_P at v0 mod P, as a
-    cross-check that needs no highest-weight theory.  It certifies
-    com_Q(i), the commutant over Q(i) at v0:
+    is built over Q(i)(v).  For n <= 3 the commutant of the Delta(K_i) and
+    Delta(E_i) on the whole space is also counted, over F_P at v0 mod P,
+    as a cross-check that needs no highest-weight theory.  It certifies
+    com_Q(i)(K,E,F), the commutant of the whole coproduct image over Q(i)
+    at v0:
 
+    - Dropping the Delta(F_i) rows can only raise the nullity, so
+      com_P(K,E) >= com_P(K,E,F).
     - Reducing the constraint rows mod P can only drop their rank, and
       joint eigenspaces of the diagonal generators that merge mod P only
-      add unknowns, which cannot lower the nullity.  So com_P >= com_Q(i).
-    - A(v0) lies in the commutant, so com_Q(i) >= dim A(v0) >= closure.
-    - So sum m_lambda^2 = closure <= com_Q(i) <= com_P, and com_P = sum
-      m_lambda^2 pins com_Q(i); a bad prime can only make com_P too large,
+      add unknowns, which cannot lower the nullity.  So com_P(K,E,F) >=
+      com_Q(i)(K,E,F).
+    - A(v0) lies in the commutant, so com_Q(i)(K,E,F) >= dim A(v0) >=
+      closure = sum m_lambda^2.
+    - So com_P(K,E) = sum m_lambda^2 pins com_Q(i)(K,E,F), as the full
+      count did; a bad prime or point can only make the count too large,
       a reported failure.
+
+    That it reaches sum m_lambda^2 at a generic point is explained by a
+    simple module being cyclic over U_q(b+) on its lowest-weight vector,
+    so End_{U_q(b+)}(V) = End_{U_q}(V) for semisimple V (Jantzen,
+    Lectures on Quantum Groups, ch. 5); the certificate does not rest on
+    it.
     """
     return fft_certificate(N, n, seed)[0]
 
@@ -336,20 +346,20 @@ def fft_certificate(N: int, n: int, seed: int):
         qgroup.dominant_columns(N, n), P)
     for w, cols, _ in found:
         if table.get(w) != len(cols):
-            raise ArithmeticError(
+            raise CheckFailure(
                 f"highest-weight block at weight ({combinat.fmt_weight(w)}) "
                 f"has size {len(cols)}, not its multiplicity {table.get(w)}")
     blocks = [(combinat.fmt_weight(w), len(cols), gens)
               for w, cols, gens in found]
     if len(blocks) != len(table):
-        raise ArithmeticError(f"{len(blocks)} highest-weight blocks for "
-                              f"{len(table)} weights of S^(x){n}")
+        raise CheckFailure(f"{len(blocks)} highest-weight blocks for "
+                           f"{len(table)} weights of S^(x){n}")
     closures, seps = certify_blocks(blocks, P)
     closure = sum(closures)
     sm = sum(m * m for _, m, _ in blocks)
     com = None
     if n <= 3:
-        com = commutant_dimension(cop, cop[0].nrows, P)
+        com = commutant_dimension(cop[0::3] + cop[1::3], cop[0].nrows, P)
     ok = closure == sm and (com is None or com == sm)
     return ((closure, sm, com, ok),
             [(w, m, c) for (w, m, _), c in zip(blocks, closures)], seps)
@@ -366,9 +376,7 @@ def run_fft(args) -> int:
     print(f"N={N} n={n} seed={args.seed}")
     try:
         (closure, sm, com, ok), blocks, seps = fft_certificate(N, n, args.seed)
-    except PoleError:
-        raise
-    except ArithmeticError as exc:
+    except CheckFailure as exc:
         print(f"VERDICT: MISMATCH ({exc})")
         return 1
     names = [f"B{i}" for i in range(1, n)] + (["F"] if N % 2 == 0 else [])

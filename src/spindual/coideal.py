@@ -13,7 +13,8 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .ring import Scalar, ONE, I, V, QQ, qint, qint_plus, q_power
+from .ring import (CheckFailure, Scalar, ONE, I, V, QQ, qint, qint_plus,
+                   q_power)
 from .linalg import (SparseMatrix, commutator, embed, nullspace, vstack,
                      _one)
 from . import clifford as cl
@@ -145,7 +146,7 @@ def tl_generators(n: int) -> list:
     for side, ms in (("", ops), ("transposed ", [m.transpose() for m in ops])):
         vecs = nullspace(vstack(ms))
         if len(vecs) != 1:
-            raise ArithmeticError(
+            raise CheckFailure(
                 f"joint kernel of the {side}sl2 coproduct has dimension "
                 f"{len(vecs)}, expected 1")
         kernels.append(vecs[0])

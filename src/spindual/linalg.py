@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heapify, heappop, heappush
 
-from .ring import GaussRat, ONE, P, PoleError, Q
+from .ring import CheckFailure, GaussRat, ONE, P, PoleError, Q
 
 
 class SparseMatrix:
@@ -358,7 +358,7 @@ def highest_weight_restriction(gens, raising, weights: dict, p: int = None):
     weights, which need not be searched.  Its vectors w_f, one per free
     column f, have 1 at f and zero at every other free column, so g on the
     block is read off the rows of g*w_f at those columns.  Raises
-    ArithmeticError if some g*w_f leaves W (e*(g*w_f) != 0 for a raising
+    CheckFailure if some g*w_f leaves W (e*(g*w_f) != 0 for a raising
     e) or has an entry at a column not of w_f's weight.
     """
     stacked = vstack(raising)
@@ -386,15 +386,15 @@ def highest_weight_restriction(gens, raising, weights: dict, p: int = None):
         gw = _mul(g, W, p)
         for b, e in enumerate(raising):
             if not _mul(e, gw, p).is_zero():
-                raise ArithmeticError(f"generator {i} does not preserve the "
-                                      f"kernel of raising operator {b}")
+                raise CheckFailure(f"generator {i} does not preserve the "
+                                   f"kernel of raising operator {b}")
         parts = {wt: {} for wt, _, _ in out}
         for (r, j), x in gw.data.items():
             wt, f, _ = vecs[j]
             if weights.get(r) != wt:
-                raise ArithmeticError(f"generator {i} maps the highest-weight "
-                                      f"vector at column {f} to column {r}, "
-                                      f"not of its weight {wt}")
+                raise CheckFailure(f"generator {i} maps the highest-weight "
+                                   f"vector at column {f} to column {r}, "
+                                   f"not of its weight {wt}")
             if r in pos:
                 parts[wt][(pos[r], pos[f])] = x
         for wt, fs, ms in out:
@@ -411,14 +411,18 @@ def algebra_closure_dim(gens, dim: int, p: int = None) -> int:
     over F_p for a prime p.
 
     Breadth-first closure under left multiplication by the generators; it
-    stops once the span is all of End(V), of dimension dim^2.
+    stops once the span is all of End(V), of dimension dim^2.  The
+    identity is inserted but not queued, as g 1 = g is a generator.
     """
     basis = EchelonBasis(p)
+    basis.insert(_flatten(SparseMatrix.identity(dim, _one(gens, p))))
     queue = deque()
-    for m in [SparseMatrix.identity(dim, _one(gens, p))] + list(gens):
-        if basis.insert(_flatten(m)):
-            queue.append(m)
     full = dim * dim
+    for g in gens:
+        if len(basis) == full:
+            break
+        if basis.insert(_flatten(g)):
+            queue.append(g)
     while queue and len(basis) < full:
         b = queue.popleft()
         for g in gens:
@@ -471,7 +475,7 @@ def certify_blocks(blocks, p: int):
       every algebra element the same trace.
 
     Blocks of different sizes are never isomorphic.  Raises
-    ArithmeticError, naming both labels, for a pair that no word
+    CheckFailure, naming both labels, for a pair that no word
     separates: that is a failure, never a pass.
     """
     closures = [algebra_closure_dim(gs, m, p) for _, m, gs in blocks]
@@ -486,7 +490,7 @@ def certify_blocks(blocks, p: int):
                         zip(_word_traces(ga, p), _word_traces(gb, p))
                         if ta != tb), None)
             if hit is None:
-                raise ArithmeticError(
+                raise CheckFailure(
                     f"blocks {la} and {lb} are not certified "
                     f"non-isomorphic: no word of up to {WORD_LENGTH} "
                     f"generators has different traces on them")
@@ -593,7 +597,7 @@ def verify_spectrum(m: SparseMatrix, candidates,
     each of nullity >= 1 over Q(i)(v) and so mod P, so their factors are
     all multiplied; a zero subproduct makes the full one zero.
 
-    Raises ArithmeticError, naming the point, if two candidates have the
+    Raises CheckFailure, naming the point, if two candidates have the
     same image there or an entry of m or a candidate has a pole there.
     """
     pt = f"{SPECTRUM_POINT} mod {P}"
@@ -601,12 +605,12 @@ def verify_spectrum(m: SparseMatrix, candidates,
         mp = m.specialize(SPECTRUM_POINT, P)
         images = [c.specialize(SPECTRUM_POINT, P) for c in candidates]
     except PoleError as exc:
-        raise ArithmeticError(f"spectrum counts at v = {pt}: {exc}") from exc
+        raise CheckFailure(f"spectrum counts at v = {pt}: {exc}") from exc
     seen = {}
     for c, x in zip(candidates, images):
         if x in seen:
-            raise ArithmeticError(f"spectrum candidates {seen[x]!r} and "
-                                  f"{c!r} have the same image at v = {pt}")
+            raise CheckFailure(f"spectrum candidates {seen[x]!r} and "
+                               f"{c!r} have the same image at v = {pt}")
         seen[x] = c
     up = list(range(m.nrows))       # union-find of the blocks' indices
 

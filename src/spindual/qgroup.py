@@ -7,7 +7,7 @@ tensor powers.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from operator import add
 
 from .ring import Scalar, QQ, q_power, qbinom
 from .linalg import SparseMatrix, commutator, residuals_zero, _mod
@@ -114,13 +114,23 @@ def spin_rep(N: int) -> SpinRep:
 def dominant_columns(N: int, n: int) -> dict:
     """{column: weight} on the basis vectors of S^(x)n, in ascending column
     order, whose weight (`column_weight`, the sum of its factors' weights)
-    is dominant (`combinat.is_dominant`).  The dict is cached per (N, n)
-    and shared: do not mutate it."""
-    factors = [column_weight(N, 1, m) for m in range(1 << rank_of(N))]
-    # product() varies the last factor fastest, as kron does
-    weights = (tuple(map(sum, zip(*ws)))
-               for ws in product(factors, repeat=n))
-    return {j: w for j, w in enumerate(weights) if is_dominant(w, N)}
+    is dominant (`combinat.is_dominant`).  The columns of the first n - 1
+    factors are grouped by weight, so each such weight is added to each
+    weight of the last factor, and tested, once.  The dict is cached per
+    (N, n) and shared: do not mutate it."""
+    k = rank_of(N)
+    factors = [column_weight(N, 1, m) for m in range(1 << k)]
+    # weight -> its columns of the factors so far, the last fastest (kron)
+    heads = {(0,) * k: [0]}
+    for step in range(n):
+        nxt = {}
+        for w, cols in heads.items():
+            for m, f in enumerate(factors):
+                u = tuple(map(add, w, f))
+                if step < n - 1 or is_dominant(u, N):
+                    nxt.setdefault(u, []).extend((j << k) + m for j in cols)
+        heads = nxt
+    return dict(sorted((j, w) for w, cols in heads.items() for j in cols))
 
 
 def column_weight(N: int, n: int, j: int) -> tuple:

@@ -38,6 +38,12 @@ class PoleError(ZeroDivisionError):
     root of unity where a count needs a generic point."""
 
 
+class CheckFailure(ArithmeticError):
+    """Raised on purpose by a check whose computed data contradict the
+    claim or leave it uncertified; the CLI reports it as FAIL or
+    MISMATCH (exit 1), and any other exception as a crash (exit 3)."""
+
+
 _new = object.__new__
 
 

@@ -1,15 +1,17 @@
 import json
+import os
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spindual import cli, clifford, coideal, combinat, intertwiner, qgroup
+from spindual import (cli, clifford, coideal, combinat, intertwiner, linalg,
+                      qgroup)
 from spindual.cli import main
 from spindual.linalg import SparseMatrix
 from spindual.combinat import fmt_weight, is_admissible
 from spindual.qgroup import SpinRep
-from spindual.ring import GR_I, GaussRat, P, Q
+from spindual.ring import GR_I, CheckFailure, GaussRat, P, Q
 
 
 def run(capsys, *argv):
@@ -29,10 +31,13 @@ def test_verify_relations(capsys):
 
 
 @pytest.mark.parametrize("exc,code", [(IndexError, 3), (ValueError, 3),
-                                      (ArithmeticError, 1)])
+                                      (ZeroDivisionError, 3),
+                                      (ArithmeticError, 3),
+                                      (CheckFailure, 1)])
 def test_crash_is_not_a_failure(monkeypatch, capsys, exc, code):
-    # only a computed counterexample (or a check's own ArithmeticError)
-    # is a FAIL; any other exception is an internal error with exit 3
+    # only a computed counterexample (or a check's own CheckFailure) is a
+    # FAIL; any other exception, a defect's ZeroDivisionError or a bare
+    # ArithmeticError included, is an internal error with exit 3
     def boom(N):
         raise exc("boom")
     monkeypatch.setattr(qgroup, "relation_residuals", boom)
@@ -42,7 +47,7 @@ def test_crash_is_not_a_failure(monkeypatch, capsys, exc, code):
         assert "PASS" not in out and "FAIL" not in out
         assert "internal error:" in err and "Traceback" in err
     else:
-        assert "FAIL" in out and "ArithmeticError: boom" in out and err == ""
+        assert "FAIL" in out and "CheckFailure: boom" in out and err == ""
 
 
 def test_verify_duality(capsys):
@@ -129,6 +134,64 @@ def test_fft_prints_a_certificate_per_block(capsys):
     assert pairs == [f"pair ({a},{b}) / ({a},-{b})  trace of F: 1 vs -1"
                      for a, b in (("3/2", "3/2"), ("3/2", "1/2"),
                                   ("1/2", "1/2"))]
+
+
+def _zero_division(*args):
+    return 1 // 0
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["fft", "--N", "4", "--n", "3", "--seed", "11"], (cli, "certify_blocks")),
+    (["verify", "cubic", "--N", "4"], (intertwiner, "check_cubic"))],
+    ids=["fft", "verify"])
+def test_defect_in_a_check_exits_3(monkeypatch, capsys, argv, target):
+    # a ZeroDivisionError raised by a defect is a crash with its
+    # traceback, not a MISMATCH or a FAIL
+    monkeypatch.setattr(*target, _zero_division)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "MISMATCH" not in out and "FAIL" not in out
+    assert "internal error: ZeroDivisionError" in err and "Traceback" in err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["fft", "--N", "4", "--n", "3", "--seed", "11"],
+     "VERDICT: MISMATCH (blocks 3/2,3/2 and 3/2,-3/2 are not certified"),
+    (["verify", "fft", "--N", "4", "--n", "3", "--seed", "11"],
+     "FAIL  fft counts N=4 n=3 at v0 [CheckFailure: blocks 3/2,3/2 and")],
+    ids=["fft", "verify"])
+def test_unseparated_pair_is_a_failure(monkeypatch, capsys, argv, want):
+    # with no trace words to try, the first equal-size pair stays
+    # unseparated: a CheckFailure raised on purpose, exit 1
+    monkeypatch.setattr(linalg, "WORD_LENGTH", 0)
+    code, out = run(capsys, *argv)
+    assert code == 1 and want in out
+
+
+def test_fft_commutant_of_the_K_alone_is_a_mismatch(monkeypatch, capsys):
+    # control for the Delta(K_i), Delta(E_i) cross-check: the commutant
+    # of the diagonal Delta(K_i) alone overshoots sum m^2 = 70
+    count = cli.commutant_dimension
+    monkeypatch.setattr(cli, "commutant_dimension", lambda gens, dim, p: count(
+        [g for g in gens if g.is_diagonal()], dim, p))
+    code, out = run(capsys, "fft", "--N", "4", "--n", "3", "--seed", "11")
+    com = int(out.split("commutant dim (mod p): ")[1].split()[0])
+    assert code == 1 and com > 70 and "VERDICT: MISMATCH" in out
+
+
+FFT_OUTPUTS = os.path.join(os.path.dirname(__file__), "fft_outputs.json")
+
+
+def test_fft_output_is_unchanged(capsys):
+    # the whole report of `fft`, byte for byte, at sizes with and without
+    # the commutant line (n <= 3); kept in fft_outputs.json
+    with open(FFT_OUTPUTS) as fh:
+        want = json.load(fh)
+    assert len(want) == 10
+    for key, lines in want.items():
+        N, n, seed = key.split()
+        code, out = run(capsys, "fft", "--N", N, "--n", n, "--seed", seed)
+        assert code == 0 and out == "\n".join(lines) + "\n", key
 
 
 @pytest.mark.parametrize("N,want", [(3, 1), (4, 2)])

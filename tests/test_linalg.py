@@ -391,6 +391,45 @@ def test_commutant_mod_p_matches_gaussian(N, n, want):
         assert exact == mod_p == want, (N, n, seed)
 
 
+@pytest.mark.parametrize("N,n,want", [(3, 3, 5), (4, 2, 10), (5, 2, 3),
+                                      (4, 3, 70), (5, 3, 14)])
+def test_commutant_of_the_borel_half(N, n, want):
+    # `fft`'s cross-check counts the commutant of the Delta(K_i) and
+    # Delta(E_i) only: it reaches the full commutant and sum m^2 over F_P
+    # (and over Q(i) at the three smallest sizes), while the Delta(K_i)
+    # alone leave it above sum m^2
+    for seed in (11, 23):
+        v0 = cli._point(seed)
+        cop = qgroup.coproduct_generators(N, n, v0.mod_p(P), P)
+        dim = cop[0].nrows
+        borel = commutant_dimension(cop[0::3] + cop[1::3], dim, P)
+        assert borel == commutant_dimension(cop, dim, P) == want, (N, n, seed)
+        assert commutant_dimension(cop[0::3], dim, P) > want, (N, n, seed)
+        if dim <= 16:
+            gens = qgroup.coproduct_generators(N, n, v0)
+            assert commutant_dimension(gens[0::3] + gens[1::3], dim) == want
+
+
+def test_closure_of_a_1x1_block_takes_no_product(monkeypatch):
+    # the identity fills a 1 x 1 block: no generator is inserted and no
+    # product formed; on larger blocks no product g 1 = g is formed
+    def no_product(a, b, p):
+        raise AssertionError("a product was formed")
+    monkeypatch.setattr(linalg, "_mul", no_product)
+    one = SparseMatrix(1, 1, {(0, 0): 5})
+    assert algebra_closure_dim([one, one], 1, P) == 1
+    monkeypatch.undo()
+    products = []
+    mul = linalg._mul
+    monkeypatch.setattr(linalg, "_mul", lambda a, b, p: products.append(
+        b.data) or mul(a, b, p))
+    ident = SparseMatrix.identity(2, 1).data
+    swap = SparseMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
+    assert algebra_closure_dim([swap, SparseMatrix.diagonal([2, 3])], 2,
+                               P) == 4
+    assert ident not in products
+
+
 small_matrices = st.integers(1, 6).flatmap(lambda c: st.lists(
     st.lists(st.integers(-3, 3), min_size=c, max_size=c),
     min_size=1, max_size=6))

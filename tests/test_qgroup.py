@@ -8,6 +8,7 @@ from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
                              cartan_entry, verify_relations, dominant_columns,
                              column_weight, relation_residuals, spin_rep)
 from spindual import qgroup
+from spindual.combinat import is_dominant
 from spindual.cli import main
 
 
@@ -256,6 +257,16 @@ def test_dominant_columns(N, count):
     cols = dominant_columns(N, 3)
     assert len(cols) == count and list(cols) == sorted(cols)
     assert all(w == column_weight(N, 3, j) for j, w in cols.items())
+
+
+@pytest.mark.parametrize("N,n", [(3, 4), (4, 3), (6, 3), (8, 3), (3, 10)])
+def test_dominant_columns_match_enumeration(N, n):
+    # grouped by the weight of the first n - 1 factors, against the weight
+    # of every column: the same dict, in the same key order
+    d = 1 << rank_of(N)
+    want = {j: w for j in range(d ** n)
+            if is_dominant(w := column_weight(N, n, j), N)}
+    assert list(dominant_columns(N, n).items()) == list(want.items())
 
 
 @pytest.mark.parametrize("N", range(3, 10))
