@@ -86,29 +86,18 @@ class Reporter:
             self.failures += 1
 
 
-def _dominant_block_size(N: int) -> int:
-    """len(qgroup.dominant_columns(N, 3)), without enumerating S^(x)3:
-    3^(k+1) - 1 for N = 2k and half that for N = 2k + 1 (checked against
-    the enumeration for N = 3..11 in the tests).  For N odd it is the side
-    of the block the quantum cubic check works on; for N even an upper
-    bound of it, twice the side of the half block with lambda_k > 0
-    (`intertwiner.cubic_columns`); the size guard keeps the bound, as 2k
-    refuses the same N (N >= 14) either way."""
-    k = N // 2
-    return (3 ** (k + 1) - 1) // (2 if N % 2 else 1)
-
-
 def _operator_bits(suite: str, mode: str, N: int, n: int) -> int:
     """log2 of the rows of the largest operator `suite` builds in `mode`,
     rounded up: S has 2^k rows, C acts on S^(x)2, the cubic relation on
-    S^(x)3 at q = 1 but on the dominant block of S^(x)3 otherwise, the
-    duality representation on S^(x)n and Temperley-Lieb on (C^2)^(x)n."""
+    S^(x)3 at q = 1, the duality representation on S^(x)n and
+    Temperley-Lieb on (C^2)^(x)n.  Otherwise the cubic relation runs on a
+    block of S^(x)3 (`intertwiner.cubic_columns`) of (3^(k+1) - 1)/2 <=
+    4^k columns, so C on S^(x)2 is its largest operator."""
     k = N // 2
-    if suite == "cubic" and mode != "one":
-        return max(2 * k, (_dominant_block_size(N) - 1).bit_length())
     return {"relations": k, "commutation": 2 * k, "spectrum": 2 * k,
-            "integrality": 2 * k, "cubic": 3 * k, "fft": k * n, "tl": n,
-            "so3": N.bit_length(), "duality": 0}[suite]
+            "integrality": 2 * k, "cubic": 3 * k if mode == "one" else 2 * k,
+            "fft": k * n, "tl": n, "so3": N.bit_length(),
+            "duality": 0}[suite]
 
 
 def _check_config(modes: dict, N: int, n: int) -> None:
@@ -333,8 +322,9 @@ def fft_counts(N: int, n: int, seed: int):
 
 
 def fft_certificate(N: int, n: int, seed: int):
-    """(the `fft_counts` tuple, [(weight, m_lambda, closure) per block],
-    the pair separations of `linalg.certify_blocks`)."""
+    """(the `fft_counts` tuple, [(block label, m_lambda, closure) per
+    block], the pair separations of `linalg.certify_blocks`); a block is
+    labelled by its weight in parentheses, as `spindual fft` prints it."""
     v0 = _point(seed)
     require_generic(v0)
     vp = v0.mod_p(P)
@@ -343,23 +333,23 @@ def fft_certificate(N: int, n: int, seed: int):
     table = combinat.spinor_table(N, n)
     found = highest_weight_restriction(
         r.B + ([r.F] if r.F is not None else []), cop[1::3],
-        qgroup.dominant_columns(N, n), P)
+        qgroup.dominant_columns(N, n))
     for w, cols, _ in found:
         if table.get(w) != len(cols):
             raise CheckFailure(
                 f"highest-weight block at weight ({combinat.fmt_weight(w)}) "
                 f"has size {len(cols)}, not its multiplicity {table.get(w)}")
-    blocks = [(combinat.fmt_weight(w), len(cols), gens)
+    blocks = [(f"({combinat.fmt_weight(w)})", len(cols), gens)
               for w, cols, gens in found]
     if len(blocks) != len(table):
         raise CheckFailure(f"{len(blocks)} highest-weight blocks for "
                            f"{len(table)} weights of S^(x){n}")
-    closures, seps = certify_blocks(blocks, P)
+    closures, seps = certify_blocks(blocks)
     closure = sum(closures)
     sm = sum(m * m for _, m, _ in blocks)
     com = None
     if n <= 3:
-        com = commutant_dimension(cop[0::3] + cop[1::3], cop[0].nrows, P)
+        com = commutant_dimension(cop[0::3] + cop[1::3], cop[0].nrows)
     ok = closure == sm and (com is None or com == sm)
     return ((closure, sm, com, ok),
             [(w, m, c) for (w, m, _), c in zip(blocks, closures)], seps)
@@ -383,10 +373,10 @@ def run_fft(args) -> int:
     print(f"highest-weight dim  : {sum(m for _, m, _ in blocks)} "
           f"(closure runs mod p = {P}, one block per weight)")
     for w, m, c in blocks:
-        print(f"  block ({w})  m={m}  closure {c} "
+        print(f"  block {w}  m={m}  closure {c} "
               f"{'=' if c == m * m else '<'} m^2 = {m * m}")
     for a, b, word, (ta, tb) in seps:
-        print(f"  pair ({a}) / ({b})  trace of "
+        print(f"  pair {a} / {b}  trace of "
               f"{' '.join(names[i] for i in word)}: "
               f"{_signed(ta)} vs {_signed(tb)}")
     print(f"algebra closure dim : {closure}")

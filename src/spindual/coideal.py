@@ -63,7 +63,7 @@ def check_coideal_relations(rep: CoidealRep) -> dict:
            for (i, j), r in sorted(res.items())}
     F, B = rep.F, rep.B
     if F is not None:
-        out["F^2"] = F * F - SparseMatrix.identity(F.nrows, _one([F], None))
+        out["F^2"] = F * F - SparseMatrix.identity(F.nrows, _one([F]), F.p)
         if B:
             out["FB1"] = F * B[0] + B[0] * F
         for i in range(1, len(B)):

@@ -10,10 +10,10 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .ring import (Scalar, GaussRat, Q, QQ, GR_ONE, LP_ONE, qint,
+from .ring import (Scalar, GaussRat, QQ, GR_ONE, LP_ONE, qint,
                    q_power, require_generic)
 from .linalg import (SparseMatrix, commutator, embed, verify_spectrum,
-                     SpectrumReport, _mod)
+                     SpectrumReport)
 from . import clifford as cl
 from .qgroup import rank_of, dominant_columns, coproduct_generators
 
@@ -44,10 +44,11 @@ def build_C_quantum(N: int, v0=None, p: int = None) -> SparseMatrix:
 
     Over Q(i)(v) by default.  At a point v0 (a GaussRat, or an int mod a
     prime p) the c/d operators and 1/[2] are specialized on S first and
-    then tensored, each product reduced mod p, so no operator on S (x) S
-    is specialized.  Specialization is a ring map on entries with no pole
-    at the point (`Scalar.specialize` raises PoleError at one), so C
-    equals the symbolic one specialized entry by entry."""
+    then tensored (mod p, as the specialized matrices carry p), so no
+    operator on S (x) S is specialized.  Specialization is a ring map on
+    entries with no pole at the point (`Scalar.specialize` raises
+    PoleError at one), so C equals the symbolic one specialized entry by
+    entry."""
     k = rank_of(N)
     acc = None
     for i in range(1, k + 1):
@@ -56,15 +57,15 @@ def build_C_quantum(N: int, v0=None, p: int = None) -> SparseMatrix:
         acc = t if acc is None else acc + t
     if N % 2:
         acc = acc + _f_term(N, v0, p)
-    return _mod(acc, p)
+    return acc
 
 
 def _kron_at(x: SparseMatrix, y: SparseMatrix, v0, p) -> SparseMatrix:
-    """x (x) y; at a point v0, x and y are specialized there first and the
-    product is reduced mod p for a prime p."""
+    """x (x) y; at a point v0 (mod a prime p), x and y are specialized
+    there first."""
     if v0 is not None:
         x, y = x.specialize(v0, p), y.specialize(v0, p)
-    return _mod(x.kron(y), p)
+    return x.kron(y)
 
 
 def _f_term(N: int, v0=None, p: int = None) -> SparseMatrix:
@@ -74,8 +75,7 @@ def _f_term(N: int, v0=None, p: int = None) -> SparseMatrix:
     inv2 = (QQ + QQ.inv()).inv()
     if v0 is not None:
         inv2 = inv2.specialize(v0, p)
-    return _mod(_kron_at(c_op(k + 1, +1, N), d_op(k + 1, +1, N), v0, p)
-                .scale(inv2), p)
+    return _kron_at(c_op(k + 1, +1, N), d_op(k + 1, +1, N), v0, p).scale(inv2)
 
 
 def build_C_classical(N: int) -> SparseMatrix:
@@ -286,34 +286,15 @@ def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid,
 
 # -- spectra ----------------------------------------------------------------
 
-def classical_spectrum_candidates(N: int):
-    """(eigenvalue, multiplicity) pairs for C at q = 1: the exterior-power
-    ladder.  N even: j with -k <= j <= k, multiplicity binom(N, k-j);
-    N odd: (-1)^(k+j) (k + 1/2 - j) for 0 <= j <= k, multiplicity
-    binom(N, j).  The overall (-1)^k is an empirical fact about this
-    concrete Clifford module (the 1/2 f (x) f term is blind to the sign
-    choice in e_N, so only this one global sign is realized)."""
-    k = rank_of(N)
-    out = []
-    if N % 2 == 0:
-        for j in range(-k, k + 1):
-            val = Scalar.from_gauss(GaussRat(j))
-            out.append((val, comb(N, k - j)))
-    else:
-        for j in range(k + 1):
-            half = GaussRat(Q(N - 2 * j, 2))
-            s = (-1) ** (k + j)
-            out.append((Scalar.from_gauss(half if s > 0 else -half), comb(N, j)))
-    return out
-
-
-def quantum_spectrum_candidates(N: int):
+@lru_cache(maxsize=None)
+def quantum_spectrum_candidates(N: int) -> tuple:
     """(eigenvalue, multiplicity) pairs for C at generic q: (-1)^j
     (q^{N-2j} - q^{2j-N})/(q^2 - q^{-2}) with multiplicity binom(N, j),
-    0 <= j <= k for N odd and 0 <= j <= 2k for N even; for N odd the list
-    carries the same global (-1)^k as the classical one (it must: the
-    eigenvalues degenerate to the classical ones at q = 1, and keep their
-    multiplicities)."""
+    0 <= j <= k for N odd, with a global (-1)^k, and 0 <= j <= 2k for N
+    even.  No entry has a pole at v = 1, where it is (N - 2j)/2 with the
+    same sign: `spectrum_of_C` takes the eigenvalues of C at q = 1 from
+    here, with the same multiplicities.  Cached per N, so both modes
+    build the Scalars once."""
     k = rank_of(N)
     den = (QQ ** 2 - QQ ** (-2)).inv()
     top = k if N % 2 else 2 * k
@@ -322,18 +303,20 @@ def quantum_spectrum_candidates(N: int):
     for j in range(top + 1):
         val = (q_power(2 * (N - 2 * j)) - q_power(-2 * (N - 2 * j))) * den
         out.append((val if (glob * (-1) ** j) > 0 else -val, comb(N, j)))
-    return out
+    return tuple(out)
 
 
 def spectrum_of_C(N: int, classical=False) -> SpectrumReport:
     """`verify_spectrum` of C at q = 1 or at generic q against its
     candidate eigenvalues and their expected multiplicities: the report
-    is `complete` only if each eigenvalue has its count."""
-    if classical:
-        C, pairs = build_C_classical(N), classical_spectrum_candidates(N)
-    else:
-        C, pairs = build_C_quantum(N), quantum_spectrum_candidates(N)
-    return verify_spectrum(C, *zip(*pairs))
+    is `complete` only if each eigenvalue has its count.  At q = 1 the
+    candidates are the quantum ones at v = 1, as constant Scalars, in
+    the same order."""
+    pairs = quantum_spectrum_candidates(N)
+    if not classical:
+        return verify_spectrum(build_C_quantum(N), *zip(*pairs))
+    return verify_spectrum(build_C_classical(N), *zip(*(
+        (Scalar.from_gauss(c.specialize(GR_ONE)), m) for c, m in pairs)))
 
 
 # -- integrality ------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 Matrices are dict-of-entries {(row, col): elem}; entries may be Scalar
 (symbolic) or GaussRat (specialized), duck-typed over +, *, unary -, bool
-(nonzero test) and .inv(), or ints mod a prime p (`specialize(v0, p)`).
-Echelon, rank, nullspace, the highest-weight restriction (a kernel per
-weight space), closure and commutant take that p as an argument and
-reduce any int entries mod p.
+(nonzero test) and .inv(), or ints mod a prime p.  A matrix carries its
+ring in `p`: None for Scalar and GaussRat entries, the prime for ints mod
+p (`specialize(v0, p)` sets it).  Every operation that builds a new
+matrix passes p on, and for a prime reduces its int entries mod p once,
+at the end, so the entries it stores are residues in [0, p); operands with
+different p raise ValueError.  Echelon, rank, nullspace, the
+highest-weight restriction (a kernel per weight space), closure and
+commutant read p from their matrices.
 """
 
 from __future__ import annotations
@@ -16,17 +20,37 @@ from heapq import heapify, heappop, heappush
 from .ring import CheckFailure, GaussRat, ONE, P, PoleError, Q
 
 
-class SparseMatrix:
-    __slots__ = ("nrows", "ncols", "data")
+def _prime(*mats):
+    """The p that all of `mats` carry (None for none); ValueError if two
+    differ, a prime against another prime or against None."""
+    p = mats[0].p if mats else None
+    for m in mats:
+        if m.p != p:
+            raise ValueError(f"matrices over different rings: p = {p} and "
+                             f"p = {m.p}")
+    return p
 
-    def __init__(self, nrows: int, ncols: int, data=None):
+
+def _reduced(nrows: int, ncols: int, data: dict, p) -> "SparseMatrix":
+    """A new matrix over the ring of p: for a prime p its int entries are
+    taken mod p, once, and the zeros dropped."""
+    if p is not None:
+        data = {rc: z for rc, v in data.items() if (z := v % p)}
+    return SparseMatrix(nrows, ncols, data, p)
+
+
+class SparseMatrix:
+    __slots__ = ("nrows", "ncols", "data", "p")
+
+    def __init__(self, nrows: int, ncols: int, data=None, p: int = None):
         self.nrows = nrows
         self.ncols = ncols
         self.data = data if data is not None else {}
+        self.p = p
 
     @staticmethod
-    def identity(n: int, one=ONE) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): one for i in range(n)})
+    def identity(n: int, one=ONE, p: int = None) -> "SparseMatrix":
+        return SparseMatrix(n, n, {(i, i): one for i in range(n)}, p)
 
     @staticmethod
     def diagonal(entries) -> "SparseMatrix":
@@ -46,9 +70,10 @@ class SparseMatrix:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self.data == other.data)
+                and self.p == other.p and self.data == other.data)
 
     def __add__(self, other):
+        p = _prime(self, other)
         out = dict(self.data)
         for rc, v in other.data.items():
             s = out.get(rc)
@@ -60,24 +85,25 @@ class SparseMatrix:
                     out[rc] = s
                 else:
                     del out[rc]
-        return SparseMatrix(self.nrows, self.ncols, out)
+        return _reduced(self.nrows, self.ncols, out, p)
 
     def __neg__(self):
-        return SparseMatrix(self.nrows, self.ncols,
-                            {rc: -v for rc, v in self.data.items()})
+        return _reduced(self.nrows, self.ncols,
+                        {rc: -v for rc, v in self.data.items()}, self.p)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         if not c:
-            return SparseMatrix(self.nrows, self.ncols, {})
-        return SparseMatrix(self.nrows, self.ncols,
-                            {rc: v * c for rc, v in self.data.items()})
+            return SparseMatrix(self.nrows, self.ncols, {}, self.p)
+        return _reduced(self.nrows, self.ncols,
+                        {rc: v * c for rc, v in self.data.items()}, self.p)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        p = _prime(self, other)
         # index other by row once
         by_row = {}
         for (r, c), v in other.data.items():
@@ -89,43 +115,46 @@ class SparseMatrix:
                 continue
             for c, b in row:
                 rc = (r, c)
-                p = a * b
+                t = a * b
                 s = out.get(rc)
                 if s is None:
-                    out[rc] = p
+                    out[rc] = t
                 else:
-                    s = s + p
+                    s = s + t
                     if s:
                         out[rc] = s
                     else:
                         del out[rc]
-        return SparseMatrix(self.nrows, other.ncols, out)
+        return _reduced(self.nrows, other.ncols, out, p)
 
     def transpose(self):
         return SparseMatrix(self.ncols, self.nrows,
-                            {(c, r): v for (r, c), v in self.data.items()})
+                            {(c, r): v for (r, c), v in self.data.items()},
+                            self.p)
 
     def kron(self, other: "SparseMatrix") -> "SparseMatrix":
         """Kronecker product; self is the leftmost (slowest-varying) factor."""
+        p = _prime(self, other)
         out = {}
         n2, m2 = other.nrows, other.ncols
         for (r1, c1), a in self.data.items():
             for (r2, c2), b in other.data.items():
                 out[(r1 * n2 + r2, c1 * m2 + c2)] = a * b
-        return SparseMatrix(self.nrows * n2, self.ncols * m2, out)
+        return _reduced(self.nrows * n2, self.ncols * m2, out, p)
 
     def is_diagonal(self):
         return all(r == c for r, c in self.data)
 
     def specialize(self, v0, p: int = None) -> "SparseMatrix":
-        """Every entry at v = v0, a GaussRat, or at an int v0 mod a prime p;
-        entries that vanish there are dropped, so no zero is stored."""
+        """Every entry at v = v0, a GaussRat, or at an int v0 mod a prime p
+        (the new matrix's p); entries that vanish there are dropped, so no
+        zero is stored."""
         out = {}
         for rc, v in self.data.items():
             x = v.specialize(v0, p)
             if x:
                 out[rc] = x
-        return SparseMatrix(self.nrows, self.ncols, out)
+        return SparseMatrix(self.nrows, self.ncols, out, p)
 
     def entries(self):
         return self.data.values()
@@ -140,14 +169,15 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     stored b_rc, and none where a_r = a_c.  That identity holds in any
     commutative ring, and Scalar and GaussRat values are canonical, so
     every entry is the same value, field for field, as a * b - b * a
-    gives (for ints, the same int); a product of nonzero factors in these
-    domains is nonzero, so the same entries are stored.  Otherwise ab and
-    ba are compared before ab - ba is formed: equal dicts give the empty
-    matrix, which is what the subtraction gives."""
+    gives (over F_p, the same residue); a product of nonzero factors in
+    these domains is nonzero, so the same entries are stored.  Otherwise
+    ab and ba are compared before ab - ba is formed: equal dicts give the
+    empty matrix, which is what the subtraction gives."""
+    p = _prime(a, b)
     if not a.is_diagonal():
         ab, ba = a * b, b * a
         if ab.data == ba.data:
-            return SparseMatrix(ab.nrows, ab.ncols)
+            return SparseMatrix(ab.nrows, ab.ncols, {}, p)
         return ab - ba
     if (a.nrows, a.ncols) != (b.nrows, b.ncols) or a.nrows != a.ncols:
         raise ValueError("shape mismatch")
@@ -161,7 +191,7 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
             out[(r, c)] = -(ac * x)
         else:
             out[(r, c)] = ar * x if ac is None else (ar - ac) * x
-    return SparseMatrix(a.nrows, a.ncols, out)
+    return _reduced(a.nrows, a.ncols, out, p)
 
 
 def embed(m: SparseMatrix, left: int, right: int,
@@ -186,13 +216,13 @@ def embed(m: SparseMatrix, left: int, right: int,
                 row = (i * nr + r) * right + j
                 if row in keep:
                     out[(row, col)] = x
-        return SparseMatrix(*size, out)
+        return SparseMatrix(*size, out, m.p)
     for i in range(left):
         for (r, c), x in m.data.items():
             r0, c0 = (i * nr + r) * right, (i * nc + c) * right
             for j in range(right):
                 out[(r0 + j, c0 + j)] = x
-    return SparseMatrix(*size, out)
+    return SparseMatrix(*size, out, m.p)
 
 
 def vstack(mats) -> SparseMatrix:
@@ -203,7 +233,7 @@ def vstack(mats) -> SparseMatrix:
         for (r, c), x in m.data.items():
             out[(top + r, c)] = x
         top += m.nrows
-    return SparseMatrix(top, mats[0].ncols, out)
+    return SparseMatrix(top, mats[0].ncols, out, _prime(*mats))
 
 
 def first_nonzero(res: dict):
@@ -280,9 +310,9 @@ class EchelonBasis:
         return True
 
 
-def _echelon(m: SparseMatrix, p) -> EchelonBasis:
-    """The rows of m in an EchelonBasis (over F_p for a prime p)."""
-    basis = EchelonBasis(p)
+def _echelon(m: SparseMatrix) -> EchelonBasis:
+    """The rows of m in an EchelonBasis over m's ring."""
+    basis = EchelonBasis(m.p)
     by_row = {}
     for (r, c), v in m.data.items():
         by_row.setdefault(r, {})[c] = v
@@ -291,39 +321,26 @@ def _echelon(m: SparseMatrix, p) -> EchelonBasis:
     return basis
 
 
-def _one(mats, p):
+def _one(mats):
     """1 in the entries' ring: the int 1 over F_p, else x * x^-1 for the
     first entry x of `mats` (the Scalar one if they store none)."""
-    if p is not None:
+    if _prime(*mats) is not None:
         return 1
     x = next((x for m in mats for x in m.data.values()), None)
     return ONE if x is None else x * x.inv()
 
 
-def _mod(m: SparseMatrix, p) -> SparseMatrix:
-    """m with its int entries reduced mod a prime p and zeros dropped, in
-    place; m as it is for p None."""
-    if p is not None:
-        m.data = {rc: z for rc, v in m.data.items() if (z := v % p)}
-    return m
+def matrix_rank(m: SparseMatrix) -> int:
+    """Rank of m over its ring."""
+    return len(_echelon(m))
 
 
-def _mul(a: SparseMatrix, b: SparseMatrix, p) -> SparseMatrix:
-    """a * b, over F_p for a prime p: each entry reduced once, at the end."""
-    return _mod(a * b, p)
-
-
-def matrix_rank(m: SparseMatrix, p: int = None) -> int:
-    """Rank of m, over F_p for a prime p (int entries)."""
-    return len(_echelon(m, p))
-
-
-def nullspace(m: SparseMatrix, p: int = None) -> list:
-    """Basis of the right nullspace of m (over F_p for a prime p) as sparse
-    vectors {index: elem}, one per free (non-pivot) column f: 1 at f, zero
-    at every other free column, and f is its largest index."""
-    rows = _echelon(m, p).rows
-    one = _one([m], p)
+def nullspace(m: SparseMatrix) -> list:
+    """Basis of the right nullspace of m over its ring as sparse vectors
+    {index: elem}, one per free (non-pivot) column f: 1 at f, zero at
+    every other free column, and f is its largest index."""
+    rows, p = _echelon(m).rows, m.p
+    one = _one([m])
     out = []
     for f in range(m.ncols):
         if f in rows:
@@ -346,9 +363,9 @@ def nullspace(m: SparseMatrix, p: int = None) -> list:
     return out
 
 
-def highest_weight_restriction(gens, raising, weights: dict, p: int = None):
+def highest_weight_restriction(gens, raising, weights: dict):
     """Restrict `gens` to W, the joint kernel of the `raising` operators
-    (over F_p for a prime p), one block per weight: `weights` is {column:
+    over their ring, one block per weight: `weights` is {column:
     weight} on the columns to search, as `qgroup.dominant_columns` gives
     it, and the result is a list of (weight, free columns, restricted
     generators), from the highest weight down.
@@ -362,6 +379,7 @@ def highest_weight_restriction(gens, raising, weights: dict, p: int = None):
     e) or has an entry at a column not of w_f's weight.
     """
     stacked = vstack(raising)
+    p = stacked.p
     cols = {}       # weight -> its columns, ascending
     for c in sorted(weights):
         cols.setdefault(weights[c], []).append(c)
@@ -373,19 +391,19 @@ def highest_weight_restriction(gens, raising, weights: dict, p: int = None):
     vecs, out = [], []  # (weight, f, w_f); (weight, free columns, gens)
     for wt in sorted(cols, reverse=True):
         cs = cols[wt]
-        ws = nullspace(SparseMatrix(stacked.nrows, len(cs), rows[wt]), p)
+        ws = nullspace(SparseMatrix(stacked.nrows, len(cs), rows[wt], p))
         vecs += [(wt, cs[max(w)], {cs[t]: x for t, x in w.items()})
                  for w in ws]
         if ws:
             out.append((wt, [cs[max(w)] for w in ws], []))
     W = SparseMatrix(stacked.ncols, len(vecs),
                      {(r, j): x for j, (_, _, w) in enumerate(vecs)
-                      for r, x in w.items()})
+                      for r, x in w.items()}, p)
     pos = {f: t for _, fs, _ in out for t, f in enumerate(fs)}
     for i, g in enumerate(gens):
-        gw = _mul(g, W, p)
+        gw = g * W
         for b, e in enumerate(raising):
-            if not _mul(e, gw, p).is_zero():
+            if not (e * gw).is_zero():
                 raise CheckFailure(f"generator {i} does not preserve the "
                                    f"kernel of raising operator {b}")
         parts = {wt: {} for wt, _, _ in out}
@@ -398,7 +416,7 @@ def highest_weight_restriction(gens, raising, weights: dict, p: int = None):
             if r in pos:
                 parts[wt][(pos[r], pos[f])] = x
         for wt, fs, ms in out:
-            ms.append(SparseMatrix(len(fs), len(fs), parts[wt]))
+            ms.append(SparseMatrix(len(fs), len(fs), parts[wt], p))
     return out
 
 
@@ -406,16 +424,19 @@ def _flatten(m: SparseMatrix) -> dict:
     return {r * m.ncols + c: v for (r, c), v in m.data.items()}
 
 
-def algebra_closure_dim(gens, dim: int, p: int = None) -> int:
+def algebra_closure_dim(gens, dim: int) -> int:
     """Dimension of the unital algebra generated by `gens` inside End(V),
-    over F_p for a prime p.
+    over their ring.
 
     Breadth-first closure under left multiplication by the generators; it
     stops once the span is all of End(V), of dimension dim^2.  The
-    identity is inserted but not queued, as g 1 = g is a generator.
+    identity is inserted but not queued, as g 1 = g is a generator.  With
+    no generators the algebra is span{1}, of dimension 1 over any field.
     """
-    basis = EchelonBasis(p)
-    basis.insert(_flatten(SparseMatrix.identity(dim, _one(gens, p))))
+    if not gens:
+        return 1
+    basis = EchelonBasis(_prime(*gens))
+    basis.insert(_flatten(SparseMatrix.identity(dim, _one(gens))))
     queue = deque()
     full = dim * dim
     for g in gens:
@@ -426,7 +447,7 @@ def algebra_closure_dim(gens, dim: int, p: int = None) -> int:
     while queue and len(basis) < full:
         b = queue.popleft()
         for g in gens:
-            prod = _mul(g, b, p)
+            prod = g * b
             if basis.insert(_flatten(prod)):
                 queue.append(prod)
     return len(basis)
@@ -436,16 +457,16 @@ def algebra_closure_dim(gens, dim: int, p: int = None) -> int:
 WORD_LENGTH = 3
 
 
-def _trace_mul(a, b: SparseMatrix, p: int) -> int:
-    """tr(a b) mod p for int entries, without forming a b; tr(b) for
-    a = None."""
+def _trace_mul(a, b: SparseMatrix) -> int:
+    """tr(a b) mod the p of b's int entries, without forming a b; tr(b)
+    for a = None."""
     if a is None:
-        return sum(x for (r, c), x in b.data.items() if r == c) % p
+        return sum(x for (r, c), x in b.data.items() if r == c) % b.p
     bd = b.data
-    return sum(x * bd.get((c, r), 0) for (r, c), x in a.data.items()) % p
+    return sum(x * bd.get((c, r), 0) for (r, c), x in a.data.items()) % b.p
 
 
-def _word_traces(gens, p):
+def _word_traces(gens):
     """(word, trace) for every word of 1 to WORD_LENGTH generators,
     shortest first; a word (i, j, ...) is gens[i] gens[j] ..., and its
     last letter is traced against the product of the others."""
@@ -454,13 +475,13 @@ def _word_traces(gens, p):
         nxt = []
         for word, w in level:
             for i, g in enumerate(gens):
-                yield word + (i,), _trace_mul(w, g, p)
+                yield word + (i,), _trace_mul(w, g)
                 if depth + 1 < WORD_LENGTH:
-                    nxt.append((word + (i,), g if w is None else _mul(w, g, p)))
+                    nxt.append((word + (i,), g if w is None else w * g))
         level = nxt
 
 
-def certify_blocks(blocks, p: int):
+def certify_blocks(blocks):
     """Certify over F_p that the generators restricted to the blocks M_1,
     M_2, ... span all of End(M_1) + End(M_2) + ...; `blocks` is a list of
     (label, size m, restricted generators), the generators in the same
@@ -478,7 +499,7 @@ def certify_blocks(blocks, p: int):
     CheckFailure, naming both labels, for a pair that no word
     separates: that is a failure, never a pass.
     """
-    closures = [algebra_closure_dim(gs, m, p) for _, m, gs in blocks]
+    closures = [algebra_closure_dim(gs, m) for _, m, gs in blocks]
     seps = []
     if any(c != m * m for c, (_, m, _) in zip(closures, blocks)):
         return closures, seps
@@ -487,7 +508,7 @@ def certify_blocks(blocks, p: int):
             if mb != m:
                 continue
             hit = next(((wa, (ta, tb)) for (wa, ta), (_, tb) in
-                        zip(_word_traces(ga, p), _word_traces(gb, p))
+                        zip(_word_traces(ga), _word_traces(gb))
                         if ta != tb), None)
             if hit is None:
                 raise CheckFailure(
@@ -498,9 +519,9 @@ def certify_blocks(blocks, p: int):
     return closures, seps
 
 
-def commutant_dimension(gens, dim: int, p: int = None) -> int:
-    """dim of {X : XM = MX for all generators M} in End(V), over F_p for a
-    prime p.
+def commutant_dimension(gens, dim: int) -> int:
+    """dim of {X : XM = MX for all generators M} in End(V), over their
+    ring.
 
     Diagonal generators are used first to cut the unknowns down to the
     pairs (r, c) lying in a common joint eigenspace; the remaining
@@ -519,7 +540,7 @@ def commutant_dimension(gens, dim: int, p: int = None) -> int:
         for r in rows:
             for c in rows:
                 unknowns[(r, c)] = len(unknowns)
-    basis = EchelonBasis(p)
+    basis = EchelonBasis(_prime(*gens))
     for g in rest:
         by_col = {}
         by_row = {}
@@ -639,7 +660,7 @@ def verify_spectrum(m: SparseMatrix, candidates,
         left = size
         for c, x in zip(candidates, images):
             null = left and size - matrix_rank(SparseMatrix(
-                size, size, red) - SparseMatrix.identity(size, x), P)
+                size, size, red, P) - SparseMatrix.identity(size, x, P))
             if null:
                 mults[c] += null
                 left -= null

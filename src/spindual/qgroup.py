@@ -10,7 +10,7 @@ from functools import lru_cache
 from operator import add
 
 from .ring import Scalar, QQ, q_power, qbinom
-from .linalg import SparseMatrix, commutator, residuals_zero, _mod
+from .linalg import SparseMatrix, commutator, residuals_zero
 from .combinat import is_dominant
 from . import clifford as cl
 
@@ -227,17 +227,16 @@ def verify_relations(N: int) -> bool:
 
 
 def _balanced_coproduct(x: SparseMatrix, kh: SparseMatrix, khi: SparseMatrix,
-                        n: int, p: int = None) -> SparseMatrix:
+                        n: int) -> SparseMatrix:
     """n-fold balanced coproduct of x: sum_j kh^(x)j (x) x (x) khi^(x)(n-1-j),
     with kh = K^{1/2} and khi = K^{-1/2}, grown one factor at a time as
-    Delta_{j+1}(x) = Delta_j(x) (x) khi + kh^(x)j (x) x; for a prime p the
-    entries are ints and each step is reduced mod p.  Private, so that a
-    tracer keyed on the public builders sees their whole time."""
+    Delta_{j+1}(x) = Delta_j(x) (x) khi + kh^(x)j (x) x.  Private, so that
+    a tracer keyed on the public builders sees their whole time."""
     acc, khj = x, kh
     for j in range(1, n):
-        acc = _mod(acc.kron(khi) + khj.kron(x), p)
+        acc = acc.kron(khi) + khj.kron(x)
         if j < n - 1:
-            khj = _mod(khj.kron(kh), p)
+            khj = khj.kron(kh)
     return acc
 
 
@@ -245,12 +244,12 @@ def coproduct_generators(N: int, n: int, v0=None, p: int = None):
     """Delta(K_i), Delta(E_i), Delta(F_i) on the n-fold tensor power for
     every i, the one builder of them.  At a point v0 (a GaussRat, or an
     int mod a prime p) K_i^{+-1/2} and E_i are specialized once on S, K_i
-    is (K_i^{1/2})^2 there, and all are then tensored, each step reduced
-    mod p, so no operator on S^(x)n is specialized.  Specialization is a
-    ring map on entries with no pole at the point (they are powers of v
-    and integers) and K_i^{1/2} = diag(v^{w.alpha_i}) squares to K_i
-    (`SpinRep.Khalf`), so every operator equals the symbolic one
-    specialized entry by entry.
+    is (K_i^{1/2})^2 there, and all are then tensored (mod p, as the
+    specialized matrices carry p), so no operator on S^(x)n is
+    specialized.  Specialization is a ring map on entries with no pole at
+    the point (they are powers of v and integers) and K_i^{1/2} =
+    diag(v^{w.alpha_i}) squares to K_i (`SpinRep.Khalf`), so every
+    operator equals the symbolic one specialized entry by entry.
 
     Delta(F_i) is Delta(E_i)^T: F_i = E_i^T on S (`SpinRep.F`), K^{+-1/2}
     is diagonal, and (A (x) B)^T = A^T (x) B^T, so every term kh^(x)j (x)
@@ -263,10 +262,10 @@ def coproduct_generators(N: int, n: int, v0=None, p: int = None):
         K, kh, khi, E = rep.K(i), rep.Khalf(i), rep.Khalf(i, -1), rep.E(i)
         if v0 is not None:
             kh, khi, E = (m.specialize(v0, p) for m in (kh, khi, E))
-            K = _mod(kh * kh, p)
+            K = kh * kh
         dK = K
         for _ in range(n - 1):
-            dK = _mod(dK.kron(K), p)
-        dE = _balanced_coproduct(E, kh, khi, n, p)
+            dK = dK.kron(K)
+        dE = _balanced_coproduct(E, kh, khi, n)
         out += [dK, dE, dE.transpose()]
     return out

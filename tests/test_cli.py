@@ -156,9 +156,10 @@ def test_defect_in_a_check_exits_3(monkeypatch, capsys, argv, target):
 
 @pytest.mark.parametrize("argv,want", [
     (["fft", "--N", "4", "--n", "3", "--seed", "11"],
-     "VERDICT: MISMATCH (blocks 3/2,3/2 and 3/2,-3/2 are not certified"),
+     "VERDICT: MISMATCH (blocks (3/2,3/2) and (3/2,-3/2) are not "
+     "certified"),
     (["verify", "fft", "--N", "4", "--n", "3", "--seed", "11"],
-     "FAIL  fft counts N=4 n=3 at v0 [CheckFailure: blocks 3/2,3/2 and")],
+     "FAIL  fft counts N=4 n=3 at v0 [CheckFailure: blocks (3/2,3/2) and")],
     ids=["fft", "verify"])
 def test_unseparated_pair_is_a_failure(monkeypatch, capsys, argv, want):
     # with no trace words to try, the first equal-size pair stays
@@ -172,8 +173,8 @@ def test_fft_commutant_of_the_K_alone_is_a_mismatch(monkeypatch, capsys):
     # control for the Delta(K_i), Delta(E_i) cross-check: the commutant
     # of the diagonal Delta(K_i) alone overshoots sum m^2 = 70
     count = cli.commutant_dimension
-    monkeypatch.setattr(cli, "commutant_dimension", lambda gens, dim, p: count(
-        [g for g in gens if g.is_diagonal()], dim, p))
+    monkeypatch.setattr(cli, "commutant_dimension", lambda gens, dim: count(
+        [g for g in gens if g.is_diagonal()], dim))
     code, out = run(capsys, "fft", "--N", "4", "--n", "3", "--seed", "11")
     com = int(out.split("commutant dim (mod p): ")[1].split()[0])
     assert code == 1 and com > 70 and "VERDICT: MISMATCH" in out
@@ -385,10 +386,14 @@ def test_verify_cubic_names_a_tau_failure(monkeypatch, capsys):
 
 @pytest.mark.parametrize("N", range(3, 12))
 def test_dominant_block_size_counts_the_columns(N):
-    assert cli._dominant_block_size(N) == len(qgroup.dominant_columns(N, 3))
-    # for N even an upper bound of the block, twice its side
-    assert (cli._dominant_block_size(N)
+    # the cubic block has at most 4^k columns, so C on S (x) S is the
+    # largest operator the cubic check builds; for N even it is half of
+    # the dominant block
+    k = N // 2
+    assert len(intertwiner.cubic_columns(N)) <= 4 ** k
+    assert (len(qgroup.dominant_columns(N, 3))
             == len(intertwiner.cubic_columns(N)) * (1 if N % 2 else 2))
+    assert cli._operator_bits("cubic", "sym", N, 3) == 2 * k
 
 
 @pytest.mark.parametrize("q", ["sym", "spec"])
@@ -539,7 +544,7 @@ def test_verify_spectrum_prints_its_blocks(capsys):
 
 
 @pytest.mark.parametrize("q,name", [("sym", "quantum_spectrum_candidates"),
-                                    ("one", "classical_spectrum_candidates")])
+                                    ("one", "quantum_spectrum_candidates")])
 def test_verify_spectrum_checks_the_multiplicities(monkeypatch, capsys, q,
                                                    name):
     # the first two eigenvalues swapped, each count left in place: the

@@ -160,7 +160,7 @@ def plain_relations(rep: CoidealRep) -> dict:
     if rep.F is not None:
         d = rep.F.nrows
         out["F^2"] = rep.F * rep.F - SparseMatrix.identity(
-            d, _one([rep.F], None))
+            d, _one([rep.F]))
         if B:
             out["FB1"] = rep.F * B[0] + B[0] * rep.F
         for i in range(1, len(B)):
@@ -170,7 +170,7 @@ def plain_relations(rep: CoidealRep) -> dict:
 
 def plus_identity(rep: CoidealRep, i: int) -> CoidealRep:
     B = list(rep.B)
-    B[i] = B[i] + SparseMatrix.identity(B[i].nrows, _one(B, None))
+    B[i] = B[i] + SparseMatrix.identity(B[i].nrows, _one(B))
     return CoidealRep(rep.n, rep.param, B, rep.F)
 
 

@@ -16,7 +16,6 @@ from spindual.intertwiner import (c_op, d_op, build_C_quantum,
                                   build_C_classical,
                                   check_commutation, check_cubic,
                                   check_cubic_specialized,
-                                  classical_spectrum_candidates,
                                   spectrum_of_C,
                                   integrality_check,
                                   _commutators, _cubic_residuals, _f_term)
@@ -410,14 +409,14 @@ def test_classical_spectra():
     for N in (3, 4, 5, 6):
         rep = spectrum_of_C(N, classical=True)
         assert rep.annihilates and rep.complete, N
-    pairs = dict(classical_spectrum_candidates(3))
+    pairs = spectrum_of_C(3, classical=True).multiplicities
     assert pairs == {Scalar.from_gauss(GaussRat(Q(1, 2))): 3,
                      Scalar.from_gauss(GaussRat(Q(-3, 2))): 1}
 
 
 @pytest.mark.parametrize("classical,name",
                          [(False, "quantum_spectrum_candidates"),
-                          (True, "classical_spectrum_candidates")])
+                          (True, "quantum_spectrum_candidates")])
 def test_spectrum_counts_decide_complete_not_annihilates(monkeypatch,
                                                          classical, name):
     # the first two eigenvalues swapped, each count left in place: the

@@ -1,20 +1,20 @@
+import operator
 import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from spindual.ring import (GaussRat, ONE, TWO, I, V, QQ, P, LP_ONE, Q, sc,
-                           PoleError)
+                           PoleError, Scalar, GR_ONE)
 from spindual.linalg import (SparseMatrix, EchelonBasis, commutator,
                              matrix_rank,
                              nullspace, algebra_closure_dim,
                              commutant_dimension, verify_spectrum,
                              embed, random_point, residuals_zero,
-                             first_nonzero, certify_blocks,
+                             first_nonzero, certify_blocks, vstack,
                              highest_weight_restriction, SPECTRUM_POINT)
 from spindual.intertwiner import (build_C_quantum, build_C_classical,
-                                  quantum_spectrum_candidates,
-                                  classical_spectrum_candidates)
+                                  quantum_spectrum_candidates)
 from spindual import cli, coideal, linalg, qgroup
 
 
@@ -97,7 +97,7 @@ def test_specialize_drops_vanishing_entries():
     assert s.data == {(1, 1): GaussRat(2)}
     assert matrix_rank(s) == 1
     sp = m.specialize(GaussRat(2).mod_p(P), P)
-    assert sp.data == {(1, 1): 2} and matrix_rank(sp, P) == 1
+    assert sp.data == {(1, 1): 2} and matrix_rank(sp) == 1
 
 
 def _reduced_coproduct(N, n, v0):
@@ -126,11 +126,11 @@ def test_hw_restriction_rejects_non_invariant_generators():
     N, n = 3, 3
     vp, raising, weights, lowering = _reduced_coproduct(N, n, cli._point(11))
     gens = coideal.duality_rep(N, n, vp, P).B
-    blocks = highest_weight_restriction(gens, raising, weights, P)
+    blocks = highest_weight_restriction(gens, raising, weights)
     assert [(w, len(cols)) for w, cols, _ in blocks] == [((3,), 1), ((1,), 2)]
     assert all(len(ms) == len(gens) for _, _, ms in blocks)
     with pytest.raises(ArithmeticError, match="does not preserve"):
-        highest_weight_restriction(gens + lowering[:1], raising, weights, P)
+        highest_weight_restriction(gens + lowering[:1], raising, weights)
 
 
 def test_hw_restriction_rejects_a_relabelled_column():
@@ -141,7 +141,7 @@ def test_hw_restriction_rejects_a_relabelled_column():
     N, n = 3, 4
     vp, raising, weights, _ = _reduced_coproduct(N, n, cli._point(11))
     gens = coideal.duality_rep(N, n, vp, P).B
-    highest_weight_restriction(gens, raising, weights, P)
+    highest_weight_restriction(gens, raising, weights)
     r = min(c for c, w in weights.items() if w == (2,))
     bad = dict(weights)
     bad[r] = (0,)
@@ -149,7 +149,7 @@ def test_hw_restriction_rejects_a_relabelled_column():
                        match=rf"generator \d maps the highest-weight vector "
                              rf"at column \d+ to column {r}, not of its "
                              rf"weight \(2,\)"):
-        highest_weight_restriction(gens, raising, bad, P)
+        highest_weight_restriction(gens, raising, bad)
 
 
 BLOCKS = {
@@ -194,14 +194,14 @@ def _blocks(N, n, seed=11):
     gens = _generators(coideal.duality_rep(N, n, vp, P))
     cop = qgroup.coproduct_generators(N, n, vp, P)
     return gens, cop, highest_weight_restriction(
-        gens, cop[1::3], qgroup.dominant_columns(N, n), P)
+        gens, cop[1::3], qgroup.dominant_columns(N, n))
 
 
 def test_certify_blocks_separates_the_pairs():
     # (4,3): blocks 1, 1, 3, 3, 5, 5, each pair told apart by the trace of F
     _, _, found = _blocks(4, 3)
     blocks = [(str(cols[0]), len(cols), ms) for _, cols, ms in found]
-    closures, seps = certify_blocks(blocks, P)
+    closures, seps = certify_blocks(blocks)
     assert closures == [m * m for _, m, _ in blocks]
     assert sorted(m for _, m, _ in blocks) == [1, 1, 3, 3, 5, 5]
     assert len(seps) == 3
@@ -238,8 +238,8 @@ def test_trace_words_separate_every_accepted_pair():
                         continue
                     pairs += 1
                     assert any(ta != tb for (_, ta), (_, tb) in zip(
-                        linalg._word_traces(ga, P),
-                        linalg._word_traces(gb, P))), (N, n, seed, wa, wb)
+                        linalg._word_traces(ga),
+                        linalg._word_traces(gb))), (N, n, seed, wa, wb)
     assert pairs == 262
 
 
@@ -254,7 +254,7 @@ def test_certify_blocks_rejects_an_unseparated_pair(monkeypatch):
     with pytest.raises(ArithmeticError,
                        match=rf"blocks {a} and {b} are not certified "
                              rf"non-isomorphic: no word of up to 0 "):
-        certify_blocks(blocks, P)
+        certify_blocks(blocks)
 
 
 def test_certify_blocks_rejects_a_duplicated_block():
@@ -266,7 +266,7 @@ def test_certify_blocks_rejects_a_duplicated_block():
                        match=r"blocks a and b are not certified "
                              r"non-isomorphic: no word of up to 3 generators "
                              r"has different traces on them"):
-        certify_blocks([("a", m, ms), ("b", m, ms)], P)
+        certify_blocks([("a", m, ms), ("b", m, ms)])
 
 
 def test_hw_restriction_rejects_an_entry_between_blocks():
@@ -278,14 +278,14 @@ def test_hw_restriction_rejects_an_entry_between_blocks():
     fa = found[1][1][0]
     raising = cop[1::3]
     g = gens[0]
-    bad = g + SparseMatrix(g.nrows, g.ncols, {(0, fa): 1})
+    bad = g + SparseMatrix(g.nrows, g.ncols, {(0, fa): 1}, P)
     weights = qgroup.dominant_columns(3, 4)
-    highest_weight_restriction([g], raising, weights, P)
+    highest_weight_restriction([g], raising, weights)
     with pytest.raises(ArithmeticError,
                        match=rf"generator 0 maps the highest-weight vector at "
                              rf"column {fa} to column 0, not of its weight "
                              rf"\(2,\)"):
-        highest_weight_restriction([bad], raising, weights, P)
+        highest_weight_restriction([bad], raising, weights)
 
 
 def test_certify_blocks_dropped_generator_falls_short():
@@ -294,7 +294,7 @@ def test_certify_blocks_dropped_generator_falls_short():
     _, _, found = _blocks(3, 4)
     blocks = [(str(cols[0]), len(cols), [ms[0], ms[2]])
               for _, cols, ms in found]
-    closures, seps = certify_blocks(blocks, P)
+    closures, seps = certify_blocks(blocks)
     short = [(m, c) for (_, m, _), c in zip(blocks, closures) if c < m * m]
     assert short and all(c <= m for m, c in short) and seps == []
 
@@ -336,6 +336,14 @@ def _quantum(N):
     return [v for v, _ in quantum_spectrum_candidates(N)]
 
 
+def _classical(N):
+    """C at q = 1 and its candidate pairs, as `spectrum_of_C` takes them:
+    the quantum ones at v = 1, as constant Scalars."""
+    return build_C_classical(N), [
+        (Scalar.from_gauss(v.specialize(GR_ONE)), m)
+        for v, m in quantum_spectrum_candidates(N)]
+
+
 def _symbolic_mults(m, candidates):
     ident = SparseMatrix.identity(m.nrows)
     return {c: m.nrows - matrix_rank(m - ident.scale(c)) for c in candidates}
@@ -346,7 +354,7 @@ def _symbolic_mults(m, candidates):
                                          (6, True)])
 def test_spectrum_counts_mod_p_match_symbolic_rank(N, classical):
     if classical:
-        C, pairs = build_C_classical(N), classical_spectrum_candidates(N)
+        C, pairs = _classical(N)
     else:
         C, pairs = build_C_quantum(N), quantum_spectrum_candidates(N)
     cands = [v for v, _ in pairs]
@@ -386,8 +394,7 @@ def test_commutant_mod_p_matches_gaussian(N, n, want):
         v0 = cli._point(seed)
         vp = v0.mod_p(P)
         exact = commutant_dimension([g.specialize(v0) for g in gens], dim)
-        mod_p = commutant_dimension([g.specialize(vp, P) for g in gens], dim,
-                                    P)
+        mod_p = commutant_dimension([g.specialize(vp, P) for g in gens], dim)
         assert exact == mod_p == want, (N, n, seed)
 
 
@@ -402,9 +409,9 @@ def test_commutant_of_the_borel_half(N, n, want):
         v0 = cli._point(seed)
         cop = qgroup.coproduct_generators(N, n, v0.mod_p(P), P)
         dim = cop[0].nrows
-        borel = commutant_dimension(cop[0::3] + cop[1::3], dim, P)
-        assert borel == commutant_dimension(cop, dim, P) == want, (N, n, seed)
-        assert commutant_dimension(cop[0::3], dim, P) > want, (N, n, seed)
+        borel = commutant_dimension(cop[0::3] + cop[1::3], dim)
+        assert borel == commutant_dimension(cop, dim) == want, (N, n, seed)
+        assert commutant_dimension(cop[0::3], dim) > want, (N, n, seed)
         if dim <= 16:
             gens = qgroup.coproduct_generators(N, n, v0)
             assert commutant_dimension(gens[0::3] + gens[1::3], dim) == want
@@ -413,20 +420,20 @@ def test_commutant_of_the_borel_half(N, n, want):
 def test_closure_of_a_1x1_block_takes_no_product(monkeypatch):
     # the identity fills a 1 x 1 block: no generator is inserted and no
     # product formed; on larger blocks no product g 1 = g is formed
-    def no_product(a, b, p):
+    def no_product(a, b):
         raise AssertionError("a product was formed")
-    monkeypatch.setattr(linalg, "_mul", no_product)
-    one = SparseMatrix(1, 1, {(0, 0): 5})
-    assert algebra_closure_dim([one, one], 1, P) == 1
+    monkeypatch.setattr(SparseMatrix, "__mul__", no_product)
+    one = SparseMatrix(1, 1, {(0, 0): 5}, P)
+    assert algebra_closure_dim([one, one], 1) == 1
     monkeypatch.undo()
     products = []
-    mul = linalg._mul
-    monkeypatch.setattr(linalg, "_mul", lambda a, b, p: products.append(
-        b.data) or mul(a, b, p))
+    mul = SparseMatrix.__mul__
+    monkeypatch.setattr(SparseMatrix, "__mul__", lambda a, b: products.append(
+        b.data) or mul(a, b))
     ident = SparseMatrix.identity(2, 1).data
-    swap = SparseMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
-    assert algebra_closure_dim([swap, SparseMatrix.diagonal([2, 3])], 2,
-                               P) == 4
+    swap = SparseMatrix(2, 2, {(0, 1): 1, (1, 0): 1}, P)
+    diag = SparseMatrix(2, 2, {(0, 0): 2, (1, 1): 3}, P)
+    assert algebra_closure_dim([swap, diag], 2) == 4
     assert ident not in products
 
 
@@ -446,7 +453,7 @@ def test_rank_mod_p_matches_gaussian_rank(rows):
             for c, x in enumerate(row) if x}
     nr, nc = len(rows), len(rows[0])
     exact = SparseMatrix(nr, nc, {rc: GaussRat(x) for rc, x in ints.items()})
-    assert matrix_rank(SparseMatrix(nr, nc, ints), P) == matrix_rank(exact)
+    assert matrix_rank(SparseMatrix(nr, nc, ints, P)) == matrix_rank(exact)
 
 
 # -- the commutator, one product per entry for a diagonal a ---------------------
@@ -462,7 +469,8 @@ ENTRIES = {
 
 @st.composite
 def commutator_operands(draw):
-    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    kind = draw(st.sampled_from(sorted(ENTRIES)))
+    entry, p = ENTRIES[kind], P if kind == "int mod P" else None
     n = draw(st.integers(1, 4))
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     if draw(st.booleans()):
@@ -472,16 +480,16 @@ def commutator_operands(draw):
     else:
         a = draw(st.dictionaries(cells, entry, max_size=6))
     b = draw(st.dictionaries(cells, entry, max_size=8))
-    return (SparseMatrix(n, n, {rc: x for rc, x in a.items() if x}),
-            SparseMatrix(n, n, {rc: x for rc, x in b.items() if x}))
+    return (SparseMatrix(n, n, {rc: x for rc, x in a.items() if x}, p),
+            SparseMatrix(n, n, {rc: x for rc, x in b.items() if x}, p))
 
 
 @given(commutator_operands())
 @example((SparseMatrix.diagonal([V, V, QQ]),
           SparseMatrix(3, 3, {(0, 1): ONE / (QQ + ONE), (1, 2): V,
                               (2, 0): TWO})))
-@example((SparseMatrix(2, 2, {(1, 1): P - 1}),
-          SparseMatrix(2, 2, {(0, 1): 2, (1, 0): P - 1})))
+@example((SparseMatrix(2, 2, {(1, 1): P - 1}, P),
+          SparseMatrix(2, 2, {(0, 1): 2, (1, 0): P - 1}, P)))
 def test_commutator_is_ab_minus_ba(ab):
     a, b = ab
     got = commutator(a, b)
@@ -496,6 +504,60 @@ def test_commutator_shapes():
     assert commutator(a, SparseMatrix.identity(2)).is_zero()
     with pytest.raises(ValueError):
         commutator(a, SparseMatrix.identity(3))
+
+
+# -- F_p matrices carry their prime ---------------------------------------------
+
+def test_operations_keep_the_prime_and_reduce():
+    # every new matrix carries P and stores residues in [1, P): P - 1 + 1
+    # at (0, 1) of a + b is dropped as zero, and -a stores P - 1 for 1
+    a = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): P - 1, (1, 1): 2}, P)
+    b = SparseMatrix(2, 2, {(0, 1): 1, (1, 0): P - 2}, P)
+    assert (a + b).data == {(0, 0): 1, (1, 0): P - 2, (1, 1): 2}
+    assert (-a).data == {(0, 0): P - 1, (0, 1): 1, (1, 1): P - 2}
+    for m in (a + b, a - b, -a, a * b, a.kron(b), a.scale(P + 3),
+              a.transpose(), commutator(a, b), commutator(b, a),
+              commutator(SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 3}, P), b),
+              embed(a, 2, 1), vstack([a, b]), SparseMatrix.identity(2, 1, P)):
+        assert m.p == P and all(0 < x < P for x in m.entries()), m
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul, SparseMatrix.kron,
+                                commutator])
+def test_matrices_of_different_rings_do_not_mix(op):
+    # P against another prime, and against None (exact ints), either way
+    # round and with a diagonal left operand (commutator's one-product path)
+    a = SparseMatrix(2, 2, {(0, 1): 3, (1, 1): 2}, P)
+    d = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 2}, P)
+    for p in (13, None):
+        b = SparseMatrix(2, 2, {(1, 0): 1, (1, 1): 5}, p)
+        for x, y in ((a, b), (b, a), (d, b)):
+            with pytest.raises(ValueError, match="different rings"):
+                op(x, y)
+
+
+@pytest.mark.parametrize("N,n", [(3, 4), (4, 3)])
+def test_builders_carry_the_prime_of_their_point(N, n):
+    # at (v0 mod P, P) every operator carries P with entries in [0, P); at
+    # the Gaussian-rational point v0 and symbolically, None
+    for seed in (11, 23):
+        v0 = cli._point(seed)
+        for point, p in ((v0.mod_p(P), P), (v0, None), (None, None)):
+            r = coideal.duality_rep(N, n, point, p)
+            mats = (qgroup.coproduct_generators(N, n, point, p) + r.B
+                    + ([r.F] if r.F is not None else [])
+                    + [build_C_quantum(N) if point is None
+                       else build_C_quantum(N, point, p)])
+            assert len(mats) == 3 * (N // 2) + n - 1 + (N + 1) % 2 + 1
+            for m in mats:
+                assert m.p == p, (N, n, seed, p)
+                if p is not None:
+                    assert all(0 <= x < P for x in m.entries()), (N, n, seed)
+
+
+def test_closure_without_generators_is_the_identity():
+    for dim in (1, 2, 5):
+        assert algebra_closure_dim([], dim) == 1
 
 
 # -- the spectrum block by block against the whole matrix -----------------------
@@ -520,7 +582,7 @@ def whole_spectrum(m, candidates):
             raise ArithmeticError(f"spectrum candidates {seen[x]!r} and "
                                   f"{c!r} have the same image at v = {pt}")
         seen[x] = c
-    mults = {c: n - matrix_rank(mp - SparseMatrix.identity(n, x), P)
+    mults = {c: n - matrix_rank(mp - SparseMatrix.identity(n, x, P))
              for c, x in zip(candidates, images)}
     return prod.is_zero(), mults, n
 
@@ -537,8 +599,7 @@ def assert_same_spectrum(m, candidates):
 @pytest.mark.parametrize("N", range(3, 8))
 def test_block_spectrum_matches_whole_matrix(N):
     for C, cands in ((build_C_quantum(N), _quantum(N)),
-                     (build_C_classical(N),
-                      [v for v, _ in classical_spectrum_candidates(N)])):
+                     (_classical(N)[0], [v for v, _ in _classical(N)[1]])):
         rep = assert_same_spectrum(C, cands)
         assert rep.annihilates and rep.complete
         assert max(rep.blocks) < C.nrows

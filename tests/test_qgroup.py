@@ -197,7 +197,7 @@ def test_coproduct_of_F_is_the_transpose(N, n):
             kh, khi, F = rep.Khalf(i), rep.Khalf(i, -1), rep.F(i)
             if v0 is not None:
                 kh, khi, F = (m.specialize(v0, p) for m in (kh, khi, F))
-            want = qgroup._balanced_coproduct(F, kh, khi, n, p)
+            want = qgroup._balanced_coproduct(F, kh, khi, n)
             assert gens[3 * i - 1] == want, (v0, i)
 
 
