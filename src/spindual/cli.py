@@ -48,13 +48,18 @@ MAX_OPERATOR_BITS = 12
 # (2-core Xeon, Python 3.11).  Size alone does not fix the time: dense
 # blocks are slower, and the 28 of (3, 8) took 124 s.
 MAX_FFT_BLOCK = 35
+# fft's commutant cross-check (n <= 3) has `_commutant_unknowns` unknowns.
+# At 46656, (12, 2) takes 5 s and (13, 2) 17.8 s; at 160000, (8, 3) takes
+# 37 s and 141 MB, and (9, 3) 836 s (2-core Xeon, Python 3.11).
+MAX_COMMUTANT_UNKNOWNS = 46656
 # A table takes n tensor steps, each adding the 2^k weights of S to at most
 # C(n//2 + k, k) dominant weights.  At n 2^k C(n//2 + k, k) = 1.1e7, (24, 6)
 # takes 3.7 s; at 1.4e7, (5, 300) takes 16 s (2-core Xeon, Python 3.11).
 MAX_TABLE_WORK = 12_000_000
-# `verify so3` checks modules of size Nparam + 1, and (Nparam + 1)/2 for
-# Nparam odd.  Nparam 22 takes 2.8 s, 24 4-5 s, 21 15 s and 23 23 s; 25
-# takes 33 s, 31 104 s, 32 23 s, and 40 ran past 20 s (2-core Xeon, 3.11).
+# `verify so3` checks modules of size Nparam + 1, and two of (Nparam + 1)/2,
+# one per sign, for Nparam odd.  Nparam 22 takes 3.1 s, 24 5.9 s, 21 14 s
+# and 23 33 s (8 s for the second sign); 25 took 33 s and 31 104 s with
+# one sign, 32 23 s, and 40 ran past 20 s (2-core Xeon, 3.11).
 MAX_SO3_PARAM = 24
 
 
@@ -103,9 +108,8 @@ def _operator_bits(suite: str, mode: str, N: int, n: int) -> int:
 def _check_config(modes: dict, N: int, n: int) -> None:
     """Refuse, before anything is built, a configuration some suite of
     `modes` ({suite: --q mode}) cannot run: a spin suite with N < 3,
-    Temperley-Lieb with n < 2, a largest operator above 2^MAX_OPERATOR_BITS
-    rows, a duality table `_check_table_work` refuses, so3 above
-    MAX_SO3_PARAM, or an fft block above MAX_FFT_BLOCK."""
+    Temperley-Lieb with n < 2, or a size above one of the MAX_* limits
+    (a duality table by `_check_table_work`)."""
     suites = list(modes)
     spin = [s for s in suites if s in SPIN_SUITES]
     if N < 3 and spin:
@@ -131,12 +135,22 @@ def _check_config(modes: dict, N: int, n: int) -> None:
                              f"highest-weight block of size {m} at weight "
                              f"({combinat.fmt_weight(w)}), above the limit "
                              f"{MAX_FFT_BLOCK}")
+        if n <= 3 and _commutant_unknowns(N, n) > MAX_COMMUTANT_UNKNOWNS:
+            raise ValueError(f"suite 'fft' at N={N} n={n} would count a "
+                             f"commutant of {_commutant_unknowns(N, n)} "
+                             f"unknowns, above the limit "
+                             f"{MAX_COMMUTANT_UNKNOWNS}")
+
+
+def _commutant_unknowns(N: int, n: int) -> int:
+    """Unknowns of the commutant of the Delta(K_i) on S^(x)n: the sum over
+    weights of (weight-space size)^2, which is sum_j C(n, j)^2 = C(2n, n)
+    per weight coordinate, C(2n, n)^k in all, k = N // 2."""
+    return comb(2 * n, n) ** (N // 2)
 
 
 def _check_table_work(what: str, N: int, n: int) -> None:
-    """Refuse a `combinat.spinor_table(N, n)` too large to attempt: its n
-    tensor steps each add the 2^k weights of S, k = N // 2, to at most
-    C(n//2 + k, k) dominant weights (MAX_TABLE_WORK)."""
+    """Refuse a `combinat.spinor_table(N, n)` above MAX_TABLE_WORK."""
     k = N // 2
     if k > MAX_OPERATOR_BITS:
         raise ValueError(f"{what} at N={N} tensors with the 2^{k} weights "
@@ -234,10 +248,10 @@ def run_verify(args) -> int:
             check(f"so3 classical rep Nparam={N}",
                   lambda: coideal.check_coideal_relations(
                       coideal.so3_classical_rep(N)))
-            if N % 2:
-                check(f"so3 nonclassical rep Nparam={N} sign={args.sign}",
+            for sign in (1, -1) if N % 2 else ():
+                check(f"so3 nonclassical rep Nparam={N} sign={sign}",
                       lambda: coideal.check_coideal_relations(
-                          coideal.so3_nonclassical_rep(N, args.sign)))
+                          coideal.so3_nonclassical_rep(N, sign)))
             check(f"twist commutant Nparam={N}",
                   lambda: twist_commutant(N) == (1 if (N + 1) % 2 else 2))
         elif suite == "integrality":
@@ -291,14 +305,13 @@ def fft_counts(N: int, n: int, seed: int):
       point can only make a block fall short or a pair stay unseparated
       (a reported failure), never pass a wrong claim.
 
-    Every operator comes from `qgroup.coproduct_generators` and
-    `coideal.duality_rep` at v0 mod P, which reduce the operators on S and
-    S (x) S first and then tensor or embed them mod P; nothing on S^(x)n
-    is built over Q(i)(v).  For n <= 3 the commutant of the Delta(K_i) and
-    Delta(E_i) on the whole space is also counted, over F_P at v0 mod P,
-    as a cross-check that needs no highest-weight theory.  It certifies
-    com_Q(i)(K,E,F), the commutant of the whole coproduct image over Q(i)
-    at v0:
+    Every operator is built at v0 mod P (`qgroup.coproduct_generators`,
+    `coideal.duality_rep`), none on S^(x)n over Q(i)(v).  For n <= 3 the
+    commutant of the Delta(K_i) and Delta(E_i) on the whole space is also
+    counted, over F_P at v0 mod P, as a cross-check that needs no
+    highest-weight theory (`_check_config` refuses it above
+    MAX_COMMUTANT_UNKNOWNS).  It certifies com_Q(i)(K,E,F), the commutant
+    of the whole coproduct image over Q(i) at v0:
 
     - Dropping the Delta(F_i) rows can only raise the nullity, so
       com_P(K,E) >= com_P(K,E,F).
@@ -323,17 +336,19 @@ def fft_counts(N: int, n: int, seed: int):
 
 def fft_certificate(N: int, n: int, seed: int):
     """(the `fft_counts` tuple, [(block label, m_lambda, closure) per
-    block], the pair separations of `linalg.certify_blocks`); a block is
-    labelled by its weight in parentheses, as `spindual fft` prints it."""
+    block], the pair separations of `linalg.certify_blocks`, each word as
+    the names B1 .. B{n-1}, F of its generators); a block is labelled by
+    its weight in parentheses, as `spindual fft` prints it."""
     v0 = _point(seed)
     require_generic(v0)
     vp = v0.mod_p(P)
-    cop = qgroup.coproduct_generators(N, n, vp, P)
+    K, E = qgroup.coproduct_generators(N, n, vp, P)
     r = coideal.duality_rep(N, n, vp, P)
+    named = [(f"B{i}", b) for i, b in enumerate(r.B, 1)]
+    named += [("F", r.F)] if r.F is not None else []
     table = combinat.spinor_table(N, n)
-    found = highest_weight_restriction(
-        r.B + ([r.F] if r.F is not None else []), cop[1::3],
-        qgroup.dominant_columns(N, n))
+    found = highest_weight_restriction([g for _, g in named], E,
+                                       qgroup.dominant_columns(N, n))
     for w, cols, _ in found:
         if table.get(w) != len(cols):
             raise CheckFailure(
@@ -349,10 +364,12 @@ def fft_certificate(N: int, n: int, seed: int):
     sm = sum(m * m for _, m, _ in blocks)
     com = None
     if n <= 3:
-        com = commutant_dimension(cop[0::3] + cop[1::3], cop[0].nrows)
+        com = commutant_dimension(K + E, K[0].nrows)
     ok = closure == sm and (com is None or com == sm)
     return ((closure, sm, com, ok),
-            [(w, m, c) for (w, m, _), c in zip(blocks, closures)], seps)
+            [(w, m, c) for (w, m, _), c in zip(blocks, closures)],
+            [(a, b, [named[i][0] for i in word], t)
+             for a, b, word, t in seps])
 
 
 def _signed(x: int) -> int:
@@ -369,15 +386,13 @@ def run_fft(args) -> int:
     except CheckFailure as exc:
         print(f"VERDICT: MISMATCH ({exc})")
         return 1
-    names = [f"B{i}" for i in range(1, n)] + (["F"] if N % 2 == 0 else [])
     print(f"highest-weight dim  : {sum(m for _, m, _ in blocks)} "
           f"(closure runs mod p = {P}, one block per weight)")
     for w, m, c in blocks:
         print(f"  block {w}  m={m}  closure {c} "
               f"{'=' if c == m * m else '<'} m^2 = {m * m}")
     for a, b, word, (ta, tb) in seps:
-        print(f"  pair {a} / {b}  trace of "
-              f"{' '.join(names[i] for i in word)}: "
+        print(f"  pair {a} / {b}  trace of {' '.join(word)}: "
               f"{_signed(ta)} vs {_signed(tb)}")
     print(f"algebra closure dim : {closure}")
     print(f"sum of m^2          : {sm}")
@@ -474,7 +489,6 @@ def build_parser():
     flags = {"--level": dict(type=int, default=None),
              "--q": dict(choices=("sym", "one", "spec"), default="sym"),
              "--seed": dict(type=int, default=0),
-             "--sign": dict(choices=("+", "-"), default="+"),
              "--format": dict(choices=("json", "csv", "text"),
                               default="text"),
              "--out": dict(default=None)}
@@ -489,7 +503,7 @@ def build_parser():
             sp.add_argument(flag, **flags[flag])
         return sp
 
-    verify = command("verify", run_verify, "--q", "--seed", "--sign")
+    verify = command("verify", run_verify, "--q", "--seed")
     verify.add_argument("suite", choices=SUITES)
     verify.set_defaults(q=None)     # each suite's own default mode
     command("table", run_table, "--level", "--q", "--format",
@@ -512,8 +526,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if "sign" in args:
-        args.sign = 1 if args.sign == "+" else -1
     if args.N < 2 or args.n < 1:
         print("invalid N/n", file=sys.stderr)
         return 2

@@ -131,7 +131,10 @@ def twist_so3(rep: CoidealRep) -> CoidealRep:
 def tl_generators(n: int) -> list:
     """e_i projecting tensor slots (i, i+1) onto the trivial isotypic
     component of C^2 (x) C^2, found as the joint kernel of the coproduct
-    action -- nothing about the singlet is hardcoded.
+    action -- nothing about the singlet is hardcoded.  {Delta(E), Delta(F)
+    = Delta(E)^T, Delta(K) - 1} is closed under transposition (Delta(K)
+    is diagonal), so its joint right and left kernels are the same line
+    span(s), and e = s s^T / (s.s).
 
     C^2 is the spin representation of N = 3, the rank-one quantum group
     with K = diag(q, q^-1), K E K^-1 = q^2 E and [E, F] = (K - K^-1)/(q -
@@ -140,21 +143,17 @@ def tl_generators(n: int) -> list:
     with middle coefficient q^2 + q^-2 only if e_1 e_2 e_1 = e_1 / (q +
     q^-1)^2, the constant realized by the trivial-summand projection
     below."""
-    dK, dE, dF = coproduct_generators(3, 2)
-    ops = [dE, dF, dK - SparseMatrix.identity(4)]
-    kernels = []
-    for side, ms in (("", ops), ("transposed ", [m.transpose() for m in ops])):
-        vecs = nullspace(vstack(ms))
-        if len(vecs) != 1:
-            raise CheckFailure(
-                f"joint kernel of the {side}sl2 coproduct has dimension "
-                f"{len(vecs)}, expected 1")
-        kernels.append(vecs[0])
-    s, phi = kernels
-    inv = reduce(add, (v * s[i] for i, v in phi.items() if i in s)).inv()
+    (dK,), (dE,) = coproduct_generators(3, 2)
+    vecs = nullspace(vstack([dE, dE.transpose(),
+                             dK - SparseMatrix.identity(4)]))
+    if len(vecs) != 1:
+        raise CheckFailure(f"joint kernel of the sl2 coproduct has "
+                           f"dimension {len(vecs)}, expected 1")
+    s, = vecs
+    inv = reduce(add, (v * v for v in s.values())).inv()
     e = SparseMatrix(4, 4)
     for r, a in s.items():
-        for c, b in phi.items():
+        for c, b in s.items():
             e[(r, c)] = a * b * inv
     return [embed(e, 2 ** (i - 1), 2 ** (n - i - 1)) for i in range(1, n)]
 

@@ -101,19 +101,17 @@ def check_commutation(N: int, drop_f_term=False) -> dict:
     return _commutators(coproduct_generators(N, 2), C)
 
 
-def _commutators(gens: list, C: SparseMatrix) -> dict:
-    """{label: [g, C]} for the Delta(K_i), Delta(E_i), Delta(F_i) of
-    `qgroup.coproduct_generators`, labelled K{i}, E{i}, F{i}.  If C = C^T
-    and g = h^T for the h before it (F_i after E_i), [g, C] = (Ch - hC)^T
-    = -[h, C]^T takes no product; both equality tests are exact."""
-    sym, out, last = C.transpose() == C, {}, None
-    for j, g in enumerate(gens):
-        label = f"{'KEF'[j % 3]}{j // 3 + 1}"
-        if sym and last and g == last[1].transpose():
-            out[label] = -out[last[0]].transpose()
-        else:
-            out[label] = commutator(g, C)
-        last = label, g
+def _commutators(gens: tuple, C: SparseMatrix) -> dict:
+    """{label: [g, C]} for g = Delta(K_i), Delta(E_i), Delta(F_i) =
+    Delta(E_i)^T, labelled K{i}, E{i}, F{i}, from the (K, E) of
+    `qgroup.coproduct_generators`.  If C = C^T, [Delta(F_i), C] =
+    -[Delta(E_i), C]^T takes no product; the equality test is exact."""
+    sym, out = C.transpose() == C, {}
+    for i, (dK, dE) in enumerate(zip(*gens), 1):
+        out[f"K{i}"] = commutator(dK, C)
+        out[f"E{i}"] = ce = commutator(dE, C)
+        out[f"F{i}"] = (-ce.transpose() if sym
+                        else commutator(dE.transpose(), C))
     return out
 
 
@@ -122,12 +120,10 @@ def check_cubic(N: int) -> dict:
     - C2 and lhs(C2; C1) - C1, where lhs(a; b) = a^2 b + (q^2 + q^-2) a b a
     + b a^2.
 
-    The dict is `check_commutation`'s [Delta(g), C], for N even the
-    residual [e (x) e, C] with e = e_{N-1}, then `cubic C1;C2` and `cubic
-    C2;C1` on the columns of `dominant_columns(N, 3)` only, computed on
-    that block as `_cubic_residuals` says; for N even only on its half D+
-    with lambda_k > 0 (121 of 242 dominant columns of 4096 for N = 8).
-    Why all of them zero certifies the cubic relation on the whole space:
+    The dict is `_cubic_residuals`'s: `check_commutation`'s [Delta(g),
+    C], for N even [e (x) e, C] with e = e_{N-1}, then `cubic C1;C2` and
+    `cubic C2;C1` on the columns `cubic_columns(N)` only.  Why all of them
+    zero certifies the cubic relation on the whole space:
 
     - C commutes with the Delta(g), and so with Delta(K_i^{1/2})
       (`_cubic_residuals`); so C1 = C (x) 1 and C2 = 1 (x) C commute
@@ -146,15 +142,9 @@ def check_cubic(N: int) -> dict:
       lambda is dominant, and w lies in the span of the dominant columns.
     - A module map that kills every highest-weight vector kills the
       submodules they generate, i.e. everything.
-    - For N even it is enough that the residuals vanish on D+: with tau =
-      e (x) e (x) e, (1) e^2 = 1 and e is monomial, flipping slot k, so
-      tau sends a column of weight lambda to a unit times one of weight
-      sigma lambda, sigma negating lambda_k; (2) dominance is
-      sigma-invariant for D_k, and lambda_k, a sum of three +-1, is never
-      0, so D = D+ disjoint union sigma D+; (3) [e (x) e, C] = 0 gives
-      tau C1 tau^-1 = C1 and tau C2 tau^-1 = C2, so tau commutes with
-      each cubic residual R; (4) so R = 0 on span(D+) gives R = 0 on
-      tau span(D+) = span(sigma D+), and so on span(D).
+    - For N even it is enough that the residuals vanish on D+: tau = e
+      (x) e (x) e commutes with them once [e (x) e, C] = 0 and swaps
+      span(D+) with the rest of span(D) (`_cubic_residuals`).
 
     Without the commutators the first step fails, and without [e (x) e,
     C] the last, which is why they are part of the dict and go to the
@@ -217,15 +207,16 @@ def cubic_columns(N: int) -> list:
     return [j for j, w in cols.items() if w[-1] > 0]
 
 
-def _cubic_residuals(N: int, C: SparseMatrix, gens: list, mid,
+def _cubic_residuals(N: int, C: SparseMatrix, gens: tuple, mid,
                      v0=None) -> dict:
-    """[g, C] for the generator images `gens` (`_commutators`), for N even
-    the residual [e (x) e, C] with e = e_{N-1} = psi_k + psi^dag_k
-    (`clifford.clifford_generator`, at the point v0 of C if one is
-    given), then the two cubic residuals with middle coefficient `mid` on
-    the columns D of S^(x)3 whose `column_weight` is dominant, the keys of
-    `dominant_columns(N, 3)`, as d^3 x d^3 matrices; for N even on the
-    half D+ of D with lambda_k > 0 only (`cubic_columns`).
+    """[g, C] for the (K, E) `gens` of `qgroup.coproduct_generators`
+    (`_commutators`), for N even the residual [e (x) e, C] with e =
+    e_{N-1} = psi_k + psi^dag_k (`clifford.clifford_generator`, at the
+    point v0 of C if one is given), then the two cubic residuals with
+    middle coefficient `mid` on the columns D of S^(x)3 whose
+    `column_weight` is dominant, the keys of `dominant_columns(N, 3)`, as
+    d^3 x d^3 matrices; for N even on the half D+ of D with lambda_k > 0
+    only (`cubic_columns`).
 
     C1 = C (x) 1 and C2 = 1 (x) C are built only on their D x D blocks
     (40 x 40 for N = 7, not 512 x 512), for N even on their D+ x D+

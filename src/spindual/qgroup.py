@@ -6,7 +6,7 @@ tensor powers.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add
 
 from .ring import Scalar, QQ, q_power, qbinom
@@ -241,31 +241,28 @@ def _balanced_coproduct(x: SparseMatrix, kh: SparseMatrix, khi: SparseMatrix,
 
 
 def coproduct_generators(N: int, n: int, v0=None, p: int = None):
-    """Delta(K_i), Delta(E_i), Delta(F_i) on the n-fold tensor power for
-    every i, the one builder of them.  At a point v0 (a GaussRat, or an
-    int mod a prime p) K_i^{+-1/2} and E_i are specialized once on S, K_i
-    is (K_i^{1/2})^2 there, and all are then tensored (mod p, as the
-    specialized matrices carry p), so no operator on S^(x)n is
-    specialized.  Specialization is a ring map on entries with no pole at
-    the point (they are powers of v and integers) and K_i^{1/2} =
-    diag(v^{w.alpha_i}) squares to K_i (`SpinRep.Khalf`), so every
-    operator equals the symbolic one specialized entry by entry.
+    """(K, E), the lists of Delta(K_i) and Delta(E_i) on the n-fold tensor
+    power at index i - 1, the one builder of them.  At a point v0 (a
+    GaussRat, or an int mod a prime p) K_i^{+-1/2} and E_i are
+    specialized once on S, K_i is (K_i^{1/2})^2 there, and all are then
+    tensored (mod p, as the specialized matrices carry p), so no operator
+    on S^(x)n is specialized.  Specialization is a ring map on entries
+    with no pole at the point (they are powers of v and integers) and
+    K_i^{1/2} = diag(v^{w.alpha_i}) squares to K_i (`SpinRep.Khalf`), so
+    every operator equals the symbolic one specialized entry by entry.
 
-    Delta(F_i) is Delta(E_i)^T: F_i = E_i^T on S (`SpinRep.F`), K^{+-1/2}
-    is diagonal, and (A (x) B)^T = A^T (x) B^T, so every term kh^(x)j (x)
-    F_i (x) khi^(x)(n-1-j) of the balanced coproduct is the transpose of
-    the E_i term; the entries are the same products, so this holds over
-    Q(i)(v), at a point and mod p alike."""
+    Delta(F_i) = Delta(E_i)^T, which a caller takes: F_i = E_i^T on S
+    (`SpinRep.F`), K^{+-1/2} is diagonal, and (A (x) B)^T = A^T (x) B^T,
+    so every term kh^(x)j (x) F_i (x) khi^(x)(n-1-j) of the balanced
+    coproduct is the transpose of the E_i term; the entries are the same
+    products, so this holds over Q(i)(v), at a point and mod p alike."""
     rep = spin_rep(N)
-    out = []
+    dK, dE = [], []
     for i in range(1, rep.k + 1):
         K, kh, khi, E = rep.K(i), rep.Khalf(i), rep.Khalf(i, -1), rep.E(i)
         if v0 is not None:
             kh, khi, E = (m.specialize(v0, p) for m in (kh, khi, E))
             K = kh * kh
-        dK = K
-        for _ in range(n - 1):
-            dK = dK.kron(K)
-        dE = _balanced_coproduct(E, kh, khi, n)
-        out += [dK, dE, dE.transpose()]
-    return out
+        dK.append(reduce(SparseMatrix.kron, [K] * n))
+        dE.append(_balanced_coproduct(E, kh, khi, n))
+    return dK, dE

@@ -285,7 +285,7 @@ def test_bad_config_exit_2(capsys):
     ["verify", "duality", "--format", "json"], ["verify", "tl", "--out", "x"],
     ["verify", "duality", "--level", "5"],
     ["table", "multiplicities", "--seed", "3"],
-    ["table", "spectrum", "--sign", "-"]])
+    ["table", "spectrum", "--sign", "-"], ["verify", "so3", "--sign", "-"]])
 def test_unread_flag_exit_2(capsys, argv, tmp_path, monkeypatch):
     # each subcommand has only the flags it reads: argparse refuses the rest
     monkeypatch.chdir(tmp_path)
@@ -297,12 +297,22 @@ def test_unread_flag_exit_2(capsys, argv, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_classical_spectrum_passes_with_either_sign(capsys, N):
-    # C at q = 1 does not depend on the sign of e_N, so --sign, which only
-    # the so3 suite reads, cannot turn the classical spectrum into a FAIL
-    for sign in ([], ["--sign", "-"]):
-        code, out = run(capsys, "verify", "spectrum", "--N", str(N),
-                        "--q", "one", *sign)
-        assert code == 0 and "PASS" in out and "FAIL" not in out, sign
+    # C at q = 1 does not depend on the sign of e_N
+    # (test_intertwiner::test_classical_C_is_blind_to_the_sign_of_e_N)
+    code, out = run(capsys, "verify", "spectrum", "--N", str(N), "--q", "one")
+    assert code == 0 and "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("N,signs", [(5, ["1", "-1"]), (4, [])])
+def test_verify_so3_checks_both_nonclassical_signs(capsys, N, signs):
+    # both nonclassical modules are valid at odd Nparam: one line each,
+    # and none at even Nparam, which has no nonclassical module
+    code, out = run(capsys, "verify", "so3", "--N", str(N))
+    assert code == 0 and "FAIL" not in out
+    assert [ln.split("  ")[:2] for ln in out.splitlines()
+            if "nonclassical" in ln] == [
+        ["PASS", f"so3 nonclassical rep Nparam={N} sign={s} symbolic"]
+        for s in signs]
 
 
 def test_table_spectrum_spec_exit_2(capsys):
@@ -519,6 +529,43 @@ def test_verify_so3_size_guard_exit_2(monkeypatch, capsys):
     assert code == 2 and time.perf_counter() - t0 < 1
     assert out == "" and "suite 'so3'" in err and "above the limit" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["fft", "--N", "9", "--n", "3"],
+                                  ["fft", "--N", "8", "--n", "3"],
+                                  ["verify", "fft", "--N", "8", "--n", "3"]])
+def test_fft_commutant_size_guard_exit_2(monkeypatch, capsys, argv):
+    # a commutant cross-check above MAX_COMMUTANT_UNKNOWNS is refused
+    # before any operator is built
+    def never(*args):
+        raise AssertionError("operator built")
+    monkeypatch.setattr(qgroup, "coproduct_generators", never)
+    monkeypatch.setattr(coideal, "duality_rep", never)
+    t0 = time.perf_counter()
+    code = main(argv + ["--seed", "11"])
+    out, err = capsys.readouterr()
+    assert code == 2 and time.perf_counter() - t0 < 1
+    assert out == "" and "suite 'fft'" in err and "160000 unknowns" in err
+    assert "above the limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("N,n,want", [
+    (3, 3, 20), (4, 2, 36), (4, 3, 400), (5, 3, 400), (6, 3, 8000),
+    (7, 3, 8000), (12, 2, 46656), (13, 2, 46656), (8, 3, 160000),
+    (9, 3, 160000)])
+def test_commutant_unknowns_are_the_signature_count(N, n, want):
+    # C(2n, n)^k against the sum of the squared sizes of the joint
+    # eigenspaces of the Delta(K_i) at v0 = 5 mod P, the unknowns that
+    # linalg.commutant_dimension solves for; the limit refuses exactly
+    # the last two sizes
+    K, _ = qgroup.coproduct_generators(N, n, 5, P)
+    sizes = {}
+    for j in range(K[0].nrows):
+        sig = tuple(dK.data.get((j, j)) for dK in K)
+        sizes[sig] = sizes.get(sig, 0) + 1
+    assert sum(m * m for m in sizes.values()) == want
+    assert cli._commutant_unknowns(N, n) == want
+    assert (want > cli.MAX_COMMUTANT_UNKNOWNS) == (n == 3 and N in (8, 9))
 
 
 def test_table_below_the_work_limit_runs(monkeypatch, capsys):

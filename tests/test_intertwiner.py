@@ -22,10 +22,16 @@ from spindual.intertwiner import (c_op, d_op, build_C_quantum,
 
 
 def pair_generators(N: int, v0=None) -> list:
-    """(label, g) for the Delta(K_i), Delta(E_i), Delta(F_i) on S (x) S, in
-    the order and with the labels of `_commutators`."""
-    return [(f"{'KEF'[j % 3]}{j // 3 + 1}", g)
-            for j, g in enumerate(coproduct_generators(N, 2, v0))]
+    """(label, g) for the Delta(K_i), Delta(E_i), Delta(F_i) = Delta(E_i)^T
+    on S (x) S, in the order and with the labels of `_commutators`."""
+    K, E = coproduct_generators(N, 2, v0)
+    return [(f"{x}{i}", g) for i, (dK, dE) in enumerate(zip(K, E), 1)
+            for x, g in (("K", dK), ("E", dE), ("F", dE.transpose()))]
+
+
+def specialized(gens, v0):
+    """The (K, E) of `coproduct_generators`, specialized at v0."""
+    return tuple([m.specialize(v0) for m in ms] for ms in gens)
 
 
 HALF = Scalar.from_gauss(GaussRat(Q(1, 2)))
@@ -284,7 +290,7 @@ def test_cubic_restriction_matches_full_space(N):
     for seed in (11, 23):
         v0 = random_point(random.Random(seed))
         C = build_C_quantum(N).specialize(v0)
-        gens = [m.specialize(v0) for m in coproduct_generators(N, 2)]
+        gens = specialized(coproduct_generators(N, 2), v0)
         C1, C2 = C.kron(ident), ident.kron(C)
         for mid in (MID.specialize(v0), GaussRat(2)):
             full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
@@ -359,8 +365,7 @@ def test_builders_at_a_point_match_specialized_symbolic(N):
         assert build_C_quantum(N, v0) == C.specialize(v0), seed
         vp = v0.mod_p(P)
         assert build_C_quantum(N, vp, P) == C.specialize(vp, P), seed
-        assert coproduct_generators(N, 2, v0) == [m.specialize(v0)
-                                                  for m in gens], seed
+        assert coproduct_generators(N, 2, v0) == specialized(gens, v0), seed
 
 
 def test_cubic_block_rejects_an_entry_between_weights():
@@ -487,7 +492,7 @@ def test_transposed_commutators_for_symmetric_C(monkeypatch, N):
     C, pairs = build_C_quantum(N), pair_generators(N)
     assert C.transpose() == C
     calls = count_commutator_calls(monkeypatch)
-    got = _commutators([m for _, m in pairs], C)
+    got = _commutators(coproduct_generators(N, 2), C)
     assert len(calls) == 2 * rank_of(N)
     assert list(got) == [g for g, _ in pairs]
     assert got == plain_commutators(pairs, C)
@@ -495,24 +500,18 @@ def test_transposed_commutators_for_symmetric_C(monkeypatch, N):
 
 @pytest.mark.parametrize("N", [4, 5])
 def test_commutators_general_path(monkeypatch, N):
-    # C with an entry (r, c) whose (c, r) is absent is not symmetric, and
-    # a Delta(F_1) that is not Delta(E_1)^T has no transposed partner:
-    # both take the plain commutator, and the dicts equal the plain ones
+    # C with an entry (r, c) whose (c, r) is absent is not symmetric: each
+    # [Delta(F_i), C] takes the plain commutator of Delta(E_i)^T, one more
+    # product per F_i, and the dict equals the plain one
     C, pairs = build_C_quantum(N), pair_generators(N)
-    gens = [m for _, m in pairs]
     r, c = 0, 1
     assert (r, c) not in C.data and (c, r) not in C.data
     bad_C = C + SparseMatrix(C.nrows, C.ncols, {(r, c): ONE})
     calls = count_commutator_calls(monkeypatch)
-    assert _commutators(gens, bad_C) == plain_commutators(pairs, bad_C)
-    assert len(calls) == len(pairs)
-    f1 = [g for g, _ in pairs].index("F1")
-    bad_pairs = list(pairs)
-    bad_pairs[f1] = ("F1", pairs[f1][1].scale(TWO))
-    calls.clear()
-    got = _commutators([m for _, m in bad_pairs], C)
-    assert got == plain_commutators(bad_pairs, C)
-    assert len(calls) == 2 * rank_of(N) + 1
+    got = _commutators(coproduct_generators(N, 2), bad_C)
+    assert list(got) == [g for g, _ in pairs]
+    assert got == plain_commutators(pairs, bad_C)
+    assert len(calls) == len(pairs) == 3 * rank_of(N)
 
 
 @pytest.mark.parametrize("N", [3, 5])
