@@ -63,6 +63,11 @@ MAX_TABLE_WORK = 12_000_000
 MAX_SO3_PARAM = 24
 
 
+class ConfigError(ValueError):
+    """A configuration the CLI refuses before it runs anything: exit 2.
+    Any other exception, a ValueError included, is a crash: exit 3."""
+
+
 class Reporter:
     def __init__(self):
         self.failures = 0
@@ -76,8 +81,6 @@ class Reporter:
             res = fn()
         except CheckFailure as exc:
             res, label = False, f"{label} [{type(exc).__name__}: {exc}]"
-        except ValueError as exc:    # configs are vetted first: a defect
-            raise RuntimeError(f"check {label!r} raised ValueError") from exc
         if isinstance(res, dict):
             bad = first_nonzero(res)
             if bad is not None:
@@ -106,40 +109,40 @@ def _operator_bits(suite: str, mode: str, N: int, n: int) -> int:
 
 
 def _check_config(modes: dict, N: int, n: int) -> None:
-    """Refuse, before anything is built, a configuration some suite of
-    `modes` ({suite: --q mode}) cannot run: a spin suite with N < 3,
-    Temperley-Lieb with n < 2, or a size above one of the MAX_* limits
-    (a duality table by `_check_table_work`)."""
+    """Refuse (ConfigError), before anything is built, a configuration
+    some suite of `modes` ({suite: --q mode}) cannot run: a spin suite
+    with N < 3, Temperley-Lieb with n < 2, or a size above one of the
+    MAX_* limits (a duality table by `_check_table_work`)."""
     suites = list(modes)
     spin = [s for s in suites if s in SPIN_SUITES]
     if N < 3 and spin:
-        raise ValueError(f"suite {spin[0]!r} needs N >= 3, got N={N}")
+        raise ConfigError(f"suite {spin[0]!r} needs N >= 3, got N={N}")
     if n < 2 and "tl" in suites:
-        raise ValueError(f"suite 'tl' needs n >= 2 for Temperley-Lieb, "
-                         f"got n={n}")
+        raise ConfigError(f"suite 'tl' needs n >= 2 for Temperley-Lieb, "
+                          f"got n={n}")
     bits, suite = max((_operator_bits(s, m, N, n), s)
                       for s, m in modes.items())
     if bits > MAX_OPERATOR_BITS:
-        raise ValueError(f"suite {suite!r} at N={N} n={n} would build "
-                         f"operators with 2^{bits} rows, above the limit "
-                         f"2^{MAX_OPERATOR_BITS} = {1 << MAX_OPERATOR_BITS}")
+        raise ConfigError(f"suite {suite!r} at N={N} n={n} would build "
+                          f"operators with 2^{bits} rows, above the limit "
+                          f"2^{MAX_OPERATOR_BITS} = {1 << MAX_OPERATOR_BITS}")
     if "duality" in suites:
         _check_table_work("suite 'duality'", N, n)
     if "so3" in suites and N > MAX_SO3_PARAM:
-        raise ValueError(f"suite 'so3' at Nparam={N} is above the limit "
-                         f"{MAX_SO3_PARAM}")
+        raise ConfigError(f"suite 'so3' at Nparam={N} is above the limit "
+                          f"{MAX_SO3_PARAM}")
     if "fft" in suites:
         w, m = max(combinat.spinor_table(N, n).items(), key=lambda t: t[1])
         if m > MAX_FFT_BLOCK:
-            raise ValueError(f"suite 'fft' at N={N} n={n} has a "
-                             f"highest-weight block of size {m} at weight "
-                             f"({combinat.fmt_weight(w)}), above the limit "
-                             f"{MAX_FFT_BLOCK}")
+            raise ConfigError(f"suite 'fft' at N={N} n={n} has a "
+                              f"highest-weight block of size {m} at weight "
+                              f"({combinat.fmt_weight(w)}), above the limit "
+                              f"{MAX_FFT_BLOCK}")
         if n <= 3 and _commutant_unknowns(N, n) > MAX_COMMUTANT_UNKNOWNS:
-            raise ValueError(f"suite 'fft' at N={N} n={n} would count a "
-                             f"commutant of {_commutant_unknowns(N, n)} "
-                             f"unknowns, above the limit "
-                             f"{MAX_COMMUTANT_UNKNOWNS}")
+            raise ConfigError(f"suite 'fft' at N={N} n={n} would count a "
+                              f"commutant of {_commutant_unknowns(N, n)} "
+                              f"unknowns, above the limit "
+                              f"{MAX_COMMUTANT_UNKNOWNS}")
 
 
 def _commutant_unknowns(N: int, n: int) -> int:
@@ -150,16 +153,17 @@ def _commutant_unknowns(N: int, n: int) -> int:
 
 
 def _check_table_work(what: str, N: int, n: int) -> None:
-    """Refuse a `combinat.spinor_table(N, n)` above MAX_TABLE_WORK."""
+    """Refuse (ConfigError) a `combinat.spinor_table(N, n)` above
+    MAX_TABLE_WORK."""
     k = N // 2
     if k > MAX_OPERATOR_BITS:
-        raise ValueError(f"{what} at N={N} tensors with the 2^{k} weights "
-                         f"of S, above the limit 2^{MAX_OPERATOR_BITS}")
+        raise ConfigError(f"{what} at N={N} tensors with the 2^{k} weights "
+                          f"of S, above the limit 2^{MAX_OPERATOR_BITS}")
     work = n * (1 << k) * comb(n // 2 + k, k)
     if work > MAX_TABLE_WORK:
-        raise ValueError(f"{what} at N={N} n={n} would try n 2^k "
-                         f"C(n//2 + k, k) = {work:.2g} weights, above the "
-                         f"limit {MAX_TABLE_WORK:.2g}")
+        raise ConfigError(f"{what} at N={N} n={n} would try n 2^k "
+                          f"C(n//2 + k, k) = {work:.2g} weights, above the "
+                          f"limit {MAX_TABLE_WORK:.2g}")
 
 
 def _point(seed: int) -> GaussRat:
@@ -169,14 +173,14 @@ def _point(seed: int) -> GaussRat:
 def _suite_modes(suites, q) -> dict:
     """{suite: the --q mode it runs in}.  With no --q every suite runs in
     its default; a single suite must have the mode asked for, or this
-    raises ValueError; `all` falls back to each suite's default."""
+    raises ConfigError; `all` falls back to each suite's default."""
     out = {}
     for suite in suites:
         modes = MODES[suite]
         if q is None or (q not in modes and len(suites) > 1):
             out[suite] = modes[0]
         elif q not in modes:
-            raise ValueError(
+            raise ConfigError(
                 f"suite {suite!r} does not run with --q {q}: use "
                 f"{' or '.join('--q ' + m for m in modes)}")
         else:
@@ -403,13 +407,13 @@ def run_fft(args) -> int:
 
 
 def run_table(args) -> int:
-    N, n = args.N, args.n
-    mode = {"sym": "symbolic", "one": "classical", "spec": "specialized"}[args.q]
+    N, n, q = args.N, args.n, args.q or "sym"
+    mode = "classical" if q == "one" else "symbolic"
     doc = {"N": N, "n": n, "mode": mode, "entries": []}
     if args.kind in ("multiplicities", "complements"):
-        if args.q != "sym":
-            raise ValueError(f"table {args.kind} is combinatorial and has "
-                             f"no --q mode")
+        if args.q is not None:
+            raise ConfigError(f"table {args.kind} is combinatorial and has "
+                              f"no --q mode")
         del doc["mode"]     # no q enters these tables
         _check_table_work("table", N, n)
         table = combinat.spinor_table(N, n, args.level)
@@ -417,8 +421,9 @@ def run_table(args) -> int:
             # S has weight (1/2, ..., 1/2), admissible exactly from N - 1 on;
             # at such a level S (x) S keeps the trivial weight, so no
             # table is empty there
-            raise ValueError(f"no weight of S^(x){n} is admissible at level "
-                             f"{args.level}: S itself needs level >= {N - 1}")
+            raise ConfigError(f"no weight of S^(x){n} is admissible at "
+                              f"level {args.level}: S itself needs level >= "
+                              f"{N - 1}")
         for w in sorted(table, reverse=True):
             comp = combinat.complement(w, N, n)
             doc["entries"].append({
@@ -428,14 +433,14 @@ def run_table(args) -> int:
                 "dimension": combinat.weyl_dim(w, N),
             })
     elif args.kind == "spectrum":
-        if args.q == "spec":
-            raise ValueError("table spectrum has no specialized mode: use "
-                             "--q sym or --q one")
+        if q == "spec":
+            raise ConfigError("table spectrum has no specialized mode: use "
+                              "--q sym or --q one")
         if args.level is not None:
-            raise ValueError("table spectrum has no fusion truncation: "
-                             "drop --level")
-        _check_config({"spectrum": args.q}, N, n)
-        rep = intertwiner.spectrum_of_C(N, classical=args.q == "one")
+            raise ConfigError("table spectrum has no fusion truncation: "
+                              "drop --level")
+        _check_config({"spectrum": q}, N, n)
+        rep = intertwiner.spectrum_of_C(N, classical=q == "one")
         if not rep.complete:
             print("spectrum verification failed", file=sys.stderr)
             return 1
@@ -487,7 +492,7 @@ def build_parser():
     p = argparse.ArgumentParser(prog="spindual")
     sub = p.add_subparsers(dest="command", required=True)
     flags = {"--level": dict(type=int, default=None),
-             "--q": dict(choices=("sym", "one", "spec"), default="sym"),
+             "--q": dict(choices=("sym", "one", "spec"), default=None),
              "--seed": dict(type=int, default=0),
              "--format": dict(choices=("json", "csv", "text"),
                               default="text"),
@@ -505,7 +510,6 @@ def build_parser():
 
     verify = command("verify", run_verify, "--q", "--seed")
     verify.add_argument("suite", choices=SUITES)
-    verify.set_defaults(q=None)     # each suite's own default mode
     command("table", run_table, "--level", "--q", "--format",
             "--out").add_argument("kind", choices=("multiplicities",
                                                    "spectrum", "complements"))
@@ -531,7 +535,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.run(args)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PoleError as exc:

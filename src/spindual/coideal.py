@@ -44,12 +44,12 @@ def check_coideal_relations(rep: CoidealRep) -> dict:
     at N odd; `intertwiner.clear_denominators`), whose entries are Laurent
     polynomials.  A far residual is homogeneous of degree 2 in the B's,
     so it equals d^-2 times the one of the B'_i; a cubic one comes from
-    `intertwiner.cubic_residuals` with middle coefficient -(p + p^-1).
+    `intertwiner.cubic_residuals` with the parameter p of `rep`, and
+    F B_1 + B_1 F is the q-commutator [F, B_1]_{-1} (`linalg.commutator`).
     d is nonzero and the entries are canonical, so the dict is the same,
     entry for entry, as the one of the B_i; the residual of (j, i) is
     computed with the one of (i, j), as -[B_i, B_j] for a far pair."""
     d, B = clear_denominators(rep.B)
-    mid = -(rep.param + rep.param.inv())
     res = {}
     for i in range(len(B)):
         for j in range(i + 1, len(B)):
@@ -58,14 +58,15 @@ def check_coideal_relations(rep: CoidealRep) -> dict:
                 r = r if d is None else r.scale((d * d).inv())
                 res[i, j], res[j, i] = r, -r
             else:
-                res[i, j], res[j, i] = cubic_residuals(B[i], B[j], mid, d)
+                res[i, j], res[j, i] = cubic_residuals(
+                    B[i], B[j], rep.param, d)
     out = {f"{'far' if abs(i - j) > 1 else 'cubic'} {i+1},{j+1}": r
            for (i, j), r in sorted(res.items())}
     F, B = rep.F, rep.B
     if F is not None:
         out["F^2"] = F * F - SparseMatrix.identity(F.nrows, _one([F]), F.p)
         if B:
-            out["FB1"] = F * B[0] + B[0] * F
+            out["FB1"] = commutator(F, B[0], -_one([F]))
         for i in range(1, len(B)):
             out[f"FB{i+1}"] = commutator(F, B[i])
     return out
@@ -161,7 +162,7 @@ def tl_generators(n: int) -> list:
 def tl_braid_rep(n: int) -> CoidealRep:
     """B_i = 1/(q + q^-1) - (q + q^-1) e_i, a coideal module with
     parameter -q^2."""
-    two = qint(2, QQ)
+    two = qint(2)
     es = tl_generators(n)
     d = es[0].nrows
     ident = SparseMatrix.identity(d)

@@ -116,9 +116,10 @@ def _commutators(gens: tuple, C: SparseMatrix) -> dict:
 
 
 def check_cubic(N: int) -> dict:
-    """{relation: residual} for the cubic relation on S^(x)3: lhs(C1; C2)
-    - C2 and lhs(C2; C1) - C1, where lhs(a; b) = a^2 b + (q^2 + q^-2) a b a
-    + b a^2.
+    """{relation: residual} for the cubic relation on S^(x)3, the coideal
+    one with p = -q^2: [C1, [C1, C2]_p]_{p^-1} - C2 and the same with C1
+    and C2 swapped, where [a, [a, b]_p]_{p^-1} = a^2 b + (q^2 + q^-2) a b a
+    + b a^2 (`cubic_residuals`).
 
     The dict is `_cubic_residuals`'s: `check_commutation`'s [Delta(g),
     C], for N even [e (x) e, C] with e = e_{N-1}, then `cubic C1;C2` and
@@ -151,7 +152,7 @@ def check_cubic(N: int) -> dict:
     same zero test.
     """
     return _cubic_residuals(N, build_C_quantum(N), coproduct_generators(N, 2),
-                            QQ ** 2 + QQ ** (-2))
+                            -(QQ ** 2))
 
 
 def check_cubic_specialized(N: int, v0: GaussRat) -> dict:
@@ -162,9 +163,9 @@ def check_cubic_specialized(N: int, v0: GaussRat) -> dict:
     `check_cubic` needs q = v0^2 not a root of unity, so a root of unity
     v0 raises PoleError."""
     require_generic(v0)
-    mid = (QQ ** 2 + QQ ** (-2)).specialize(v0)
     return _cubic_residuals(N, build_C_quantum(N, v0),
-                            coproduct_generators(N, 2, v0), mid, v0)
+                            coproduct_generators(N, 2, v0),
+                            (-(QQ ** 2)).specialize(v0), v0)
 
 
 def clear_denominators(mats):
@@ -181,15 +182,16 @@ def clear_denominators(mats):
     return d, [m.scale(d) for m in mats]
 
 
-def cubic_residuals(a: SparseMatrix, b: SparseMatrix, mid, d=None):
-    """(r(a, b), r(b, a)) for r(a, b) = a^2 b + mid aba + b a^2 - b, as
-    a (ab + mid ba) + b aa - b in eight products.  For a and b given as d
-    times the operators (`clear_denominators`), r is d^-3 times that sum
-    with d^2 b for b, each term being of degree 3 in them: the same value,
-    entry for entry, as on the operators."""
-    aa, ab, ba, bb = a * a, a * b, b * a, b * b
-    ra = a * (ab + ba.scale(mid)) + b * aa
-    rb = b * (ba + ab.scale(mid)) + a * bb
+def cubic_residuals(a: SparseMatrix, b: SparseMatrix, p, d=None):
+    """(r(a, b), r(b, a)) for the coideal cubic relation with parameter p,
+    r(a, b) = [a, [a, b]_p]_{p^-1} - b = a^2 b - (p + p^-1) aba + b a^2 - b
+    (`linalg.commutator`), in six products: ab and ba serve both.  For a
+    and b given as d times the operators (`clear_denominators`), r is d^-3
+    times that with d^2 b for b, the nested commutator being of degree 3
+    in them: the same value, entry for entry, as on the operators."""
+    ab, ba, pi = a * b, b * a, p.inv()
+    ra = commutator(a, ab - ba.scale(p), pi)
+    rb = commutator(b, ba - ab.scale(p), pi)
     if d is None:
         return ra - b, rb - a
     d2, inv3 = d * d, (d * d * d).inv()
@@ -207,16 +209,16 @@ def cubic_columns(N: int) -> list:
     return [j for j, w in cols.items() if w[-1] > 0]
 
 
-def _cubic_residuals(N: int, C: SparseMatrix, gens: tuple, mid,
+def _cubic_residuals(N: int, C: SparseMatrix, gens: tuple, p,
                      v0=None) -> dict:
     """[g, C] for the (K, E) `gens` of `qgroup.coproduct_generators`
     (`_commutators`), for N even the residual [e (x) e, C] with e =
     e_{N-1} = psi_k + psi^dag_k (`clifford.clifford_generator`, at the
     point v0 of C if one is given), then the two cubic residuals with
-    middle coefficient `mid` on the columns D of S^(x)3 whose
-    `column_weight` is dominant, the keys of `dominant_columns(N, 3)`, as
-    d^3 x d^3 matrices; for N even on the half D+ of D with lambda_k > 0
-    only (`cubic_columns`).
+    coideal parameter p (-q^2, or its value at v0) on the columns D of
+    S^(x)3 whose `column_weight` is dominant, the keys of
+    `dominant_columns(N, 3)`, as d^3 x d^3 matrices; for N even on the
+    half D+ of D with lambda_k > 0 only (`cubic_columns`).
 
     C1 = C (x) 1 and C2 = 1 (x) C are built only on their D x D blocks
     (40 x 40 for N = 7, not 512 x 512), for N even on their D+ x D+
@@ -259,7 +261,7 @@ def _cubic_residuals(N: int, C: SparseMatrix, gens: tuple, mid,
        The tau residual is in the dict: a nonzero one fails the check
        like any other key.
 
-    With a = C1 and b = C2 on the block, `cubic_residuals` takes eight
+    With a = C1 and b = C2 on the block, `cubic_residuals` takes six
     block products, on d C1 and d C2 for d the lcm of C's entry
     denominators (`clear_denominators`)."""
     out = _commutators(gens, C)
@@ -271,7 +273,7 @@ def _cubic_residuals(N: int, C: SparseMatrix, gens: tuple, mid,
     d, (dC,) = clear_denominators([C])
     s, cols = 1 << k, cubic_columns(N)
     out["cubic C1;C2"], out["cubic C2;C1"] = cubic_residuals(
-        embed(dC, 1, s, cols), embed(dC, s, 1, cols), mid, d)
+        embed(dC, 1, s, cols), embed(dC, s, 1, cols), p, d)
     return out
 
 
@@ -317,7 +319,7 @@ def integrality_check(C: SparseMatrix, N: int) -> bool:
     N odd: every entry becomes one after multiplying by [2]^a, a <= 2."""
     if N % 2 == 0:
         return all(s.has_gaussian_integer_coeffs() for s in C.entries())
-    two = qint(2, QQ)
+    two = qint(2)
     return all(any(t.has_gaussian_integer_coeffs()
                    for t in accumulate((s, two, two), mul))
                for s in C.entries())

@@ -163,19 +163,24 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, {len(self.data)} nz)"
 
 
-def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """ab - ba for square a and b of one size.  For a diagonal a, entry
-    (r, c) is a_r b_rc - b_rc a_c = (a_r - a_c) b_rc: one product per
-    stored b_rc, and none where a_r = a_c.  That identity holds in any
-    commutative ring, and Scalar and GaussRat values are canonical, so
-    every entry is the same value, field for field, as a * b - b * a
-    gives (over F_p, the same residue); a product of nonzero factors in
-    these domains is nonzero, so the same entries are stored.  Otherwise
-    ab and ba are compared before ab - ba is formed: equal dicts give the
-    empty matrix, which is what the subtraction gives."""
+def commutator(a: SparseMatrix, b: SparseMatrix, c=None) -> SparseMatrix:
+    """[a, b]_c = ab - c ba for square a and b of one size and a scalar c
+    of their entries' ring (c = 1 if None), the one builder of every
+    two-operator relation residual.  For a diagonal a, entry (r, s) is
+    a_r b_rs - c b_rs a_s = (a_r - c a_s) b_rs: one product per stored
+    b_rs, and none where a_r = c a_s (over F_p compared as residues).
+    That identity holds in any commutative ring, and Scalar and GaussRat
+    values are canonical, so every entry is the same value, field for
+    field, as a * b - (b * a).scale(c) gives (over F_p, the same
+    residue); a product of nonzero factors in these domains is nonzero,
+    so the same entries are stored.  Otherwise ab and c ba are compared
+    before they are subtracted: equal dicts give the empty matrix, which
+    is what the subtraction gives."""
     p = _prime(a, b)
     if not a.is_diagonal():
         ab, ba = a * b, b * a
+        if c is not None:
+            ba = ba.scale(c)
         if ab.data == ba.data:
             return SparseMatrix(ab.nrows, ab.ncols, {}, p)
         return ab - ba
@@ -183,14 +188,16 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         raise ValueError("shape mismatch")
     diag = a.data
     out = {}
-    for (r, c), x in b.data.items():
-        ar, ac = diag.get((r, r)), diag.get((c, c))
-        if ar == ac:
+    for (r, s), x in b.data.items():
+        ar, cas = diag.get((r, r)), diag.get((s, s))
+        if c is not None and cas is not None:
+            cas = (c * cas if p is None else c * cas % p) or None
+        if ar == cas:
             continue
         if ar is None:
-            out[(r, c)] = -(ac * x)
+            out[(r, s)] = -(cas * x)
         else:
-            out[(r, c)] = ar * x if ac is None else (ar - ac) * x
+            out[(r, s)] = ar * x if cas is None else (ar - cas) * x
     return _reduced(a.nrows, a.ncols, out, p)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import add
 
-from .ring import Scalar, QQ, q_power, qbinom
+from .ring import Scalar, QQ, q_power
 from .linalg import SparseMatrix, commutator, residuals_zero
 from .combinat import is_dominant
 from . import clifford as cl
@@ -150,9 +150,15 @@ def column_weight(N: int, n: int, j: int) -> tuple:
 def relation_residuals(N: int) -> dict:
     """{relation: residual} for every defining relation of the quantized
     orthogonal algebra on the spin representation: K_i K_i^-1 = 1,
-    (K_i^1/2)^2 = K_i, Cartan commutation, weight scaling of E/F, the
-    commutator [E_i, F_j], and the quantum Serre relations with
-    q_i-binomial coefficients.  Every residual is zero iff all hold."""
+    (K_i^1/2)^2 = K_i, Cartan commutation, the weight scaling K_i X
+    K_i^-1 = q^e X as [K_i, X]_{q^e} = K_i X - q^e X K_i, the commutator
+    [E_i, F_j], and the quantum Serre relations as the nested
+    q-commutators (ad X_i)^m X_j, m = 1 - a_ij, each residual a
+    `linalg.commutator`.  The Serre one is [X_i, .]_{q_i^(m-1-2s)} for
+    s = 0..m-1 applied to X_j, which is sum_s (-1)^s [m choose s]_{q_i}
+    X_i^{m-s} X_j X_i^s by the q-binomial theorem prod_s (1 + q_i^(m-1-2s)
+    t) = sum_s [m choose s]_{q_i} t^s.  Every residual is zero iff all
+    hold."""
     rep = spin_rep(N)
     k, d = rep.k, rep.dim
     ident = SparseMatrix.identity(d)
@@ -165,8 +171,7 @@ def relation_residuals(N: int) -> dict:
             out[f"[K{i}, K{j}]"] = commutator(K, rep.K(j))
             pw = 2 * root_pairing(N, i, j)
             for name, X, e in (("E", rep.E(j), pw), ("F", rep.F(j), -pw)):
-                out[f"K{i} {name}{j} K{i}^-1"] = _conjugation_residual(
-                    K, Ki, X, q_power(e))
+                out[f"K{i} {name}{j} K{i}^-1"] = commutator(K, X, q_power(e))
             comm = commutator(rep.E(i), rep.F(j))
             if i == j:
                 qi = rep.qi(i)
@@ -176,36 +181,13 @@ def relation_residuals(N: int) -> dict:
         for j in range(1, k + 1):
             if i == j:
                 continue
-            m = 1 - cartan_entry(N, i, j)
-            coefs = [qbinom(m, s, rep.qi(i)) for s in range(m + 1)]
+            m, qi = 1 - cartan_entry(N, i, j), rep.qi(i)
             for name, X in (("E", rep.E), ("F", rep.F)):
-                # sum_s (-1)^s [m choose s]_{q_i} X_i^{m-s} X_j X_i^s
-                pows = [ident]
-                for _ in range(m):
-                    pows.append(pows[-1] * X(i))
-                acc = SparseMatrix(d, d)
-                for s, coef in enumerate(coefs):
-                    piece = (pows[m - s] * X(j) * pows[s]).scale(coef)
-                    acc = acc + (piece if s % 2 == 0 else -piece)
+                acc = X(j)
+                for s in range(m):
+                    acc = commutator(X(i), acc, qi ** (m - 1 - 2 * s))
                 out[f"Serre {name} {i},{j}"] = acc
     return out
-
-
-def _conjugation_residual(K: SparseMatrix, Ki: SparseMatrix, X: SparseMatrix,
-                          c: Scalar) -> SparseMatrix:
-    """K X Ki - c X.  For diagonal K and Ki, entry (r, s) is (K_r Ki_s - c)
-    X_rs: one product per stored X_rs, and none where K_r Ki_s = c.  As in
-    `linalg.commutator`, that is the value K X Ki - c X gives, canonical so
-    field for field, and the same entries are stored."""
-    if not (K.is_diagonal() and Ki.is_diagonal()):
-        return K * X * Ki - X.scale(c)
-    kd, kid, out = K.data, Ki.data, {}
-    for (r, s), x in X.data.items():
-        a, b = kd.get((r, r)), kid.get((s, s))
-        f = -c if a is None or b is None else a * b - c
-        if f:
-            out[(r, s)] = f * x
-    return SparseMatrix(X.nrows, X.ncols, out)
 
 
 def _divide(m: SparseMatrix, c: Scalar) -> SparseMatrix:

@@ -628,24 +628,19 @@ def q_power(e2: int) -> Scalar:
     return Scalar.v_power(e2)
 
 
-def qint(n, base: Scalar = None) -> Scalar:
-    """Quantum integer [n] = (base^n - base^-n)/(base - base^-1).
+def qint(n) -> Scalar:
+    """Quantum integer [n] = (q^n - q^-n)/(q - q^-1).
 
-    `n` may be an int or, with the default base q = v^2, a half-integer
-    given as an exact ratio p/2 via a 2-tuple (p, 2): [p/2] = (v^p -
-    v^-p)/(q - q^-1).  [-n] = -[n] and [0] = 0, [1] = 1.
+    `n` may be an int or a half-integer given as an exact ratio p/2 via a
+    2-tuple (p, 2): [p/2] = (v^p - v^-p)/(q - q^-1).  [-n] = -[n] and
+    [0] = 0, [1] = 1.
     """
     if isinstance(n, tuple):
-        if base is not None or len(n) != 2 or n[1] != 2:
+        if len(n) != 2 or n[1] != 2:
             raise ValueError("a half-integer quantum integer is (p, 2), "
                              "in the default base q")
         return (Scalar.v_power(n[0]) - Scalar.v_power(-n[0])) / (QQ - QQ.inv())
-    if base is None:
-        base = QQ
-    d = base - base.inv()
-    if not d:
-        raise ZeroDivisionError("quantum integer undefined: base - base^-1 = 0")
-    return (base ** n - base ** (-n)) / d
+    return (QQ ** n - QQ ** (-n)) / (QQ - QQ.inv())
 
 
 def qint_plus(n) -> Scalar:
@@ -656,17 +651,3 @@ def qint_plus(n) -> Scalar:
     else:
         top = QQ ** n + QQ ** (-n)
     return I * top / (QQ - QQ.inv())
-
-
-def qfactorial(n: int, base: Scalar) -> Scalar:
-    out = ONE
-    for m in range(2, n + 1):
-        out = out * qint(m, base)
-    return out
-
-
-@lru_cache(maxsize=None)
-def qbinom(n: int, k: int, base: Scalar) -> Scalar:
-    """The q-binomial [n choose k] in `base`; cached, as the Serre relations
-    of every (i, j) and N ask for the same few."""
-    return qfactorial(n, base) / (qfactorial(k, base) * qfactorial(n - k, base))

@@ -154,6 +154,24 @@ def test_defect_in_a_check_exits_3(monkeypatch, capsys, argv, target):
     assert "internal error: ZeroDivisionError" in err and "Traceback" in err
 
 
+def _value_error(*args, **kwargs):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["fft", "--N", "4", "--n", "3", "--seed", "11"], (cli, "certify_blocks")),
+    (["table", "spectrum", "--N", "4"], (intertwiner, "spectrum_of_C"))],
+    ids=["fft", "table"])
+def test_value_error_in_a_command_exits_3(monkeypatch, capsys, argv, target):
+    # only a refused configuration (ConfigError) exits 2: a ValueError
+    # raised while a command runs is a crash with its traceback
+    monkeypatch.setattr(*target, _value_error)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "MISMATCH" not in out and "config error" not in err
+    assert "internal error: ValueError: boom" in err and "Traceback" in err
+
+
 @pytest.mark.parametrize("argv,want", [
     (["fft", "--N", "4", "--n", "3", "--seed", "11"],
      "VERDICT: MISMATCH (blocks (3/2,3/2) and (3/2,-3/2) are not "
@@ -328,6 +346,9 @@ def test_table_spectrum_spec_exit_2(capsys):
     (["multiplicities", "--N", "4", "--n", "2", "--q", "one"], "--q"),
     (["complements", "--N", "5", "--n", "3", "--q", "one"], "--q"),
     (["spectrum", "--N", "3", "--level", "3"], "--level"),
+    # --q sym too, though sym is the mode of table spectrum without --q
+    (["multiplicities", "--N", "4", "--n", "2", "--q", "sym"], "--q"),
+    (["complements", "--N", "5", "--n", "3", "--q", "sym"], "--q"),
 ])
 def test_table_unread_flag_exit_2(tmp_path, capsys, argv, flag):
     # a flag the table does not read is refused, not dropped or printed
@@ -643,7 +664,6 @@ def cli_argv(draw):
     if command == "table":
         argv = ["table", draw(st.sampled_from(["multiplicities", "spectrum",
                                                "complements"]))]
-        q = q or "sym"
         if draw(st.booleans()):
             argv += ["--level", str(draw(st.integers(-2, 8)))]
     elif command == "verify":

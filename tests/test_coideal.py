@@ -79,7 +79,7 @@ def test_n3_spin_rep_is_sl2_with_E_and_F_negated():
 
 def test_tl_measured_constant():
     c = tl_measured_constant()
-    assert c == (qint(2, QQ) ** 2).inv()    # 1/(q+q^-1)^2
+    assert c == (qint(2) ** 2).inv()    # 1/(q+q^-1)^2
     # and explicitly not the two displayed conventions
     assert c != (QQ ** 2 + QQ ** -2).inv()
     assert c != ((QQ ** 2 + QQ ** -2) ** 2).inv()

@@ -254,6 +254,7 @@ def test_cubic_specialized():
 
 
 MID = QQ ** 2 + QQ ** (-2)
+PARAM = -(QQ ** 2)      # the coideal parameter p, with -(p + p^-1) = MID
 
 
 @pytest.mark.parametrize("N", [4, 5])
@@ -292,10 +293,11 @@ def test_cubic_restriction_matches_full_space(N):
         C = build_C_quantum(N).specialize(v0)
         gens = specialized(coproduct_generators(N, 2), v0)
         C1, C2 = C.kron(ident), ident.kron(C)
-        for mid in (MID.specialize(v0), GaussRat(2)):
+        for mid, p in ((MID.specialize(v0), PARAM.specialize(v0)),
+                       (GaussRat(2), GaussRat(-1))):
             full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
                     for a, b in ((C1, C2), (C2, C1))]
-            res = _cubic_residuals(N, C, gens, mid, v0)
+            res = _cubic_residuals(N, C, gens, p, v0)
             got = [res["cubic C1;C2"], res["cubic C2;C1"]]
             assert got == [restrict_columns(m, cols) for m in full], (seed, mid)
             if mid != GaussRat(2):
@@ -304,11 +306,11 @@ def test_cubic_restriction_matches_full_space(N):
 
 
 def test_cubic_wrong_coefficient_fails():
-    # middle coefficient 2 instead of q^2 + q^-2: C still commutes, but the
-    # restricted cubic residuals do not vanish, for N = 6 on D+ alone
+    # p = -1 (middle coefficient 2) instead of -q^2: C still commutes, but
+    # the restricted cubic residuals do not vanish, for N = 6 on D+ alone
     for N in (5, 6):
         res = _cubic_residuals(N, build_C_quantum(N),
-                               coproduct_generators(N, 2), TWO)
+                               coproduct_generators(N, 2), -ONE)
         assert [g for g, m in res.items() if not m.is_zero()] == [
             "cubic C1;C2", "cubic C2;C1"], N
 
@@ -336,7 +338,7 @@ def test_cubic_tau_key_fails_on_a_diagonal_entry():
     assert (0, 0) not in C.data
     bad = C + SparseMatrix(C.nrows, C.ncols, {(0, 0): GR_ONE})
     res = _cubic_residuals(N, bad, coproduct_generators(N, 2, v0),
-                           MID.specialize(v0), v0)
+                           PARAM.specialize(v0), v0)
     assert all(res[f"K{i}"].is_zero() for i in range(1, k + 1))
     tau = res["[e5 (x) e5, C]"]
     # e_5 flips slot 3 of each factor: x(000) (x) x(000) <-> x(001) (x) x(001)
@@ -349,7 +351,7 @@ def test_cubic_dropped_f_term_fails_equivariance():
     # without the f-term C still satisfies the cubic relation, but it is no
     # intertwiner: the check must fail on the commutators with E_2, F_2
     C = build_C_quantum(5) - _f_term(5)
-    res = _cubic_residuals(5, C, coproduct_generators(5, 2), MID)
+    res = _cubic_residuals(5, C, coproduct_generators(5, 2), PARAM)
     assert len(res) == 3 * 2 + 2
     assert [g for g, m in res.items() if not m.is_zero()] == ["E2", "F2"]
 
@@ -380,7 +382,7 @@ def test_cubic_block_rejects_an_entry_between_weights():
     assert (r, c) not in C.data
     bad = C + SparseMatrix(C.nrows, C.ncols, {(r, c): GR_ONE})
     res = _cubic_residuals(N, bad, coproduct_generators(N, 2, v0),
-                           MID.specialize(v0))
+                           PARAM.specialize(v0))
     assert not residuals_zero(res)
     assert any(not res[f"K{i}"].is_zero() for i in range(1, N // 2 + 1))
 
@@ -524,10 +526,10 @@ def test_symbolic_cubic_matches_full_space(N):
     C, gens = build_C_quantum(N), coproduct_generators(N, 2)
     C1, C2 = C.kron(ident), ident.kron(C)
     cols = dominant_columns(N, 3)
-    for mid in (MID, TWO):
+    for mid, p in ((MID, PARAM), (TWO, -ONE)):
         full = [a * a * b + (a * b * a).scale(mid) + b * a * a - b
                 for a, b in ((C1, C2), (C2, C1))]
-        res = _cubic_residuals(N, C, gens, mid)
+        res = _cubic_residuals(N, C, gens, p)
         got = [res["cubic C1;C2"], res["cubic C2;C1"]]
         assert got == [restrict_columns(m, cols) for m in full], mid
         assert residuals_zero(res) == (mid is MID)

@@ -478,29 +478,59 @@ def commutator_operands(draw):
     n = draw(st.integers(1, 4))
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     if draw(st.booleans()):
-        # few distinct values, so that a_r = a_c happens
+        # few distinct values, so that a_r = c a_c happens
         diag = draw(st.lists(st.none() | entry, min_size=n, max_size=n))
         a = {(r, r): x for r, x in enumerate(diag) if x}
     else:
         a = draw(st.dictionaries(cells, entry, max_size=6))
     b = draw(st.dictionaries(cells, entry, max_size=8))
     return (SparseMatrix(n, n, {rc: x for rc, x in a.items() if x}, p),
-            SparseMatrix(n, n, {rc: x for rc, x in b.items() if x}, p))
+            SparseMatrix(n, n, {rc: x for rc, x in b.items() if x}, p),
+            draw(st.none() | entry))
 
 
 @given(commutator_operands())
 @example((SparseMatrix.diagonal([V, V, QQ]),
           SparseMatrix(3, 3, {(0, 1): ONE / (QQ + ONE), (1, 2): V,
-                              (2, 0): TWO})))
+                              (2, 0): TWO}), None))
 @example((SparseMatrix(2, 2, {(1, 1): P - 1}, P),
-          SparseMatrix(2, 2, {(0, 1): 2, (1, 0): P - 1}, P)))
-def test_commutator_is_ab_minus_ba(ab):
-    a, b = ab
-    got = commutator(a, b)
-    assert got == a * b - b * a
+          SparseMatrix(2, 2, {(0, 1): 2, (1, 0): P - 1}, P), None))
+# a_0 = c a_1 for a unit c and for a GaussRat c
+@example((SparseMatrix.diagonal([QQ, V, ONE]),
+          SparseMatrix(3, 3, {(0, 1): TWO, (1, 0): V, (2, 1): ONE}), V))
+@example((SparseMatrix.diagonal([GaussRat(2), GaussRat(1), GaussRat(0, 1)]),
+          SparseMatrix(3, 3, {(0, 1): GaussRat(3), (1, 2): GaussRat(1, 1),
+                              (2, 2): GaussRat(5)}), GaussRat(2)))
+# c = -1 mod P against entries that negate mod P: a b = -b a
+@example((SparseMatrix(2, 2, {(0, 0): 1, (1, 1): P - 1}, P),
+          SparseMatrix(2, 2, {(0, 1): 2, (1, 0): P - 1}, P), P - 1))
+def test_commutator_is_ab_minus_ba(abc):
+    a, b, c = abc
+    got = commutator(a, b, c)
+    assert got == a * b - (b * a if c is None else (b * a).scale(c))
     assert all(x for x in got.entries())
     assert all((x.den is LP_ONE) == (x.den == LP_ONE)
                for x in got.entries() if hasattr(x, "den"))
+
+
+class CountedInt(int):
+    """An int that counts the products it is a factor of."""
+    products = 0
+
+    def __mul__(self, other):
+        CountedInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_diagonal_commutator_compares_c_a_s_as_a_residue(monkeypatch):
+    # a_r = c a_s mod P, but not as ints: the entry takes no product
+    monkeypatch.setattr(CountedInt, "products", 0)
+    a = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): P - 1}, P)
+    b = SparseMatrix(2, 2, {(0, 1): CountedInt(2), (1, 0): CountedInt(3)}, P)
+    assert commutator(a, b, P - 1).is_zero()
+    assert CountedInt.products == 0
 
 
 def test_commutator_shapes():

@@ -1,9 +1,13 @@
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from spindual.ring import ONE, TWO, V, QQ, P, q_power, qbinom
-from spindual.linalg import SparseMatrix, random_point
+from spindual.ring import GaussRat, I, ONE, TWO, V, QQ, P, q_power
+from spindual.linalg import SparseMatrix, commutator, random_point
+from spindual.intertwiner import cubic_residuals
 from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
                              cartan_entry, verify_relations, dominant_columns,
                              column_weight, relation_residuals, spin_rep)
@@ -63,10 +67,20 @@ def test_relations_name_the_broken_one(monkeypatch, capsys):
     assert len(fail) == 1 and "[nonzero: [E1, F1] at (" in fail[0]
 
 
+def qbinom(m: int, s: int, base):
+    """The q-binomial [m choose s] in `base`, from quantum factorials."""
+    def factorial(n):
+        out = base ** 0
+        for j in range(2, n + 1):
+            out = out * (base ** j - base ** -j) / (base - base.inv())
+        return out
+    return factorial(m) / (factorial(s) * factorial(m - s))
+
+
 def product_relation_residuals(N: int) -> dict:
-    """`relation_residuals` by matrix products throughout, with every
-    q-binomial computed afresh: the reference for the entrywise K X K^-1,
-    the diagonal commutators and the cached q-binomials."""
+    """`relation_residuals` by matrix products throughout, with the Serre
+    relations as q-binomial sums: the reference for the entrywise K X -
+    q^e X K, the diagonal commutators and the nested q-commutators."""
     rep = qgroup.spin_rep(N)
     k, d = rep.k, rep.dim
     ident = SparseMatrix.identity(d)
@@ -79,8 +93,8 @@ def product_relation_residuals(N: int) -> dict:
             out[f"[K{i}, K{j}]"] = K * rep.K(j) - rep.K(j) * K
             pw = 2 * root_pairing(N, i, j)
             for name, X, e in (("E", rep.E(j), pw), ("F", rep.F(j), -pw)):
-                out[f"K{i} {name}{j} K{i}^-1"] = (K * X * Ki
-                                                  - X.scale(q_power(e)))
+                out[f"K{i} {name}{j} K{i}^-1"] = (
+                    K * X - (X * K).scale(q_power(e)))
             comm = rep.E(i) * rep.F(j) - rep.F(j) * rep.E(i)
             if i == j:
                 qi = rep.qi(i)
@@ -91,7 +105,7 @@ def product_relation_residuals(N: int) -> dict:
             if i == j:
                 continue
             m = 1 - cartan_entry(N, i, j)
-            coefs = [qbinom.__wrapped__(m, s, rep.qi(i)) for s in range(m + 1)]
+            coefs = [qbinom(m, s, rep.qi(i)) for s in range(m + 1)]
             for name, X in (("E", rep.E), ("F", rep.F)):
                 pows = [ident]
                 for _ in range(m):
@@ -102,6 +116,61 @@ def product_relation_residuals(N: int) -> dict:
                     acc = acc + (piece if s % 2 == 0 else -piece)
                 out[f"Serre {name} {i},{j}"] = acc
     return out
+
+
+# -- the nested q-commutators against the expanded relations -------------------
+
+# entries of one ring, and q in it
+RINGS = {"Scalar": (st.sampled_from([ONE, -ONE, TWO, V, QQ, I * V ** -3,
+                                     V + TWO, ONE / (QQ + ONE)]), QQ),
+         "GaussRat": (st.builds(GaussRat, st.integers(-2, 2),
+                                st.integers(-1, 1)),
+                      QQ.specialize(GaussRat(1, 1)))}
+
+
+@st.composite
+def relation_operands(draw):
+    """(a, b, q, p, d): random sparse square a and b over one ring, its q,
+    and nonzero scalars p and d of it."""
+    entry, q = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    n = draw(st.integers(1, 4))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    a, b = (SparseMatrix(n, n, {rc: x for rc, x in draw(
+        st.dictionaries(cells, entry, max_size=8)).items() if x})
+        for _ in range(2))
+    nonzero = entry.filter(bool)
+    return a, b, q, draw(nonzero), draw(nonzero)
+
+
+@settings(max_examples=50, deadline=None)
+@given(relation_operands())
+@example((SparseMatrix(2, 2, {(0, 1): V, (1, 1): QQ}),
+          SparseMatrix(2, 2, {(0, 0): TWO, (1, 0): ONE}), QQ, -(QQ ** 2),
+          ONE + V ** 4))
+def test_nested_q_commutators_equal_the_expanded_relations(ops):
+    # (ad X)^m Y by nested q-commutators against the q-binomial sum for
+    # m = 1, 2, 3 and q_i = q, q^2, and `cubic_residuals` against a^2 b -
+    # (p + p^-1) aba + b a^2 - b in eight products, with and without a
+    # cleared denominator d: on random matrices, nonzero residuals included
+    a, b, q, p, d = ops
+    n = a.nrows
+    for qi in (q, q ** 2):
+        for m in (1, 2, 3):
+            got = b
+            for s in range(m):
+                got = commutator(a, got, qi ** (m - 1 - 2 * s))
+            want = SparseMatrix(n, n)
+            for s in range(m + 1):
+                piece = reduce(mul, [a] * (m - s) + [b] + [a] * s).scale(
+                    qbinom(m, s, qi))
+                want = want + (piece if s % 2 == 0 else -piece)
+            assert got == want, (qi, m)
+    mid = -(p + p.inv())
+    aa, ab, ba, bb = a * a, a * b, b * a, b * b
+    want = (a * (ab + ba.scale(mid)) + b * aa - b,
+            b * (ba + ab.scale(mid)) + a * bb - a)
+    assert cubic_residuals(a, b, p) == want
+    assert cubic_residuals(a.scale(d), b.scale(d), p, d) == want
 
 
 def same_residuals(got: dict, want: dict) -> bool:
@@ -167,15 +236,8 @@ class OffDiagonalK1(SpinRep):
 
 
 def test_conjugation_residual_off_the_diagonal(monkeypatch):
-    # a K that is not diagonal takes the products, and a diagonal K with
-    # an entry missing (zero) the per-entry path: both as the products
-    rep = SpinRep(4)
-    K, Ki, X = rep.K(1), rep.K(1, -1), rep.E(1)
-    K0 = SparseMatrix(K.nrows, K.ncols,
-                      {rc: x for rc, x in K.data.items() if rc != (1, 1)})
-    assert any(r == 1 for r, _ in X.data)
-    assert qgroup._conjugation_residual(K0, Ki, X, QQ) == (
-        K0 * X * Ki - X.scale(QQ))
+    # a K that is not diagonal takes commutator's product path, as the
+    # products
     monkeypatch.setattr(qgroup, "spin_rep", OffDiagonalK1)
     res = relation_residuals(4)
     assert not res["K1 E1 K1^-1"].is_zero()
