@@ -20,7 +20,8 @@ from math import comb
 from .ring import (CheckFailure, GaussRat, GR_ONE, P, PoleError,
                    require_generic)
 from .linalg import (random_point, commutant_dimension, certify_blocks,
-                     highest_weight_restriction, first_nonzero)
+                     highest_weight_restriction, first_nonzero, matrix_rank,
+                     vstack)
 from . import qgroup, intertwiner, coideal, combinat
 
 
@@ -48,10 +49,6 @@ MAX_OPERATOR_BITS = 12
 # (2-core Xeon, Python 3.11).  Size alone does not fix the time: dense
 # blocks are slower, and the 28 of (3, 8) took 124 s.
 MAX_FFT_BLOCK = 35
-# fft's commutant cross-check (n <= 3) has `_commutant_unknowns` unknowns.
-# At 46656, (12, 2) takes 5 s and (13, 2) 17.8 s; at 160000, (8, 3) takes
-# 37 s and 141 MB, and (9, 3) 836 s (2-core Xeon, Python 3.11).
-MAX_COMMUTANT_UNKNOWNS = 46656
 # A table takes n tensor steps, each adding the 2^k weights of S to at most
 # C(n//2 + k, k) dominant weights.  At n 2^k C(n//2 + k, k) = 1.1e7, (24, 6)
 # takes 3.7 s; at 1.4e7, (5, 300) takes 16 s (2-core Xeon, Python 3.11).
@@ -138,18 +135,6 @@ def _check_config(modes: dict, N: int, n: int) -> None:
                               f"highest-weight block of size {m} at weight "
                               f"({combinat.fmt_weight(w)}), above the limit "
                               f"{MAX_FFT_BLOCK}")
-        if n <= 3 and _commutant_unknowns(N, n) > MAX_COMMUTANT_UNKNOWNS:
-            raise ConfigError(f"suite 'fft' at N={N} n={n} would count a "
-                              f"commutant of {_commutant_unknowns(N, n)} "
-                              f"unknowns, above the limit "
-                              f"{MAX_COMMUTANT_UNKNOWNS}")
-
-
-def _commutant_unknowns(N: int, n: int) -> int:
-    """Unknowns of the commutant of the Delta(K_i) on S^(x)n: the sum over
-    weights of (weight-space size)^2, which is sum_j C(n, j)^2 = C(2n, n)
-    per weight coordinate, C(2n, n)^k in all, k = N // 2."""
-    return comb(2 * n, n) ** (N // 2)
 
 
 def _check_table_work(what: str, N: int, n: int) -> None:
@@ -271,109 +256,115 @@ def twist_commutant(Nparam: int) -> int:
 
 
 def fft_counts(N: int, n: int, seed: int):
-    """(closure dim, sum of m^2, commutant dim or None, all equal?)
+    """(closure dim, sum of m^2, sum of m^2 for n <= 3 else None, equal?)
 
-    The closure is the dimension of the algebra A_P generated by the B_i
-    (and F for N even) at the point v0 = _point(seed), reduced mod P and
-    restricted to the highest-weight space W, one block M_lambda per
-    weight lambda of `qgroup.dominant_columns`: the joint kernel of the
-    Delta(E_i) on the columns of weight lambda, which every generator
-    keeps (`linalg.highest_weight_restriction` raises CheckFailure if
-    not).  The blocks span an invariant subspace, and a closure there can
-    only fall short, so reaching sum m_lambda^2 still certifies the count;
-    at a generic point nothing is lost, as every highest-weight vector has
-    a dominant weight (see `intertwiner.check_cubic`).  Each block must
-    have the size m_lambda of its weight in the table, or this raises
-    CheckFailure.  The closure runs once per block
-    (`linalg.certify_blocks`), never on W as a whole.  Why the blocks
-    certify the claim:
+    The closure is the dimension of the algebra A_P that the B_i (and F
+    for N even) generate at v0 = _point(seed) mod P, restricted to the
+    highest-weight space W: one block M_lambda per weight lambda of
+    `qgroup.dominant_columns`, the joint kernel W_lambda of the Delta(E_i)
+    on the columns of weight lambda, which every generator must keep
+    (`linalg.highest_weight_restriction`) and which must have the size
+    m_lambda of lambda in the table.  The closure runs once per block
+    (`linalg.certify_blocks`).  The lower bound:
 
     - Each block's closure is m_lambda^2: A_P maps onto End(M_lambda), so
       M_lambda is absolutely irreducible.
     - The blocks are pairwise non-isomorphic A_P-modules: blocks of
       different sizes trivially, and each equal-size pair by a word in
-      the generators with different traces on the two (a pair that no
-      word separates raises CheckFailure).
+      the generators with different traces on the two.
     - Jacobson density (Wedderburn on the semisimple quotient, with the
       Chinese remainder theorem over the distinct simple modules) then
       says A_P maps onto the sum of the End(M_lambda), so dim A_P on W is
-      the sum of the block closures, sum m_lambda^2.
-    - Restriction to an invariant subspace is an algebra quotient, and
-      rank can only drop under reduction mod P.  So the F_P closure on
-      the highest-weight space is at most the Q(i) dimension of A(v0),
-      the algebra the generators span at v0.
-    - A(v0) lies in the commutant of the coproduct image (test_02's
-      commutation, specialized), which at a point that is not a root of
-      unity is semisimple of dimension sum m_lambda^2.
-    - So a closure of sum m_lambda^2 certifies equality.  A bad prime or
-      point can only make a block fall short or a pair stay unseparated
-      (a reported failure), never pass a wrong claim.
+      sum m_lambda^2.
+    - Restriction to the invariant W is an algebra quotient, and rank can
+      only drop mod P, so closure_P <= dim A(v0), the algebra the
+      generators span over Q(i) at v0.
 
-    Every operator is built at v0 mod P (`qgroup.coproduct_generators`,
-    `coideal.duality_rep`), none on S^(x)n over Q(i)(v).  For n <= 3 the
-    commutant of the Delta(K_i) and Delta(E_i) on the whole space is also
-    counted, over F_P at v0 mod P, as a cross-check that needs no
-    highest-weight theory (`_check_config` refuses it above
-    MAX_COMMUTANT_UNKNOWNS).  It certifies com_Q(i)(K,E,F), the commutant
-    of the whole coproduct image over Q(i) at v0:
+    The upper bound is a certificate over F_P at vp = v0 mod P on all of
+    V = S^(x)n, at every n:
 
-    - Dropping the Delta(F_i) rows can only raise the nullity, so
-      com_P(K,E) >= com_P(K,E,F).
-    - Reducing the constraint rows mod P can only drop their rank, and
-      joint eigenspaces of the diagonal generators that merge mod P only
-      add unknowns, which cannot lower the nullity.  So com_P(K,E,F) >=
-      com_Q(i)(K,E,F).
-    - A(v0) lies in the commutant, so com_Q(i)(K,E,F) >= dim A(v0) >=
-      closure = sum m_lambda^2.
-    - So com_P(K,E) = sum m_lambda^2 pins com_Q(i)(K,E,F), as the full
-      count did; a bad prime or point can only make the count too large,
-      a reported failure.
+    1. Weights separate: no two column weights (`qgroup.column_weight`)
+       share a signature of the diagonal Delta(K_i) (`_check_weights`).
+       So an X that commutes with the Delta(K_i) keeps each V_mu.
+    2. F lowers weight: every stored entry (r, c) of Delta(E_i) has
+       weight(r) = weight(c) + alpha_i, doubled (`_check_weights`).  So
+       Delta(F_i) = Delta(E_i)^T lowers weight, and the algebra the
+       Delta(F_i) generate is nilpotent.
+    3. Rank: the W_lambda and the columns of the Delta(F_i) span all
+       2^(kn) columns (`linalg.matrix_rank`).  So V = W + sum_i Delta(F_i)
+       V, and by 2, V = U^- W, U^- the unital algebra of the Delta(F_i).
+    4. Bound: an X that commutes with the Delta(K_i), Delta(E_i) and
+       Delta(F_i) maps W_lambda into the kernel of the Delta(E_i) on
+       V_lambda, which is W_lambda, and it is fixed by its values on W,
+       as V = U^- W.  So com_P(K,E,F) <= sum m_lambda^2.
+    5. Chain: sum m_lambda^2 = closure_P <= dim A(v0) <= dim A_Q(i)(v)
+       <= com_Q(i)(v) <= com(v0) <= com_P <= sum m_lambda^2, so all are
+       equal at this (N, n), and no theorem is cited.  The third <= is
+       test_02's symbolic commutation; in the others a rank can only drop
+       under specialization or mod P, and a nullity can only rise.
 
-    That it reaches sum m_lambda^2 at a generic point is explained by a
-    simple module being cyclic over U_q(b+) on its lowest-weight vector,
-    so End_{U_q(b+)}(V) = End_{U_q}(V) for semisimple V (Jantzen,
-    Lectures on Quantum Groups, ch. 5); the certificate does not rest on
-    it.
+    A bad point or prime can only make a block or the rank fall short,
+    leave a pair unseparated or merge two weights: a CheckFailure naming
+    the block, pair, weight or entry, never a pass.
     """
     return fft_certificate(N, n, seed)[0]
 
 
+def _check_weights(N: int, n: int, K, E) -> None:
+    """Steps 1 and 2 of `fft_counts`; a failure names the weights or entry."""
+    fmt, seen = combinat.fmt_weight, {}
+    wt = [qgroup.column_weight(N, n, j) for j in range(K[0].nrows)]
+    for j, w in enumerate(wt):
+        u = seen.setdefault(tuple(dK.data.get((j, j)) for dK in K), w)
+        if u != w:
+            raise CheckFailure(f"weights ({fmt(u)}) and ({fmt(w)}) share "
+                               f"one Delta(K_i) signature mod {P}")
+    for i, (dE, a) in enumerate(zip(E, qgroup.simple_roots(N)), 1):
+        for r, c in dE.data:
+            up = tuple(x + 2 * y for x, y in zip(wt[c], a))
+            if wt[r] != up:
+                raise CheckFailure(f"Delta(E{i}) entry ({r}, {c}) maps "
+                                   f"weight ({fmt(wt[c])}) to ({fmt(wt[r])})"
+                                   f", not to ({fmt(up)})")
+
+
 def fft_certificate(N: int, n: int, seed: int):
     """(the `fft_counts` tuple, [(block label, m_lambda, closure) per
-    block], the pair separations of `linalg.certify_blocks`, each word as
-    the names B1 .. B{n-1}, F of its generators); a block is labelled by
-    its weight in parentheses, as `spindual fft` prints it."""
+    block], the pair separations of `linalg.certify_blocks` with each word
+    as the names B1 .. B{n-1}, F, the lowering span's rank); a block label
+    is its weight in parentheses, as `spindual fft` prints it."""
     v0 = _point(seed)
     require_generic(v0)
     vp = v0.mod_p(P)
     K, E = qgroup.coproduct_generators(N, n, vp, P)
+    _check_weights(N, n, K, E)
     r = coideal.duality_rep(N, n, vp, P)
     named = [(f"B{i}", b) for i, b in enumerate(r.B, 1)]
     named += [("F", r.F)] if r.F is not None else []
     table = combinat.spinor_table(N, n)
-    found = highest_weight_restriction([g for _, g in named], E,
-                                       qgroup.dominant_columns(N, n))
-    for w, cols, _ in found:
-        if table.get(w) != len(cols):
+    found, W = highest_weight_restriction([g for _, g in named], E,
+                                          qgroup.dominant_columns(N, n))
+    sizes = {w: len(cols) for w, cols, _ in found}
+    for w in sorted(sizes.keys() | table.keys(), reverse=True):
+        if sizes.get(w, 0) != table.get(w, 0):
             raise CheckFailure(
                 f"highest-weight block at weight ({combinat.fmt_weight(w)}) "
-                f"has size {len(cols)}, not its multiplicity {table.get(w)}")
+                f"has size {sizes.get(w, 0)}, not its multiplicity "
+                f"{table.get(w, 0)}")
     blocks = [(f"({combinat.fmt_weight(w)})", len(cols), gens)
               for w, cols, gens in found]
-    if len(blocks) != len(table):
-        raise CheckFailure(f"{len(blocks)} highest-weight blocks for "
-                           f"{len(table)} weights of S^(x){n}")
+    # the columns of Delta(F_i) = Delta(E_i)^T are the rows of Delta(E_i)
+    span = matrix_rank(vstack([W.transpose()] + E))
+    if span != W.nrows:
+        raise CheckFailure(f"the highest-weight vectors and the Delta(F_i) "
+                           f"span {span} of {W.nrows} columns")
     closures, seps = certify_blocks(blocks)
     closure = sum(closures)
     sm = sum(m * m for _, m, _ in blocks)
-    com = None
-    if n <= 3:
-        com = commutant_dimension(K + E, K[0].nrows)
-    ok = closure == sm and (com is None or com == sm)
-    return ((closure, sm, com, ok),
+    return ((closure, sm, sm if n <= 3 else None, closure == sm),
             [(w, m, c) for (w, m, _), c in zip(blocks, closures)],
             [(a, b, [named[i][0] for i in word], t)
-             for a, b, word, t in seps])
+             for a, b, word, t in seps], span)
 
 
 def _signed(x: int) -> int:
@@ -386,7 +377,8 @@ def run_fft(args) -> int:
     _check_config({"fft": "spec"}, N, n)
     print(f"N={N} n={n} seed={args.seed}")
     try:
-        (closure, sm, com, ok), blocks, seps = fft_certificate(N, n, args.seed)
+        (closure, sm, _, ok), blocks, seps, span = fft_certificate(
+            N, n, args.seed)
     except CheckFailure as exc:
         print(f"VERDICT: MISMATCH ({exc})")
         return 1
@@ -400,8 +392,8 @@ def run_fft(args) -> int:
               f"{_signed(ta)} vs {_signed(tb)}")
     print(f"algebra closure dim : {closure}")
     print(f"sum of m^2          : {sm}")
-    if com is not None:
-        print(f"commutant dim (mod p): {com}")
+    print(f"lowering span       : {span} of {(1 << N // 2) ** n} columns "
+          f"(commutant <= sum of m^2)")
     print("VERDICT:", "equal" if ok else "MISMATCH")
     return 0 if ok else 1
 
@@ -440,7 +432,11 @@ def run_table(args) -> int:
             raise ConfigError("table spectrum has no fusion truncation: "
                               "drop --level")
         _check_config({"spectrum": q}, N, n)
-        rep = intertwiner.spectrum_of_C(N, classical=q == "one")
+        try:
+            rep = intertwiner.spectrum_of_C(N, classical=q == "one")
+        except CheckFailure as exc:     # a check failed on purpose: exit 1
+            print(f"spectrum verification failed: {exc}", file=sys.stderr)
+            return 1
         if not rep.complete:
             print("spectrum verification failed", file=sys.stderr)
             return 1

@@ -318,12 +318,15 @@ class EchelonBasis:
 
 
 def _echelon(m: SparseMatrix) -> EchelonBasis:
-    """The rows of m in an EchelonBasis over m's ring."""
+    """The rows of m in an EchelonBasis over m's ring, inserted in order
+    until the rank is m.ncols: then every column is a pivot."""
     basis = EchelonBasis(m.p)
     by_row = {}
     for (r, c), v in m.data.items():
         by_row.setdefault(r, {})[c] = v
     for row in by_row.values():
+        if len(basis) == m.ncols:
+            break
         basis.insert(row)
     return basis
 
@@ -374,8 +377,9 @@ def highest_weight_restriction(gens, raising, weights: dict):
     """Restrict `gens` to W, the joint kernel of the `raising` operators
     over their ring, one block per weight: `weights` is {column:
     weight} on the columns to search, as `qgroup.dominant_columns` gives
-    it, and the result is a list of (weight, free columns, restricted
-    generators), from the highest weight down.
+    it, and the result is (blocks, W): blocks is a list of (weight, free
+    columns, restricted generators), from the highest weight down, and
+    the columns of W are the kernel vectors w_f, block by block.
 
     A block is the `nullspace` of the stacked raising operators on the
     columns of its weight, every row kept: they map those columns to other
@@ -424,7 +428,7 @@ def highest_weight_restriction(gens, raising, weights: dict):
                 parts[wt][(pos[r], pos[f])] = x
         for wt, fs, ms in out:
             ms.append(SparseMatrix(len(fs), len(fs), parts[wt], p))
-    return out
+    return out, W
 
 
 def _flatten(m: SparseMatrix) -> dict:

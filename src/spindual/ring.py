@@ -638,7 +638,7 @@ def qint(n) -> Scalar:
     if isinstance(n, tuple):
         if len(n) != 2 or n[1] != 2:
             raise ValueError("a half-integer quantum integer is (p, 2), "
-                             "in the default base q")
+                             "for [p/2] in base q")
         return (Scalar.v_power(n[0]) - Scalar.v_power(-n[0])) / (QQ - QQ.inv())
     return (QQ ** n - QQ ** (-n)) / (QQ - QQ.inv())
 

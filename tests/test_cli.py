@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -96,6 +97,19 @@ def test_spectrum_table(capsys):
     assert doc["mode"] == "symbolic"
 
 
+def test_spectrum_table_check_failure_exits_1(monkeypatch, capsys):
+    # v = 0 is never a valid point for the counts: spectrum_of_C raises
+    # CheckFailure on purpose, which the table reports as a failed check
+    # on stderr (exit 1), as `verify spectrum` does, not as a crash
+    monkeypatch.setattr(linalg, "SPECTRUM_POINT", 0)
+    assert main(["table", "spectrum", "--N", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("spectrum verification failed: spectrum counts "
+                          "at v = 0 mod ")
+    assert main(["verify", "spectrum", "--N", "4"]) == 1
+
+
 @pytest.mark.parametrize("kind", ["multiplicities", "complements"])
 def test_combinatorial_tables_have_no_mode(capsys, kind):
     # no q enters these tables, so neither the header nor the JSON names one
@@ -187,23 +201,51 @@ def test_unseparated_pair_is_a_failure(monkeypatch, capsys, argv, want):
     assert code == 1 and want in out
 
 
-def test_fft_commutant_of_the_K_alone_is_a_mismatch(monkeypatch, capsys):
-    # control for the Delta(K_i), Delta(E_i) cross-check: the commutant
-    # of the diagonal Delta(K_i) alone overshoots sum m^2 = 70
-    count = cli.commutant_dimension
-    monkeypatch.setattr(cli, "commutant_dimension", lambda gens, dim: count(
-        [g for g in gens if g.is_diagonal()], dim))
+def test_fft_without_delta_f1_is_a_mismatch(monkeypatch, capsys):
+    # control for the lowering span: without the rows of Delta(E_1), the
+    # columns of Delta(F_1), the span falls short and names its rank
+    stack = cli.vstack
+    monkeypatch.setattr(cli, "vstack", lambda mats: stack(mats[:1] + mats[2:]))
+    for N, n, short in ((4, 3, "47 of 64"), (3, 4, "6 of 16")):
+        code, out = run(capsys, "fft", "--N", str(N), "--n", str(n),
+                        "--seed", "11")
+        assert code == 1 and out.endswith(
+            f"VERDICT: MISMATCH (the highest-weight vectors and the "
+            f"Delta(F_i) span {short} columns)\n"), (N, n)
+
+
+def _coproduct_with(monkeypatch, change):
+    build = qgroup.coproduct_generators
+    monkeypatch.setattr(qgroup, "coproduct_generators",
+                        lambda *args: change(*build(*args)))
+
+
+def test_fft_merged_weights_are_a_mismatch(monkeypatch, capsys):
+    # Delta(K_1) in place of Delta(K_2): the weights (3/2,3/2) and
+    # (1/2,1/2) get one signature, and the failure names both
+    _coproduct_with(monkeypatch, lambda K, E: ([K[0]] * len(K), E))
     code, out = run(capsys, "fft", "--N", "4", "--n", "3", "--seed", "11")
-    com = int(out.split("commutant dim (mod p): ")[1].split()[0])
-    assert code == 1 and com > 70 and "VERDICT: MISMATCH" in out
+    assert code == 1 and out.endswith(
+        f"VERDICT: MISMATCH (weights (3/2,3/2) and (1/2,1/2) share one "
+        f"Delta(K_i) signature mod {P})\n")
+
+
+def test_fft_entry_off_its_root_is_a_mismatch(monkeypatch, capsys):
+    # Delta(F_1) in place of Delta(E_1) lowers the weight by alpha_1: the
+    # failure names the first entry and both weights
+    _coproduct_with(monkeypatch, lambda K, E: (K, [E[0].transpose()] + E[1:]))
+    code, out = run(capsys, "fft", "--N", "4", "--n", "3", "--seed", "11")
+    assert code == 1 and out.endswith(
+        "VERDICT: MISMATCH (Delta(E1) entry (32, 16) maps weight (3/2,1/2) "
+        "to (1/2,3/2), not to (5/2,-1/2))\n")
 
 
 FFT_OUTPUTS = os.path.join(os.path.dirname(__file__), "fft_outputs.json")
 
 
 def test_fft_output_is_unchanged(capsys):
-    # the whole report of `fft`, byte for byte, at sizes with and without
-    # the commutant line (n <= 3); kept in fft_outputs.json
+    # the whole report of `fft`, byte for byte, at n <= 3 and above; kept
+    # in fft_outputs.json
     with open(FFT_OUTPUTS) as fh:
         want = json.load(fh)
     assert len(want) == 10
@@ -555,19 +597,14 @@ def test_verify_so3_size_guard_exit_2(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [["fft", "--N", "9", "--n", "3"],
                                   ["fft", "--N", "8", "--n", "3"],
                                   ["verify", "fft", "--N", "8", "--n", "3"]])
-def test_fft_commutant_size_guard_exit_2(monkeypatch, capsys, argv):
-    # a commutant cross-check above MAX_COMMUTANT_UNKNOWNS is refused
-    # before any operator is built
-    def never(*args):
-        raise AssertionError("operator built")
-    monkeypatch.setattr(qgroup, "coproduct_generators", never)
-    monkeypatch.setattr(coideal, "duality_rep", never)
-    t0 = time.perf_counter()
-    code = main(argv + ["--seed", "11"])
-    out, err = capsys.readouterr()
-    assert code == 2 and time.perf_counter() - t0 < 1
-    assert out == "" and "suite 'fft'" in err and "160000 unknowns" in err
-    assert "above the limit" in err and "Traceback" not in err
+def test_fft_at_n3_has_no_commutant_limit(capsys, argv):
+    # (8, 3) and (9, 3), refused while fft solved for the commutant, are
+    # certified by the lowering span over all 4096 columns
+    code, out = run(capsys, *argv, "--seed", "11")
+    assert code == 0 and ("VERDICT: equal" in out if argv[0] == "fft"
+                          else "PASS" in out and "FAIL" not in out)
+    if argv[0] == "fft":
+        assert "lowering span       : 4096 of 4096 columns" in out
 
 
 @pytest.mark.parametrize("N,n,want", [
@@ -575,18 +612,20 @@ def test_fft_commutant_size_guard_exit_2(monkeypatch, capsys, argv):
     (7, 3, 8000), (12, 2, 46656), (13, 2, 46656), (8, 3, 160000),
     (9, 3, 160000)])
 def test_commutant_unknowns_are_the_signature_count(N, n, want):
-    # C(2n, n)^k against the sum of the squared sizes of the joint
-    # eigenspaces of the Delta(K_i) at v0 = 5 mod P, the unknowns that
-    # linalg.commutant_dimension solves for; the limit refuses exactly
-    # the last two sizes
-    K, _ = qgroup.coproduct_generators(N, n, 5, P)
-    sizes = {}
+    # C(2n, n)^k, k = N // 2, against the sum of the squared sizes of the
+    # joint eigenspaces of the Delta(K_i) at v0 = 5 mod P, the unknowns
+    # that linalg.commutant_dimension solves for on the Delta(K_i); each
+    # eigenspace is one weight space, as fft's weight check requires
+    K, E = qgroup.coproduct_generators(N, n, 5, P)
+    sizes, weights = {}, {}
     for j in range(K[0].nrows):
         sig = tuple(dK.data.get((j, j)) for dK in K)
         sizes[sig] = sizes.get(sig, 0) + 1
-    assert sum(m * m for m in sizes.values()) == want
-    assert cli._commutant_unknowns(N, n) == want
-    assert (want > cli.MAX_COMMUTANT_UNKNOWNS) == (n == 3 and N in (8, 9))
+        weights.setdefault(sig, set()).add(qgroup.column_weight(N, n, j))
+    assert sum(m * m for m in sizes.values()) == want == comb(2 * n, n) ** (
+        N // 2)
+    assert all(len(ws) == 1 for ws in weights.values())
+    cli._check_weights(N, n, K, E)
 
 
 def test_table_below_the_work_limit_runs(monkeypatch, capsys):

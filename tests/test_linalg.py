@@ -48,6 +48,18 @@ def test_rank_and_nullspace():
     assert apply(m, ns[0]) == {}
 
 
+def test_rank_stops_inserting_at_full_column_rank(monkeypatch):
+    # once the rank is the column count, the later rows are not inserted:
+    # they cannot raise it, and every column is already a pivot
+    inserted = []
+    insert = EchelonBasis.insert
+    monkeypatch.setattr(EchelonBasis, "insert", lambda self, row: (
+        inserted.append(row), insert(self, row))[1])
+    m = SparseMatrix(4, 2, {(0, 0): 1, (1, 1): 2, (2, 0): 3, (3, 1): 1}, P)
+    assert matrix_rank(m) == 2 and len(inserted) == 2
+    assert nullspace(m) == [] and len(inserted) == 4
+
+
 def test_echelon_detects_dependence():
     b = EchelonBasis()
     assert b.insert({0: ONE, 1: TWO})
@@ -127,9 +139,11 @@ def test_hw_restriction_rejects_non_invariant_generators():
     N, n = 3, 3
     vp, raising, weights, lowering = _reduced_coproduct(N, n, cli._point(11))
     gens = coideal.duality_rep(N, n, vp, P).B
-    blocks = highest_weight_restriction(gens, raising, weights)
+    blocks, W = highest_weight_restriction(gens, raising, weights)
     assert [(w, len(cols)) for w, cols, _ in blocks] == [((3,), 1), ((1,), 2)]
     assert all(len(ms) == len(gens) for _, _, ms in blocks)
+    # W holds the kernel vectors, one column per free column of a block
+    assert W.ncols == 3 and all((e * W).is_zero() for e in raising)
     with pytest.raises(ArithmeticError, match="does not preserve"):
         highest_weight_restriction(gens + lowering[:1], raising, weights)
 
@@ -196,7 +210,7 @@ def _blocks(N, n, seed=11):
     gens = _generators(coideal.duality_rep(N, n, vp, P))
     _, E = qgroup.coproduct_generators(N, n, vp, P)
     return gens, E, highest_weight_restriction(
-        gens, E, qgroup.dominant_columns(N, n))
+        gens, E, qgroup.dominant_columns(N, n))[0]
 
 
 def test_certify_blocks_separates_the_pairs():
@@ -227,12 +241,11 @@ def test_trace_words_separate_every_accepted_pair():
     # at every accepted size and both seeds of the CLI tests, each pair of
     # equal-size blocks has a word of up to WORD_LENGTH generators with
     # different traces on the two, so certify_blocks never raises for an
-    # unseparated pair there (the closures are not run); also at (8, 3)
-    # and (9, 3), which only the commutant cross-check's limit refuses
+    # unseparated pair there (the closures are not run)
     sizes = _fft_sizes()
-    assert len(sizes) == 27 and (3, 8) in sizes and (13, 2) in sizes
+    assert len(sizes) == 29 and (3, 8) in sizes and (13, 2) in sizes
     pairs = 0
-    for N, n in sizes + [(8, 3), (9, 3)]:
+    for N, n in sizes:
         for seed in (11, 23):
             _, _, found = _blocks(N, n, seed)
             for a, (wa, cols, ga) in enumerate(found):
@@ -389,7 +402,9 @@ def test_verify_spectrum_negative_controls():
 @pytest.mark.parametrize("N,n,want", [(3, 3, 5), (4, 2, 10), (5, 2, 3),
                                       (4, 3, 70)])
 def test_commutant_mod_p_matches_gaussian(N, n, want):
-    # the commutant of the coproduct image at v0, over Q(i) and over F_P
+    # the commutant of the coproduct image at v0, over Q(i) and over F_P,
+    # is sum m^2: the independent solver's check of what `fft` bounds by
+    # its lowering span
     K, E = qgroup.coproduct_generators(N, n)
     gens = K + E + [e.transpose() for e in E]
     dim = (1 << qgroup.rank_of(N)) ** n
@@ -404,8 +419,8 @@ def test_commutant_mod_p_matches_gaussian(N, n, want):
 @pytest.mark.parametrize("N,n,want", [(3, 3, 5), (4, 2, 10), (5, 2, 3),
                                       (4, 3, 70), (5, 3, 14)])
 def test_commutant_of_the_borel_half(N, n, want):
-    # `fft`'s cross-check counts the commutant of the Delta(K_i) and
-    # Delta(E_i) only: it reaches the full commutant and sum m^2 over F_P
+    # the commutant of the Delta(K_i) and Delta(E_i) only, counted by the
+    # independent solver, reaches the full commutant and sum m^2 over F_P
     # (and over Q(i) at the three smallest sizes), while the Delta(K_i)
     # alone leave it above sum m^2
     for seed in (11, 23):

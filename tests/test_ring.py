@@ -48,7 +48,7 @@ def test_qint_values():
 
 @pytest.mark.parametrize("n", [(1, 3), (1, 2, 2)])
 def test_qint_half_integer_needs_p_over_2_in_base_q(n):
-    with pytest.raises(ValueError, match=r"\(p, 2\), in the default base q"):
+    with pytest.raises(ValueError, match=r"\(p, 2\), for \[p/2\] in base q"):
         qint(n)
 
 
