@@ -32,8 +32,8 @@ SPIN_SUITES = ("relations", "commutation", "cubic", "spectrum", "integrality",
                "fft")
 # The --q modes each suite runs in, its default first: "sym" over Q(i)(v)
 # (or exactly, with no q at all), "one" at q = 1, "spec" at the point of
-# --seed.  A single suite refuses a mode it lacks; `all` runs each suite
-# in the asked mode where it has one and in its default elsewhere.
+# --seed.  They are the --q choices of the suite's parser; `all` runs each
+# suite in the asked mode where it has one and in its default elsewhere.
 MODES = {"relations": ("sym",), "commutation": ("sym",),
          "cubic": ("sym", "one", "spec"), "spectrum": ("sym", "one"),
          "duality": ("sym",), "fft": ("spec",), "tl": ("sym",),
@@ -155,30 +155,12 @@ def _point(seed: int) -> GaussRat:
     return random_point(random.Random(seed))
 
 
-def _suite_modes(suites, q) -> dict:
-    """{suite: the --q mode it runs in}.  With no --q every suite runs in
-    its default; a single suite must have the mode asked for, or this
-    raises ConfigError; `all` falls back to each suite's default."""
-    out = {}
-    for suite in suites:
-        modes = MODES[suite]
-        if q is None or (q not in modes and len(suites) > 1):
-            out[suite] = modes[0]
-        elif q not in modes:
-            raise ConfigError(
-                f"suite {suite!r} does not run with --q {q}: use "
-                f"{' or '.join('--q ' + m for m in modes)}")
-        else:
-            out[suite] = q
-    return out
-
-
 def run_verify(args) -> int:
     rep = Reporter()
     N = args.N
     n = args.n
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    modes = _suite_modes(suites, args.q)
+    modes = {s: args.q if args.q in MODES[s] else MODES[s][0] for s in suites}
     _check_config(modes, N, n)
     if "spec" in modes.values():
         print(f"# specialization point v = {_point(args.seed)!r} "
@@ -312,8 +294,7 @@ def fft_counts(N: int, n: int, seed: int):
 
 def _check_weights(N: int, n: int, K, E) -> None:
     """Steps 1 and 2 of `fft_counts`; a failure names the weights or entry."""
-    fmt, seen = combinat.fmt_weight, {}
-    wt = [qgroup.column_weight(N, n, j) for j in range(K[0].nrows)]
+    fmt, seen, wt = combinat.fmt_weight, {}, qgroup.column_weights(N, n)
     for j, w in enumerate(wt):
         u = seen.setdefault(tuple(dK.data.get((j, j)) for dK in K), w)
         if u != w:
@@ -399,14 +380,22 @@ def run_fft(args) -> int:
 
 
 def run_table(args) -> int:
-    N, n, q = args.N, args.n, args.q or "sym"
-    mode = "classical" if q == "one" else "symbolic"
-    doc = {"N": N, "n": n, "mode": mode, "entries": []}
-    if args.kind in ("multiplicities", "complements"):
-        if args.q is not None:
-            raise ConfigError(f"table {args.kind} is combinatorial and has "
-                              f"no --q mode")
-        del doc["mode"]     # no q enters these tables
+    N, n = args.N, args.n
+    doc = {"N": N, "n": n}
+    if args.kind == "spectrum":
+        doc["mode"] = "classical" if args.q == "one" else "symbolic"
+        _check_config({"spectrum": args.q}, N, n)
+        try:
+            rep = intertwiner.spectrum_of_C(N, classical=args.q == "one")
+        except CheckFailure as exc:     # a check failed on purpose: exit 1
+            print(f"spectrum verification failed: {exc}", file=sys.stderr)
+            return 1
+        if not rep.complete:
+            print("spectrum verification failed", file=sys.stderr)
+            return 1
+        doc["entries"] = [{"eigenvalue": repr(val), "multiplicity": mult}
+                          for val, mult in rep.multiplicities.items()]
+    else:
         _check_table_work("table", N, n)
         table = combinat.spinor_table(N, n, args.level)
         if not table:
@@ -416,33 +405,11 @@ def run_table(args) -> int:
             raise ConfigError(f"no weight of S^(x){n} is admissible at "
                               f"level {args.level}: S itself needs level >= "
                               f"{N - 1}")
-        for w in sorted(table, reverse=True):
-            comp = combinat.complement(w, N, n)
-            doc["entries"].append({
-                "weight": list(w),
-                "multiplicity": table[w],
-                "complement": list(comp),
-                "dimension": combinat.weyl_dim(w, N),
-            })
-    elif args.kind == "spectrum":
-        if q == "spec":
-            raise ConfigError("table spectrum has no specialized mode: use "
-                              "--q sym or --q one")
-        if args.level is not None:
-            raise ConfigError("table spectrum has no fusion truncation: "
-                              "drop --level")
-        _check_config({"spectrum": q}, N, n)
-        try:
-            rep = intertwiner.spectrum_of_C(N, classical=q == "one")
-        except CheckFailure as exc:     # a check failed on purpose: exit 1
-            print(f"spectrum verification failed: {exc}", file=sys.stderr)
-            return 1
-        if not rep.complete:
-            print("spectrum verification failed", file=sys.stderr)
-            return 1
-        for val, mult in rep.multiplicities.items():
-            doc["entries"].append({"eigenvalue": repr(val),
-                                   "multiplicity": mult})
+        doc["entries"] = [{"weight": list(w),
+                           "multiplicity": table[w],
+                           "complement": list(combinat.complement(w, N, n)),
+                           "dimension": combinat.weyl_dim(w, N)}
+                          for w in sorted(table, reverse=True)]
     out = render(doc, args.format)
     if args.out:
         with open(args.out, "w") as fh:
@@ -488,28 +455,34 @@ def build_parser():
     p = argparse.ArgumentParser(prog="spindual")
     sub = p.add_subparsers(dest="command", required=True)
     flags = {"--level": dict(type=int, default=None),
-             "--q": dict(choices=("sym", "one", "spec"), default=None),
              "--seed": dict(type=int, default=0),
              "--format": dict(choices=("json", "csv", "text"),
                               default="text"),
              "--out": dict(default=None)}
 
-    def command(name, run, *names):
-        """A subcommand that has --N, --n and only the flags it reads."""
-        sp = sub.add_parser(name)
+    def command(parent, name, run, *names, modes=()):
+        """A command that has --N, --n, only the flags it reads and, with
+        modes, --q choosing among them, the first by default."""
+        sp = parent.add_parser(name)
         sp.set_defaults(run=run)
         sp.add_argument("--N", type=int, default=5)
         sp.add_argument("--n", type=int, default=3)
+        if modes:
+            sp.add_argument("--q", choices=modes, default=modes[0])
         for flag in names:
             sp.add_argument(flag, **flags[flag])
-        return sp
 
-    verify = command("verify", run_verify, "--q", "--seed")
-    verify.add_argument("suite", choices=SUITES)
-    command("table", run_table, "--level", "--q", "--format",
-            "--out").add_argument("kind", choices=("multiplicities",
-                                                   "spectrum", "complements"))
-    command("fft", run_fft, "--seed")
+    suites = sub.add_parser("verify").add_subparsers(dest="suite",
+                                                     required=True)
+    for suite, modes in [*MODES.items(), ("all", tuple(MODE_LABELS))]:
+        command(suites, suite, run_verify,
+                *(("--seed",) if "spec" in modes else ()), modes=modes)
+    kinds = sub.add_parser("table").add_subparsers(dest="kind", required=True)
+    for kind in ("multiplicities", "complements"):
+        command(kinds, kind, run_table, "--level", "--format", "--out")
+    command(kinds, "spectrum", run_table, "--format", "--out",
+            modes=("sym", "one"))
+    command(sub, "fft", run_fft, "--seed")
     return p
 
 

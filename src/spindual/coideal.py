@@ -198,11 +198,8 @@ def duality_rep(N: int, n: int, v0=None, p: int = None) -> CoidealRep:
     d = 1 << k
     # the symbolic C under the cache key of the plain build_C_quantum(N)
     C = build_C_quantum(N) if v0 is None else build_C_quantum(N, v0, p)
-    param = -(QQ ** 2)
-    f = None if N % 2 else cl.parity(k, k)
-    if v0 is not None:
-        param = param.specialize(v0, p)
-        f = None if f is None else f.specialize(v0, p)
+    param = (-(QQ ** 2)).specialize(v0, p)
+    f = None if N % 2 else cl.parity(k, k).specialize(v0, p)
     B = [embed(C, d ** (i - 1), d ** (n - i - 1)) for i in range(1, n)]
     return CoidealRep(n, param, B,
                       None if f is None else embed(f, 1, d ** (n - 1)))

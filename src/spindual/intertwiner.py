@@ -63,18 +63,14 @@ def build_C_quantum(N: int, v0=None, p: int = None) -> SparseMatrix:
 def _kron_at(x: SparseMatrix, y: SparseMatrix, v0, p) -> SparseMatrix:
     """x (x) y; at a point v0 (mod a prime p), x and y are specialized
     there first."""
-    if v0 is not None:
-        x, y = x.specialize(v0, p), y.specialize(v0, p)
-    return x.kron(y)
+    return x.specialize(v0, p).kron(y.specialize(v0, p))
 
 
 def _f_term(N: int, v0=None, p: int = None) -> SparseMatrix:
     """(1/[2]) Omega_k^{-1} f_{2k} (x) Omega_k f_{2k}, with [2] = q + q^-1,
     at v0 as in `build_C_quantum`."""
     k = rank_of(N)
-    inv2 = (QQ + QQ.inv()).inv()
-    if v0 is not None:
-        inv2 = inv2.specialize(v0, p)
+    inv2 = (QQ + QQ.inv()).inv().specialize(v0, p)
     return _kron_at(c_op(k + 1, +1, N), d_op(k + 1, +1, N), v0, p).scale(inv2)
 
 

@@ -148,7 +148,9 @@ class SparseMatrix:
     def specialize(self, v0, p: int = None) -> "SparseMatrix":
         """Every entry at v = v0, a GaussRat, or at an int v0 mod a prime p
         (the new matrix's p); entries that vanish there are dropped, so no
-        zero is stored."""
+        zero is stored.  v0 None (no point) gives the matrix itself."""
+        if v0 is None:
+            return self
         out = {}
         for rc, v in self.data.items():
             x = v.specialize(v0, p)

@@ -147,6 +147,16 @@ def column_weight(N: int, n: int, j: int) -> tuple:
     return tuple(w)
 
 
+def column_weights(N: int, n: int) -> list:
+    """`column_weight` of every column of S^(x)n, in column order, as sums
+    of the 2^k weights of S, one tensor factor at a time, the first factor
+    slowest (kron)."""
+    wt = one = [column_weight(N, 1, m) for m in range(1 << rank_of(N))]
+    for _ in range(n - 1):
+        wt = [tuple(map(add, u, w)) for u in wt for w in one]
+    return wt
+
+
 def relation_residuals(N: int) -> dict:
     """{relation: residual} for every defining relation of the quantized
     orthogonal algebra on the spin representation: K_i K_i^-1 = 1,
@@ -241,10 +251,9 @@ def coproduct_generators(N: int, n: int, v0=None, p: int = None):
     rep = spin_rep(N)
     dK, dE = [], []
     for i in range(1, rep.k + 1):
-        K, kh, khi, E = rep.K(i), rep.Khalf(i), rep.Khalf(i, -1), rep.E(i)
-        if v0 is not None:
-            kh, khi, E = (m.specialize(v0, p) for m in (kh, khi, E))
-            K = kh * kh
+        kh, khi, E = (m.specialize(v0, p) for m in (
+            rep.Khalf(i), rep.Khalf(i, -1), rep.E(i)))
+        K = rep.K(i) if v0 is None else kh * kh
         dK.append(reduce(SparseMatrix.kron, [K] * n))
         dE.append(_balanced_coproduct(E, kh, khi, n))
     return dK, dE

@@ -555,7 +555,10 @@ class Scalar:
         """Exact evaluation at v = v0, a GaussRat; or, with a prime p, at the
         int v0 mod p, giving an int in [0, p).  Raises PoleError on a
         denominator zero (mod p with a prime) and, with a prime, on a
-        coefficient whose denominator p divides."""
+        coefficient whose denominator p divides.  v0 None (no point) gives
+        the Scalar itself."""
+        if v0 is None:
+            return self
         if p is not None:
             v0 %= p
         if not v0:

@@ -103,6 +103,12 @@ def test_specialize_matrix():
     assert s.data[(0, 0)] == GaussRat(4)
 
 
+def test_specialize_with_no_point_is_the_matrix():
+    # v0 None is no point: builders pass it through specialize unchanged
+    m = SparseMatrix(2, 2, {(0, 0): V - TWO, (1, 1): QQ.inv()})
+    assert m.specialize(None) is m and m.specialize(None, P) is m
+
+
 def test_specialize_drops_vanishing_entries():
     m = SparseMatrix(2, 2, {(0, 0): V - TWO, (1, 1): V})
     s = m.specialize(GaussRat(2))

@@ -10,8 +10,9 @@ from spindual.linalg import SparseMatrix, commutator, random_point
 from spindual.intertwiner import cubic_residuals
 from spindual.qgroup import (SpinRep, rank_of, simple_roots, root_pairing,
                              cartan_entry, verify_relations, dominant_columns,
-                             column_weight, relation_residuals, spin_rep)
-from spindual import qgroup
+                             column_weight, column_weights,
+                             relation_residuals, spin_rep)
+from spindual import coideal, qgroup
 from spindual.combinat import is_dominant
 from spindual.cli import main
 
@@ -263,6 +264,25 @@ def test_coproduct_of_F_is_the_transpose(N, n):
             assert E[i - 1].transpose() == want, (v0, i)
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_point_builds_never_take_the_symbolic_K(monkeypatch, N):
+    # at a point K_i is (K_i^{1/2})^2 on S, specialized there, so neither
+    # builder makes the symbolic K_i; the result is still the symbolic
+    # Delta(K_i) specialized entry by entry
+    v0 = random_point(random.Random(11))
+    points = [(v0, None), (v0.mod_p(P), P)]
+    K_sym, _ = qgroup.coproduct_generators(N, 2)
+    want = {p: [dK.specialize(x, p) for dK in K_sym] for x, p in points}
+
+    def symbolic_K(self, i, power=1):
+        raise AssertionError(f"SpinRep.K({i}, {power}) built at a point")
+    monkeypatch.setattr(SpinRep, "K", symbolic_K)
+    for x, p in points:
+        K, _ = qgroup.coproduct_generators(N, 2, x, p)
+        assert K == want[p]
+        coideal.duality_rep(N, 2, x, p)
+
+
 def test_khalf_squares_to_K():
     rep = SpinRep(7)
     for i in range(1, rep.k + 1):
@@ -329,6 +349,13 @@ def test_dominant_columns_match_enumeration(N, n):
     want = {j: w for j in range(d ** n)
             if is_dominant(w := column_weight(N, n, j), N)}
     assert list(dominant_columns(N, n).items()) == list(want.items())
+
+
+@pytest.mark.parametrize("N,n", [(8, 3), (12, 2), (3, 12), (4, 3), (5, 1)])
+def test_column_weights_are_the_per_column_weights(N, n):
+    # the weights of fft's weight check, built one tensor factor at a time
+    assert column_weights(N, n) == [
+        column_weight(N, n, j) for j in range((1 << rank_of(N)) ** n)]
 
 
 @pytest.mark.parametrize("N", range(3, 10))

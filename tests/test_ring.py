@@ -84,6 +84,12 @@ def test_specialize_and_pole():
         QQ.specialize(GaussRat(0))
 
 
+def test_specialize_with_no_point_is_the_scalar():
+    # v0 None is no point, not v0 = 0, so no PoleError
+    for s in (ONE / (QQ - ONE), QQ, -(QQ ** 2), sc(3)):
+        assert s.specialize(None) is s and s.specialize(None, P) is s
+
+
 def test_laurent_predicates():
     assert QQ.den is LP_ONE
     assert (ONE / qint(2)).den is not LP_ONE
